@@ -11,7 +11,7 @@ from sspaceform.biharmonic import (case3_grid_scan, case3_obstruction,
                                    classify_case)
 from sspaceform.curve import frenet_apparatus
 from sspaceform.manifold import ModelParams
-from sspaceform.slant import contact_angles
+from sspaceform.slant import contact_angles, phiT_decomposition
 
 params = ModelParams(m=2, s=2)
 
@@ -40,7 +40,8 @@ curves = {
 for name, tr in curves.items():
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
-    label, detail = classify_case(tr, fd, prof, params)
+    label, detail = classify_case(phiT_decomposition(tr, fd, prof), prof,
+                                  params)
     print(f"{name}:")
     print(f"  case {label}   (max |g(phiT,V2)| = {detail.get('max_abs_p2', 0):.3e},"
           f" alignment defect = {detail.get('align_defect', 0):.3e})")

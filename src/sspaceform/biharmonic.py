@@ -30,9 +30,9 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import odesol
-from .curve import CurveTrace, FrenetData, covariant_chain, fd_derivative
+from .curve import CurveTrace, FrenetData, fd_derivative
 from .manifold import ModelParams, curvature_frame, phi_frame
-from .slant import SlantProfile, phiT_decomposition
+from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
 __all__ = [
     "WeightFunction",
@@ -50,6 +50,19 @@ __all__ = [
 ]
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
+TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
+
+
+def _c_s(params) -> tuple:
+    """(c, s) of a ModelParams or of a hypothetical (c, s) pair."""
+    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
+
+
+def _a_b(profile_or_ab) -> tuple:
+    """(a, b) of a SlantProfile or of an (a, b) pair."""
+    if hasattr(profile_or_ab, "a"):
+        return profile_or_ab.a, profile_or_ab.b
+    return tuple(profile_or_ab)
 
 
 @dataclass
@@ -117,16 +130,9 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
     (the part of phiT outside span{V2,V3,V4}), needed for condition (5)
     on traces of order > 4; scalar mode assumes phiT lies in the span.
     """
-    if hasattr(params, "c"):
-        c, s = params.c, params.s
-    else:
-        c, s = params
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    k3 = np.asarray(k3, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    p3 = np.asarray(p3, dtype=float)
-    p4 = np.asarray(p4, dtype=float)
+    c, s = _c_s(params)
+    k1, k2, k3, p2, p3, p4 = (np.asarray(v, dtype=float)
+                              for v in (k1, k2, k3, p2, p3, p4))
     if k1p is None or k1pp is None or k2p is None:
         if ts is None:
             raise ValueError("need ts for finite-difference curvature derivatives")
@@ -158,38 +164,40 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
 # tension fields
 # ---------------------------------------------------------------------------
 
-def _measured_scalars(trace: CurveTrace, fd: FrenetData):
-    n = trace.n
+def _measured_scalars(fd: FrenetData):
+    n = len(fd.ts)
     k1 = fd.curvatures[0] if fd.order >= 2 else np.zeros(n)
     k2 = fd.curvatures[1] if fd.order >= 3 else np.zeros(n)
     k3 = fd.curvatures[2] if fd.order >= 4 else np.zeros(n)
     return k1, k2, k3
 
 
-def tau2(trace: CurveTrace, fd: FrenetData) -> dict:
+def tau2(fd: FrenetData) -> dict:
     """Bitension field per sample, computed two ways.
 
-    direct: nabla_T^3 T - R(T, nabla_T T) T from the exact chain and the
-    closed-form curvature tensor (frame components).
+    direct: nabla_T^3 T - R(T, nabla_T T) T from the exact chain fd.chain
+    and the closed-form curvature tensor (frame components).
     frenet: (-3 k1 k1') T + (k1'' - k1^3 - k1 k2^2) V2
             + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term,
     where the R-term uses the same closed form.  Returns both fields and
-    their cross residual.
+    their cross residual.  A chain shorter than TAU2_CHAIN_LEVELS raises
+    ValueError.
     """
-    if trace.depth < 3:
-        raise ValueError("tau2 needs derivative depth >= 3 (gamma''')")
-    params = trace.params
-    chain = covariant_chain(trace)
+    chain = fd.chain
+    if len(chain) < TAU2_CHAIN_LEVELS:
+        raise ValueError(f"tau2 needs nabla_T^3 T, i.e. derivative depth >= "
+                         f"{TAU2_CHAIN_LEVELS}; the trace has {len(chain)}")
+    params = fd.params
     tf = chain[0]
     R_term = curvature_frame(params, tf, chain[1], tf)
     direct = chain[3] - R_term
 
-    k1, k2, k3 = _measured_scalars(trace, fd)
-    h = trace.ts[1] - trace.ts[0]
+    k1, k2, k3 = _measured_scalars(fd)
+    h = fd.ts[1] - fd.ts[0]
     k1p = fd_derivative(k1, h)
     k1pp = fd_derivative(k1p, h)
     k2p = fd_derivative(k2, h)
-    n, dim = trace.n, params.dim
+    n, dim = len(fd.ts), params.dim
     frames = np.zeros((4, n, dim))
     frames[0] = tf
     for j in range(1, min(4, fd.order)):
@@ -203,11 +211,10 @@ def tau2(trace: CurveTrace, fd: FrenetData) -> dict:
     return {"direct": direct, "frenet": frenet, "cross_residual": cross}
 
 
-def tau3(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
-         f: WeightFunction) -> dict:
+def tau3(fd: FrenetData, f: WeightFunction) -> dict:
     """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T."""
-    t2 = tau2(trace, fd)
-    chain = covariant_chain(trace)
+    t2 = tau2(fd)
+    chain = fd.chain
     w1 = (f.fp / f.f)[:, None]
     w2 = (f.fpp / f.f)[:, None]
     direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
@@ -237,6 +244,10 @@ class BiharmonicReport:
     tolerances: dict
     f_variation: float
     details: dict = field(default_factory=dict)
+    # arrays behind the maxima, left out of as_dict(): eq1..eq4, gphiT
+    # (NaN where k1 <= 0) and tau3_norm (NaN when tau3 is not computed)
+    per_sample: dict = field(default_factory=dict, repr=False)
+    decomposition: PhiTDecomposition | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -250,6 +261,7 @@ class BiharmonicReport:
 
 
 GEODESIC_K1 = 1e-9
+EQUATIONS = ("eq1", "eq2", "eq3", "eq4", "gphiT")   # the five master equations
 
 
 def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
@@ -263,47 +275,45 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     A geodesic (k1 below threshold everywhere) is 'harmonic/geodesic'.
     Residuals are maxed over the window with edge_trim samples dropped at
     each end (finite-difference edge effects of the measured curvatures);
-    the default adapts to the trace's differencing stride.
+    the default adapts to the trace's differencing stride.  tau3_norm is
+    reported only when the chain reaches TAU2_CHAIN_LEVELS.
     """
     params = trace.params
     n = trace.n
     if edge_trim is None:
         edge_trim = 2 + 3 * trace.meta.get("fd_stride", 1)
-    k1, k2, k3 = _measured_scalars(trace, fd)
+    k1, k2, k3 = _measured_scalars(fd)
+    dec = phiT_decomposition(trace, fd, profile) if fd.order >= 2 else None
+    zeros = np.zeros(n)
+    p2, p3, p4 = (dec.p2, dec.p3, dec.p4) if dec else (zeros, zeros, zeros)
+    out_of_span = dec.phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2) if dec else None
+    per_sample = mainprop_residuals(params, np.where(k1 > 0, k1, np.nan), k2, k3,
+                                    p2, p3, p4, f, profile.a, profile.b,
+                                    ts=trace.ts, extra_gphiT=out_of_span)
+    t3 = tau3(fd, f) if len(fd.chain) >= TAU2_CHAIN_LEVELS else None
+    per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3["norm"]
+
     if fd.order == 1 or np.max(k1) < GEODESIC_K1:
-        t3 = None
-        if trace.depth >= 3:
-            t3 = tau3(trace, fd, profile, f)
-        residuals = {"eq1": 0.0, "eq2": 0.0, "eq3": 0.0, "eq4": 0.0,
-                     "gphiT": 0.0,
-                     "tau3_norm": 0.0 if t3 is None else t3["max_norm"]}
+        residuals = dict.fromkeys(EQUATIONS, 0.0)
+        if t3 is not None:
+            residuals["tau3_norm"] = t3["max_norm"]
         return BiharmonicReport(residuals=residuals, case="degenerate",
                                 verdict="harmonic/geodesic",
                                 tolerances={"eq_tol": eq_tol},
                                 f_variation=f.variation,
-                                details={"reason": "k1 below geodesic threshold"})
+                                details={"reason": "k1 below geodesic threshold"},
+                                per_sample=per_sample, decomposition=dec)
 
-    dec = phiT_decomposition(trace, fd, profile)
-    phiT = phi_frame(params, trace.tangent_frame())
-    phiT_norm2 = np.einsum("nd,nd->n", phiT, phiT)
-    out_of_span = phiT_norm2 - (dec.p2 ** 2 + dec.p3 ** 2 + dec.p4 ** 2)
-    res = mainprop_residuals(params, k1, k2, k3, dec.p2, dec.p3, dec.p4, f,
-                             profile.a, profile.b, ts=trace.ts,
-                             extra_gphiT=out_of_span)
     sl = slice(edge_trim, n - edge_trim) if n > 2 * edge_trim else slice(None)
-    residuals = {k: float(np.max(np.abs(v[sl]))) for k, v in res.items()}
-
-    case = classify_case(trace, fd, profile, params)
+    residuals = {k: float(np.max(np.abs(per_sample[k][sl]))) for k in EQUATIONS}
+    case = classify_case(dec, profile, params)
     details = {"case_detail": case[1], "slant": profile.is_slant,
                "order": fd.order}
-    t3_max = None
-    if trace.depth >= 3:
-        t3 = tau3(trace, fd, profile, f)
-        t3_max = float(np.max(t3["norm"][sl]))
-        residuals["tau3_norm"] = t3_max
+    if t3 is not None:
+        residuals["tau3_norm"] = float(np.max(t3["norm"][sl]))
         details["tau2_cross_residual"] = t3["cross_residual"]
 
-    ok = all(residuals[k] < eq_tol for k in ("eq1", "eq2", "eq3", "eq4", "gphiT"))
+    ok = all(residuals[k] < eq_tol for k in EQUATIONS)
     if not profile.is_slant:
         verdict = "none"
         details["reason"] = "not a slant curve"
@@ -317,10 +327,11 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                             tolerances={"eq_tol": eq_tol,
                                         "proper_f_variation": PROPER_F_VARIATION,
                                         "geodesic_k1": GEODESIC_K1},
-                            f_variation=f.variation, details=details)
+                            f_variation=f.variation, details=details,
+                            per_sample=per_sample, decomposition=dec)
 
 
-def classify_case(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
+def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
                   params: ModelParams | tuple, tol: float = 1e-6) -> tuple[str, dict]:
     """Case label per the classification of g(tau3, phiT) = 0.
 
@@ -331,24 +342,19 @@ def classify_case(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     Returns (label, detail); near-threshold configurations report both
     candidates in detail['ambiguous'].  Thresholds are scale-relative:
     |g(phiT,V2)| < tol*sqrt(1-a) for II, span alignment within tol for III.
-    Invariant under frame sign flips (only |p2| and norms are used).
+    Invariant under frame sign flips (only |p2| and norms of the phiT
+    decomposition `dec` are used).
     """
-    if hasattr(params, "c"):
-        c, s = params.c, params.s
-    else:
-        c, s = params
+    c, s = _c_s(params)
     if abs(c - s) < 1e-14:
         return "I", {"c": c, "s": s}
     one_minus_a = 1.0 - profile.a
     if one_minus_a < 1e-12:
         return "degenerate", {"reason": "a = 1, phiT = 0 (geodesic direction)"}
     scale = np.sqrt(one_minus_a)
-    dec = phiT_decomposition(trace, fd, profile)
     p2max = float(np.max(np.abs(dec.p2)))
-    phiT = phi_frame(trace.params, trace.tangent_frame())
     # alignment with +-V2: || |phiT| - |p2| || relative to scale
-    align = float(np.max(np.abs(np.sqrt(np.einsum("nd,nd->n", phiT, phiT))
-                                - np.abs(dec.p2))))
+    align = float(np.max(np.abs(np.sqrt(dec.phiT_norm2) - np.abs(dec.p2))))
     detail = {"max_abs_p2": p2max, "align_defect": align, "scale": scale}
     is_II = p2max < tol * scale
     is_III = align < tol * scale
@@ -396,14 +402,8 @@ def case1_case2_checker(profile_or_ab, params, k1, k2, f: WeightFunction,
     k1, k2 may be callables t -> (value, d/dt, d2/dt2) or arrays on ts.
     k1 must be strictly positive on the window.
     """
-    if hasattr(profile_or_ab, "a"):
-        a, b = profile_or_ab.a, profile_or_ab.b
-    else:
-        a, b = profile_or_ab
-    if hasattr(params, "c"):
-        c, s = params.c, params.s
-    else:
-        c, s = params
+    a, b = _a_b(profile_or_ab)
+    c, s = _c_s(params)
     case = "I" if abs(c - s) < 1e-14 else "II"
     lam, eps = odesol.lambda_constants(a, b, (c, s), case)
     ts = np.asarray(ts if ts is not None else f.ts, dtype=float)
@@ -485,14 +485,8 @@ def case3_obstruction(profile_or_ab, params, c2: float | None = None,
     for b = 0 and then a = 1, the geodesic terminal case.  Returns the
     branch that fired, the coefficients, and the candidate constant roots.
     """
-    if hasattr(profile_or_ab, "a"):
-        a, b = profile_or_ab.a, profile_or_ab.b
-    else:
-        a, b = profile_or_ab
-    if hasattr(params, "s"):
-        s = params.s
-    else:
-        s = params[1]
+    a, b = _a_b(profile_or_ab)
+    s = _c_s(params)[1]
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +-1 (sign of g(phiT, V2))")
     if abs(a - 1.0) < 1e-14:
@@ -528,7 +522,7 @@ def case3_obstruction(profile_or_ab, params, c2: float | None = None,
 
 def case3_grid_scan(params, a_grid=None, b_grid=None) -> dict:
     """Obstruction scan over an (a, b) grid for both epsilon signs."""
-    s = params.s if hasattr(params, "s") else params[1]
+    s = _c_s(params)[1]
     if a_grid is None:
         a_grid = np.linspace(0.05, 0.95, 10)
     if b_grid is None:
@@ -554,10 +548,7 @@ def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
     composite Simpson on the grid, with the free constant set to zero
     (callers shift it to match the k2^2 relation at a reference sample).
     """
-    if hasattr(params, "c"):
-        c, s = params.c, params.s
-    else:
-        c, s = params
+    c, s = _c_s(params)
     ts = np.asarray(ts, dtype=float)
     integrand = np.cos(np.asarray(beta)) ** 2 * np.asarray(k1p) / np.asarray(k1) ** 3
     prim = cumulative_simpson(integrand, x=ts, initial=0.0)
@@ -587,13 +578,15 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     sl = slice(edge_trim, trace.n - edge_trim)
     ts = trace.ts[sl]
     h = trace.ts[1] - trace.ts[0]
-    k1, k2, k3 = (arr[sl] for arr in _measured_scalars(trace, fd))
+    scalars = _measured_scalars(fd)
+    k1, k2, k3 = (arr[sl] for arr in scalars)
     if np.min(np.abs(np.cos(dec.beta[sl]))) < 1e-12 or np.max(np.abs(dec.p2[sl])) < 1e-12:
         raise ValueError("g(phiT,V2) = 0 on the window: this is case II, not IV")
     beta = dec.beta[sl]
     beta_p = fd_derivative(dec.beta, h)[sl]
-    k1p = fd_derivative(_measured_scalars(trace, fd)[0], h)[sl]
-    k1pp = fd_derivative(fd_derivative(_measured_scalars(trace, fd)[0], h), h)[sl]
+    k1p_full = fd_derivative(scalars[0], h)
+    k1p = k1p_full[sl]
+    k1pp = fd_derivative(k1p_full, h)[sl]
     beta_variation = float(np.max(beta) - np.min(beta))
     beta_is_const = beta_variation <= beta_const_tol
     cf38 = 3.0 * (c - s) / 8.0

@@ -32,9 +32,9 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import CurveTrace, frenet_apparatus, unit_speed_check
+from .curve import CurveTrace, fd_derivative, frenet_apparatus, unit_speed_check
 from .manifold import ModelParams
-from .slant import contact_angles, phiT_decomposition
+from .slant import contact_angles
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -168,7 +168,6 @@ def _build_weight(ts, k1_measured, k1_callable, cp) -> bih.WeightFunction:
             # geodesic: f = c1 k1^(-3/2) is undefined and irrelevant
             # (every tension term carries k1); use a constant weight
             return bih.WeightFunction.constant(ts, c1)
-        from .curve import fd_derivative
         k1p = fd_derivative(k1v, h)
         k1pp = fd_derivative(k1p, h)
         return odesol.f_from_k1(ts, k1v, k1p, k1pp, c1=c1)
@@ -211,6 +210,9 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FloatingPointError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     try:
         fd = frenet_apparatus(trace)
         profile = contact_angles(trace, tolerance=tol["slant"])
@@ -218,9 +220,6 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
         weight = _build_weight(trace.ts, k1, k1_callable, cp)
         report = bih.check_conditions(trace, fd, profile, weight,
                                       eq_tol=tol["eq"])
-        dec = None
-        if fd.order >= 2 and 1.0 - profile.a > 1e-12:
-            dec = phiT_decomposition(trace, fd, profile)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -263,7 +262,7 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     else:
         print(text)
     if csv_path:
-        _write_verify_csv(csv_path, trace, fd, profile, weight, dec, report)
+        _write_verify_csv(csv_path, trace, fd, profile, report)
     if expected not in ("any", report.verdict):
         print(f"verdict mismatch: expected {expected!r}, "
               f"got {report.verdict!r}", file=sys.stderr)
@@ -271,19 +270,19 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     return EXIT_OK
 
 
-def _write_verify_csv(path, trace, fd, profile, weight, dec, report) -> None:
+def _write_verify_csv(path, trace, fd, profile, report) -> None:
+    """One row per sample: the arrays whose trimmed maxima the report lists."""
     n = trace.n
     k = [fd.curvatures[i] if fd.order >= i + 2 else np.zeros(n)
          for i in range(3)]
-    etas = trace.tangent_frame()[:, 2 * trace.params.m:]
-    res = bih.mainprop_residuals(
-        trace.params, np.where(k[0] > 0, k[0], np.nan), k[1], k[2],
-        dec.p2 if dec else np.zeros(n), dec.p3 if dec else np.zeros(n),
-        dec.p4 if dec else np.zeros(n), weight, profile.a, profile.b,
-        ts=trace.ts)
-    t3 = None
-    if trace.depth >= 3:
-        t3 = bih.tau3(trace, fd, profile, weight)
+    dec = report.decomposition
+    if dec is None:
+        p = [np.zeros(n)] * 3 + [np.full(n, np.nan)]
+    else:
+        p = [dec.p2, dec.p3, dec.p4, dec.beta]
+    res = report.per_sample
+    columns = ([trace.ts] + k + list(profile.eta_samples.T) + p
+               + [res[key] for key in ("tau3_norm",) + bih.EQUATIONS])
     header = (["t", "k1", "k2", "k3"]
               + [f"eta{a+1}_T" for a in range(trace.params.s)]
               + ["g_phiT_V2", "g_phiT_V3", "g_phiT_V4", "beta", "tau3_norm",
@@ -291,15 +290,7 @@ def _write_verify_csv(path, trace, fd, profile, weight, dec, report) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(n):
-            row = [trace.ts[i], k[0][i], k[1][i], k[2][i]]
-            row += list(etas[i])
-            row += [dec.p2[i] if dec else 0.0, dec.p3[i] if dec else 0.0,
-                    dec.p4[i] if dec else 0.0,
-                    dec.beta[i] if dec else np.nan,
-                    t3["norm"][i] if t3 is not None else np.nan,
-                    res["eq1"][i], res["eq2"][i], res["eq3"][i],
-                    res["eq4"][i], res["gphiT"][i]]
+        for row in np.column_stack(columns):
             writer.writerow([_fmt(v) for v in row])
 
 
@@ -324,7 +315,7 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except synth.SynthesisError as exc:
+    except (synth.SynthesisError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     trace.to_csv(out_path)

@@ -93,6 +93,7 @@ class CurveTrace:
     """Sampled unit-speed curve with coordinate derivatives.
 
     derivs[k] holds gamma^(k+1) on the grid, so derivs[0] is the velocity.
+    A non-finite value raises FloatingPointError naming its row.
     """
 
     params: ModelParams
@@ -104,8 +105,6 @@ class CurveTrace:
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError("parameter grid must be strictly increasing")
         if self.points.shape != (len(self.ts), self.params.dim):
             raise ValueError("points must have shape (n, 2m+s)")
         self.derivs = [np.asarray(d, dtype=float) for d in self.derivs]
@@ -114,6 +113,15 @@ class CurveTrace:
                 raise ValueError("every derivative array must match points' shape")
         if not self.derivs:
             raise ValueError("at least the velocity gamma' is required")
+        columns = [("t", self.ts), ("points", self.points)] + [
+            (f"gamma^({k + 1})", d) for k, d in enumerate(self.derivs)]
+        for name, arr in columns:
+            bad = np.flatnonzero(~np.isfinite(arr.reshape(self.n, -1)).all(axis=1))
+            if len(bad):
+                raise FloatingPointError(
+                    f"non-finite {name} in row {bad[0]} of the trace")
+        if np.any(np.diff(self.ts) <= 0):
+            raise ValueError("parameter grid must be strictly increasing")
 
     @property
     def n(self) -> int:
@@ -240,12 +248,13 @@ def _frame_jet(trace: CurveTrace) -> list[np.ndarray]:
     return jets
 
 
-def covariant_chain(trace: CurveTrace) -> list[np.ndarray]:
-    """[T, nabla_T T, nabla_T^2 T, ...] in frame components, exact.
+def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
+    """(T, nabla_T T, nabla_T^2 T, ...) in frame components, exact.
 
     Depth: with derivatives up to gamma^(d), the chain has d entries.
     Uses nabla_T W = W' + Phi(T, W) and the Leibniz rule
         (nabla_T W)^(j) = W^(j+1) + sum_i C(j,i) Phi(T^(i), W^(j-i)).
+    The levels are read-only: FrenetData keeps them for tau2/tau3.
     """
     params = trace.params
     tjet = _frame_jet(trace)           # derivatives of T's frame components
@@ -261,7 +270,10 @@ def covariant_chain(trace: CurveTrace) -> list[np.ndarray]:
                 W += comb(j, i) * connection_term(params, tjet[i], prev[j - i])
             cur.append(W)
         levels.append(cur)
-    return [lv[0] for lv in levels]
+    chain = tuple(lv[0] for lv in levels)
+    for level in chain:
+        level.setflags(write=False)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +291,7 @@ class FrenetData:
     curvatures: np.ndarray      # (order-1, n), k_1..k_{r-1}
     threshold: float
     raw_curvatures: np.ndarray  # (max_order-1, n) including sub-threshold ones
+    chain: tuple                # covariant_chain(trace), read-only levels
     degeneracy: list = field(default_factory=list)
 
     def frame_coords(self, trace: CurveTrace) -> np.ndarray:
@@ -376,7 +389,7 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     return FrenetData(params=trace.params, ts=trace.ts, order=order,
                       frames=frames[:order], curvatures=kept,
                       threshold=threshold, raw_curvatures=raw_k,
-                      degeneracy=degeneracy)
+                      chain=chain, degeneracy=degeneracy)
 
 
 def _contiguous_windows(ts: np.ndarray, mask: np.ndarray) -> list:

@@ -148,6 +148,7 @@ class PhiTDecomposition:
     w: np.ndarray                   # angle in span{V3, V4}; nan where undefined
     sin2beta_sign: np.ndarray       # sign of sin(2 beta) per sample
     norm_defect: np.ndarray         # p2^2+p3^2+p4^2 - (1-a), when span covers
+    phiT_norm2: np.ndarray          # |phiT|^2 per sample
     in_span_v234: bool              # |phiT|^2 - (p2^2+p3^2+p4^2) small
     degenerate: bool                # a = 1: phi T = 0
     signs: dict
@@ -169,13 +170,14 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     one_minus_a = 1.0 - profile.a
     n = trace.n
     phiT = phi_frame(params, trace.tangent_frame())
+    phiT_norm2 = np.einsum("nd,nd->n", phiT, phiT)
     if one_minus_a < 1e-12:
         zeros = np.zeros(n)
         return PhiTDecomposition(
             ts=trace.ts, p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
             beta=np.full(n, np.nan), w=np.full(n, np.nan),
             sin2beta_sign=zeros.copy(), norm_defect=zeros.copy(),
-            in_span_v234=True, degenerate=True, signs={},
+            phiT_norm2=phiT_norm2, in_span_v234=True, degenerate=True, signs={},
             derivative_residual=0.0)
 
     def proj(i):
@@ -191,16 +193,12 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     plane = np.hypot(p3, p4)
     w = np.where(plane > span_tol * sq, np.arctan2(p4, p3), np.nan)
     norm_defect = p2 ** 2 + p3 ** 2 + p4 ** 2 - one_minus_a
-    phiT_norm2 = np.einsum("nd,nd->n", phiT, phiT)
     in_span = bool(np.max(np.abs(phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2)))
                    <= max(span_tol, 1e-10) * max(1.0, one_minus_a))
     # derivative identity d/dt g(phiT,V2) = k2 g(phiT,V3)
-    if fd.order >= 3:
-        h = trace.ts[1] - trace.ts[0]
-        dp2 = fd_derivative(p2, h)
-        resid = float(np.max(np.abs(dp2 - fd.curvatures[1] * p3)))
-    else:
-        resid = float(np.max(np.abs(fd_derivative(p2, trace.ts[1] - trace.ts[0]))))
+    k2 = fd.curvatures[1] if fd.order >= 3 else 0.0     # p3 = 0 below order 3
+    dp2 = fd_derivative(p2, trace.ts[1] - trace.ts[0])
+    resid = float(np.max(np.abs(dp2 - k2 * p3)))
     signs = {
         "sin_beta_cos_w": np.sign(p3),
         "sin_beta_sin_w": np.sign(p4),
@@ -208,5 +206,6 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     return PhiTDecomposition(
         ts=trace.ts, p2=p2, p3=p3, p4=p4, beta=beta, w=w,
         sin2beta_sign=np.sign(2 * np.cos(beta) * sinb),
-        norm_defect=norm_defect, in_span_v234=in_span, degenerate=False,
+        norm_defect=norm_defect, phiT_norm2=phiT_norm2,
+        in_span_v234=in_span, degenerate=False,
         signs=signs, derivative_residual=resid)

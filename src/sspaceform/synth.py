@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveTrace, FrenetData, fd_derivative, frenet_apparatus
+from .curve import (CurveTrace, FrenetData, covariant_chain, fd_derivative,
+                    frenet_apparatus)
 from .manifold import ModelParams, connection_term, frame_to_coords
 
 __all__ = [
@@ -128,6 +129,17 @@ def _frenet_rhs(params: ModelParams, t, frame, pos, kfuns):
     return dframe, dpos
 
 
+def _derivative_stack(vels: np.ndarray, step: float, depth: int):
+    """[gamma', gamma'', ...] (depth entries) by chained differencing of the
+    velocity, and the stride used: an effective step near 0.005 keeps
+    the deep derivatives above the roundoff floor."""
+    stride = max(1, int(round(0.005 / step)))
+    derivs = [vels]
+    for _ in range(depth - 1):
+        derivs.append(fd_derivative(derivs[-1], step, stride=stride))
+    return derivs, stride
+
+
 def _orthonormalize(frame: np.ndarray) -> tuple[np.ndarray, float]:
     """Modified Gram-Schmidt; returns the corrected frame and the drift
     (worst orthonormality defect of the input frame)."""
@@ -201,19 +213,15 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, FrenetData
     vels = np.array(v_bwd[::-1][:-1] + v_fwd)
     ts = ts_grid
 
-    stride = max(1, int(round(0.005 / spec.step)))
-    derivs = [vels]
-    cur = vels
-    for _ in range(4):
-        cur = fd_derivative(cur, spec.step, stride=stride)
-        derivs.append(cur)
+    derivs, stride = _derivative_stack(vels, spec.step, 5)
     trace = CurveTrace(params, ts, points, derivs,
                        meta={"synthesized": True, "fd_stride": stride,
                              **spec.meta})
     kmat = np.array([[k(t) for t in ts] for k in kfuns]) if kfuns else np.zeros((0, len(ts)))
     fdata = FrenetData(params=params, ts=ts, order=spec.order,
                        frames=frames.transpose(1, 0, 2), curvatures=kmat,
-                       threshold=0.0, raw_curvatures=kmat)
+                       threshold=0.0, raw_curvatures=kmat,
+                       chain=covariant_chain(trace))
     return trace, fdata
 
 
@@ -349,12 +357,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     vel_frame[:, 2 * m:] = sv
     vels = frame_to_coords(params, vel_frame,
                            points[:, params.m:2 * params.m])
-    stride = max(1, int(round(0.005 / step)))
-    derivs = [vels]
-    cur = vels
-    for _ in range(4):
-        cur = fd_derivative(cur, step, stride=stride)
-        derivs.append(cur)
+    derivs, stride = _derivative_stack(vels, step, 5)
     return CurveTrace(params, ts, points, derivs,
                       meta={"synthesized": True, "steered": True,
                             "fd_stride": stride,
@@ -438,12 +441,7 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     vel_frame[:, params.m] = recs[:, 1]
     vel_frame[:, 2 * params.m:] = sv
     vels = frame_to_coords(params, vel_frame, points[:, params.m:2 * params.m])
-    stride = max(1, int(round(0.005 / step)))
-    derivs = [vels]
-    cur = vels
-    for _ in range(3):
-        cur = fd_derivative(cur, step, stride=stride)
-        derivs.append(cur)
+    derivs, stride = _derivative_stack(vels, step, 4)
     return CurveTrace(params, ts, points, derivs,
                       meta={"synthesized": True, "fd_stride": stride,
                             "phiT_aligned": True, "epsilon": epsilon})

@@ -282,16 +282,14 @@ def test_criterion_09_degeneration_properties(case2_curve, case2_fd,
     """Constant f: ||tau3 - tau2|| < 1e-10; geodesic: tau3 = 0; f_from_k1
     satisfies eq (1) < 1e-8 for 10 random positive profiles."""
     f_const = WeightFunction.constant(case2_curve.ts, 2.0)
-    t2 = tau2(case2_curve, case2_fd)
-    t3 = tau3(case2_curve, case2_fd, case2_profile, f_const)
+    t2 = tau2(case2_fd)
+    t3 = tau3(case2_fd, f_const)
     const_dev = float(np.max(np.linalg.norm(
         t3["direct"] - t2["direct"], axis=1)))
 
     gfd = frenet_apparatus(geodesic)
-    gprof = contact_angles(geodesic)
-    t3g = tau3(geodesic, gfd, gprof,
-               WeightFunction.from_samples(geodesic.ts,
-                                           2.0 + np.sin(geodesic.ts)))
+    t3g = tau3(gfd, WeightFunction.from_samples(geodesic.ts,
+                                                2.0 + np.sin(geodesic.ts)))
     geo_norm = float(np.max(t3g["norm"]))
 
     rng = np.random.default_rng(9)

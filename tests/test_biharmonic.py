@@ -1,4 +1,6 @@
 """Tension fields, master equations, verdicts, and the case analysis."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from sspaceform.biharmonic import (WeightFunction, case1_case2_checker,
                                    case4_checker, case4_mu, check_conditions,
                                    classify_case, mainprop_residuals, tau2,
                                    tau3)
-from sspaceform.curve import FrenetData, fd_derivative, frenet_apparatus
+from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams
-from sspaceform.slant import contact_angles
+from sspaceform.slant import contact_angles, phiT_decomposition
 
 from conftest import k1_case2, k1_catenary
 
@@ -40,7 +42,7 @@ def test_weight_from_samples():
 
 def test_tau2_geodesic_vanishes(geodesic):
     fd = frenet_apparatus(geodesic)
-    out = tau2(geodesic, fd)
+    out = tau2(fd)
     assert np.max(np.linalg.norm(out["direct"], axis=1)) < 1e-12
     assert out["cross_residual"] < 1e-12
 
@@ -49,24 +51,39 @@ def test_tau2_circle_closed_form(circle):
     # flat-slice circle: the curvature term R(T, nabla_T T)T vanishes and
     # tau2 = -k1^3 V2 exactly
     fd = frenet_apparatus(circle)
-    out = tau2(circle, fd)
+    out = tau2(fd)
     k1 = fd.curvatures[0][:, None]
     expect = -k1 ** 3 * fd.frames[1]
     assert np.max(np.linalg.norm(out["direct"] - expect, axis=1)) < 1e-10
     assert out["cross_residual"] < 1e-3
 
 
+def test_depth3_trace_has_no_tau2(catenary):
+    # tau2 reads nabla_T^3 T, which needs gamma^(4): a depth-3 trace is
+    # refused by tau2 and check_conditions reports without tau3_norm
+    trace = CurveTrace(catenary.params, catenary.ts, catenary.points,
+                       catenary.derivs[:3])
+    fd = frenet_apparatus(trace)
+    with pytest.raises(ValueError, match="depth"):
+        tau2(fd)
+    f = odesol.f_from_k1(trace.ts, k1_catenary, c1=1.0)
+    rep = check_conditions(trace, fd, contact_angles(trace), f)
+    assert rep.verdict == "proper-f-biharmonic"
+    assert "tau3_norm" not in rep.residuals
+    assert np.all(np.isnan(rep.per_sample["tau3_norm"]))
+
+
 def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):
     f = WeightFunction.constant(case2_curve.ts, 2.5)
-    t2 = tau2(case2_curve, case2_fd)
-    t3 = tau3(case2_curve, case2_fd, case2_profile, f)
+    t2 = tau2(case2_fd)
+    t3 = tau3(case2_fd, f)
     diff = np.linalg.norm(t3["direct"] - t2["direct"], axis=1)
     assert np.max(diff) < 1e-10
 
 
 def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
     f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
-    t3 = tau3(case2_curve, case2_fd, case2_profile, f)
+    t3 = tau3(case2_fd, f)
     sl = slice(20, -20)
     assert np.max(t3["norm"][sl]) < 1e-3
     assert t3["cross_residual"] < 1e-3
@@ -75,7 +92,7 @@ def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
 def test_tau3_vanishes_on_catenary(catenary, catenary_fd):
     prof = contact_angles(catenary)
     f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
-    t3 = tau3(catenary, catenary_fd, prof, f)
+    t3 = tau3(catenary_fd, f)
     assert np.max(t3["norm"][5:-5]) < 1e-6
 
 
@@ -83,7 +100,7 @@ def test_tau3_geodesic_any_f(geodesic):
     fd = frenet_apparatus(geodesic)
     prof = contact_angles(geodesic)
     f = WeightFunction.from_samples(geodesic.ts, 2.0 + np.sin(geodesic.ts))
-    t3 = tau3(geodesic, fd, prof, f)
+    t3 = tau3(fd, f)
     assert np.max(t3["norm"]) < 1e-12
 
 
@@ -172,8 +189,8 @@ def test_model_never_case_I():
 
 
 def test_classify_case_II(case2_curve, case2_fd, case2_profile):
-    label, detail = classify_case(case2_curve, case2_fd, case2_profile,
-                                  case2_curve.params)
+    dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
+    label, detail = classify_case(dec, case2_profile, case2_curve.params)
     assert label == "II"
 
 
@@ -183,32 +200,31 @@ def test_classify_case_III(params22):
                                   window=(-1, 1))
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
-    label, detail = classify_case(tr, fd, prof, params22)
+    label, detail = classify_case(phiT_decomposition(tr, fd, prof), prof,
+                                  params22)
     assert label == "III"
 
 
 def test_classify_case_IV(r6_steered, r6_steered_fd):
     prof = contact_angles(r6_steered)
-    label, detail = classify_case(r6_steered, r6_steered_fd, prof,
-                                  r6_steered.params)
+    dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
+    label, detail = classify_case(dec, prof, r6_steered.params)
     assert label == "IV"
 
 
 def test_classify_case_I_hypothetical(case2_curve, case2_fd, case2_profile):
-    label, _ = classify_case(case2_curve, case2_fd, case2_profile, (2.0, 2))
+    dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
+    label, _ = classify_case(dec, case2_profile, (2.0, 2))
     assert label == "I"
 
 
 def test_classify_sign_flip_invariance(r6_steered, r6_steered_fd):
     prof = contact_angles(r6_steered)
-    flipped = FrenetData(
-        params=r6_steered_fd.params, ts=r6_steered_fd.ts,
-        order=r6_steered_fd.order, frames=-r6_steered_fd.frames,
-        curvatures=r6_steered_fd.curvatures,
-        threshold=r6_steered_fd.threshold,
-        raw_curvatures=r6_steered_fd.raw_curvatures)
-    a = classify_case(r6_steered, r6_steered_fd, prof, r6_steered.params)[0]
-    b = classify_case(r6_steered, flipped, prof, r6_steered.params)[0]
+    flipped = dataclasses.replace(r6_steered_fd, frames=-r6_steered_fd.frames)
+    a = classify_case(phiT_decomposition(r6_steered, r6_steered_fd, prof),
+                      prof, r6_steered.params)[0]
+    b = classify_case(phiT_decomposition(r6_steered, flipped, prof),
+                      prof, r6_steered.params)[0]
     assert a == b
 
 

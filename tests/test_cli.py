@@ -1,10 +1,11 @@
 """CLI subcommands: exit codes, determinism, report and CSV schemas."""
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from sspaceform import cli
+from sspaceform import cli, synth
 from sspaceform.curve import CurveTrace, frenet_apparatus
 from sspaceform.manifold import ModelParams
 
@@ -360,3 +361,50 @@ c1 = 1.0
     assert data["slant"]["is_slant"]
     assert data["report"]["verdict"] == "none"
     assert data["report"]["residuals"]["eq4"] > 0.5
+
+
+def test_verify_csv_matches_report_on_r6_steered(tmp_path):
+    # the CSV g_tau3_phiT column is the array whose trimmed maximum the
+    # report lists, including the part of phiT outside span{V2, V3, V4}
+    cfg = write_config(tmp_path / "steer.ini", """
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = builtin:r6-steered
+""")
+    rep, samples = tmp_path / "r.json", tmp_path / "s.csv"
+    assert cli.main(["verify", "--config", cfg, "--report", str(rep),
+                     "--csv", str(samples)]) == cli.EXIT_OK
+    data = json.loads(rep.read_text())
+    assert data["curve"]["osculating_order"] == 5
+    with open(samples, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    trim = 2 + 3 * 5    # check_conditions' edge trim for fd stride 5
+    for key, col in (("gphiT", "g_tau3_phiT"), ("eq4", "eq4"),
+                     ("tau3_norm", "tau3_norm")):
+        col_max = max(abs(float(r[col])) for r in rows[trim:-trim])
+        assert col_max == data["report"]["residuals"][key], key
+
+
+def test_verify_nan_coordinate_exit_3(params22, tmp_path, capsys):
+    # one nan coordinate in a csv: trace is a numerical failure, not a verdict
+    trace = synth.legendre_catenary(params22, window=(-1.0, 1.0), n=401)
+    path = tmp_path / "nan.csv"
+    trace.to_csv(path, include_derivatives=False)
+    lines = path.read_text().splitlines()
+    cells = lines[1 + 100].split(",")
+    cells[4] = "nan"
+    lines[1 + 100] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "nan.ini", f"""
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = csv:{path}
+""")
+    assert cli.main(["verify", "--config", cfg]) == cli.EXIT_NUMERICAL
+    assert "row 100" in capsys.readouterr().err

@@ -53,6 +53,16 @@ def test_trace_validation(params22):
                    [np.zeros((3, 5))])
 
 
+def test_trace_rejects_nan_velocity(catenary):
+    # a nan velocity used to pass unit_speed_check (nan > tol is False)
+    # and come out as a Frenet curve of order 2
+    vel = catenary.velocity.copy()
+    vel[50, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="row 50"):
+        CurveTrace(catenary.params, catenary.ts, catenary.points,
+                   [vel] + catenary.derivs[1:])
+
+
 def test_unit_speed_geodesic(geodesic):
     assert unit_speed_check(geodesic)["max_deviation"] < 1e-12
 
@@ -94,6 +104,16 @@ def test_chain_levels_match_finite_differences(catenary):
 # ---------------------------------------------------------------------------
 # Frenet apparatus on known curves
 # ---------------------------------------------------------------------------
+
+def test_frenet_keeps_read_only_chain(catenary, catenary_fd):
+    chain = covariant_chain(catenary)
+    assert len(catenary_fd.chain) == len(chain) == catenary.depth
+    for mine, fresh in zip(catenary_fd.chain, chain):
+        assert not mine.flags.writeable
+        assert np.array_equal(mine, fresh)
+    with pytest.raises(ValueError):
+        catenary_fd.chain[1][0, 0] = 1.0
+
 
 def test_geodesic_order(geodesic):
     fd = frenet_apparatus(geodesic)
