@@ -30,6 +30,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import odesol
+from .odesol import _c_s
 from .curve import CurveTrace, FrenetData, fd_derivative
 from .manifold import ModelParams, curvature_frame, phi_frame
 from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
@@ -51,11 +52,6 @@ __all__ = [
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
 TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
-
-
-def _c_s(params) -> tuple:
-    """(c, s) of a ModelParams or of a hypothetical (c, s) pair."""
-    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
 
 
 def _a_b(profile_or_ab) -> tuple:

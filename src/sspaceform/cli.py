@@ -118,9 +118,7 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     if kind == "csv":
         if not arg:
             raise ConfigError("source csv: needs a path")
-        trace = CurveTrace.from_csv(params, arg)
-        trace.meta["sampled"] = True
-        return trace, None
+        return CurveTrace.from_csv(params, arg), None
     if kind != "builtin":
         raise ConfigError(f"unknown curve source kind {kind!r}")
     name = arg

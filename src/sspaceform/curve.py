@@ -93,7 +93,9 @@ class CurveTrace:
     """Sampled unit-speed curve with coordinate derivatives.
 
     derivs[k] holds gamma^(k+1) on the grid, so derivs[0] is the velocity.
-    A non-finite value raises FloatingPointError naming its row.
+    `sampled` marks traces whose derivatives were all differenced from
+    positions (`from_positions`); they get the looser unit-speed and slant
+    tolerances.  A non-finite value raises FloatingPointError naming its row.
     """
 
     params: ModelParams
@@ -101,6 +103,7 @@ class CurveTrace:
     points: np.ndarray
     derivs: list[np.ndarray]
     meta: dict = field(default_factory=dict)
+    sampled: bool = False
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -157,7 +160,7 @@ class CurveTrace:
             cur = fd_derivative(cur, h)
             derivs.append(cur)
         return cls(params, ts, np.asarray(points, dtype=float), derivs,
-                   meta=dict(meta or {}))
+                   meta=dict(meta or {}), sampled=True)
 
     @classmethod
     def from_csv(cls, params: ModelParams, path, depth: int = 4) -> "CurveTrace":
@@ -320,8 +323,7 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     FrenetData.degeneracy.
     """
     dev = unit_speed_check(trace)["max_deviation"]
-    default_tol = 1e-5 if trace.meta.get("sampled") else 1e-8
-    tol = trace.meta.get("unit_speed_tol", default_tol)
+    tol = 1e-5 if trace.sampled else 1e-8
     if dev > tol:
         raise ValueError(f"trace is not unit speed: max |g(T,T)-1| = {dev:.3e}")
 

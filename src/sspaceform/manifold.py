@@ -22,7 +22,7 @@ Two representations of tangent data are used throughout the package:
 
 In frame components the metric is the Euclidean dot product and the
 Levi-Civita connection along a curve is exact and Christoffel-free
-(`covariant_along_curve`), because the connection coefficients of the frame
+(`connection_term`), because the connection coefficients of the frame
 fields are constants.  The coordinate route (analytic Christoffel symbols,
 `christoffel`) and a finite-difference route (`christoffel_fd`) are kept as
 independent cross-checks.
@@ -51,7 +51,6 @@ __all__ = [
     "coords_to_frame",
     "frame_to_coords",
     "phi_frame",
-    "covariant_along_curve",
     "covariant_derivative",
     "curvature_frame",
     "curvature_model",
@@ -344,12 +343,6 @@ def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> 
     return out
 
 
-def covariant_along_curve(params: ModelParams, t_frame: np.ndarray,
-                          w: np.ndarray, w_dot: np.ndarray) -> np.ndarray:
-    """nabla_T W in frame components, given W and its t-derivative."""
-    return w_dot + connection_term(params, t_frame, w)
-
-
 def covariant_derivative(params: ModelParams, curve, field, t: float,
                          h: float = 1e-4) -> Tangent:
     """nabla_T(field) at parameter t along a curve.
@@ -394,7 +387,7 @@ def covariant_derivative(params: ModelParams, curve, field, t: float,
                                pt[params.m:2 * params.m])
 
     w_dot = (wf(t - 2 * h) - 8 * wf(t - h) + 8 * wf(t + h) - wf(t + 2 * h)) / (12 * h)
-    out = covariant_along_curve(params, t_frame, wf(t), w_dot)
+    out = w_dot + connection_term(params, t_frame, wf(t))
     return Tangent(Point(p), frame_to_coords(params, out, y))
 
 

@@ -55,12 +55,11 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
 
     theta_alpha = arccos(mean eta_alpha(T)); the curve is flagged slant when
     the worst per-sample deviation from the mean stays below `tolerance`
-    (default from trace.meta['slant_tol'], else 1e-5 for analytic traces,
-    1e-3 for traces built by differencing sampled positions).
+    (default 1e-5, or 1e-3 for `trace.sampled` traces, whose derivatives
+    were differenced from positions).
     """
     if tolerance is None:
-        default = 1e-3 if trace.meta.get("sampled", False) else 1e-5
-        tolerance = trace.meta.get("slant_tol", default)
+        tolerance = 1e-3 if trace.sampled else 1e-5
     tf = trace.tangent_frame()
     etas = tf[:, 2 * trace.params.m:]          # eta_alpha(T) = C_alpha
     means = etas.mean(axis=0)

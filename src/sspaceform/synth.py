@@ -113,20 +113,49 @@ class SynthesisSpec:
 
 def _frenet_rhs(params: ModelParams, t, frame, pos, kfuns):
     """d/dt of (frame rows, position) under the Frenet + connection system."""
-    r = frame.shape[0]
     T = frame[0]
-    kvals = [k(t) for k in kfuns]
-    dframe = np.empty_like(frame)
-    for j in range(r):
-        target = np.zeros(params.dim)
-        if j > 0:
-            target -= kvals[j - 1] * frame[j - 1]
-        if j < r - 1:
-            target += kvals[j] * frame[j + 1]
-        dframe[j] = target - connection_term(params, T, frame[j])
+    kvals = np.array([k(t) for k in kfuns]).reshape(-1, 1)
+    target = np.zeros_like(frame)
+    target[1:] -= kvals * frame[:-1]
+    target[:-1] += kvals * frame[1:]
+    dframe = target - connection_term(params, T, frame)
     y = pos[params.m:2 * params.m]
     dpos = frame_to_coords(params, T, y)
     return dframe, dpos
+
+
+def _rk4_march(rhs, y0, t0, window, step, after=None):
+    """Classical fixed-step RK4 for y' = rhs(t, y) from (t0, y0) to both
+    ends of `window`.
+
+    Returns the grid t0 + step * k, k = -n_bwd..n_fwd, and the states on it
+    stacked along axis 0.  `after(y)`, if given, corrects the state after
+    every step (and may raise to refuse the march).
+    """
+    lo, hi = window
+    if not lo <= t0 <= hi:
+        raise ValueError("window must contain the start point t0")
+    n_fwd = int(round((hi - t0) / step))
+    n_bwd = int(round((t0 - lo) / step))
+
+    def march(n_steps, h):
+        y = np.array(y0, dtype=float)
+        t = t0
+        states = [y]
+        for _ in range(n_steps):
+            a1 = rhs(t, y)
+            a2 = rhs(t + h / 2, y + h / 2 * a1)
+            a3 = rhs(t + h / 2, y + h / 2 * a2)
+            a4 = rhs(t + h, y + h * a3)
+            y = y + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            if after is not None:
+                y = after(y)
+            t += h
+            states.append(y)
+        return states
+
+    states = march(n_bwd, -step)[::-1][:-1] + march(n_fwd, step)
+    return t0 + step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
 
 
 def _derivative_stack(vels: np.ndarray, step: float, depth: int):
@@ -165,59 +194,38 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, FrenetData
     4th-order differencing) and the integrated frames as FrenetData.
     """
     params = spec.params
-    lo, hi = spec.window
-    n_fwd = int(round((hi - spec.t_anchor) / spec.step))
-    n_bwd = int(round((spec.t_anchor - lo) / spec.step))
+    r, dim, m = spec.order, params.dim, params.m
     kfuns = list(spec.curvatures)
-    ts_grid = spec.t_anchor + spec.step * np.arange(-n_bwd, n_fwd + 1)
-    for i, k in enumerate(kfuns):
-        vals = np.array([k(t) for t in ts_grid])
+
+    def rhs(t, st):
+        dframe, dpos = _frenet_rhs(params, t, st[:r * dim].reshape(r, dim),
+                                   st[r * dim:], kfuns)
+        return np.concatenate([dframe.ravel(), dpos])
+
+    def reorthonormalize(st):
+        frame, drift = _orthonormalize(st[:r * dim].reshape(r, dim))
+        if drift > spec.drift_tol:
+            raise SynthesisError(
+                f"frame drift {drift:.3e} exceeds {spec.drift_tol:g} in a "
+                f"single step: step {spec.step:g} too large")
+        return np.concatenate([frame.ravel(), st[r * dim:]])
+
+    ts, states = _rk4_march(rhs, np.concatenate([spec.frame0.ravel(), spec.p0]),
+                            spec.t_anchor, spec.window, spec.step,
+                            after=reorthonormalize)
+    kmat = np.array([[k(t) for t in ts] for k in kfuns]).reshape(len(kfuns), len(ts))
+    for i, vals in enumerate(kmat):
         if np.any(vals <= 0):
             raise SynthesisError(
                 f"prescribed curvature k_{i+1} hits zero or below on the window")
-
-    def march(n_steps, direction):
-        h = direction * spec.step
-        frame = spec.frame0.copy()
-        pos = spec.p0.copy()
-        t = spec.t_anchor
-        frames, poss, vels = [frame.copy()], [pos.copy()], []
-        y = pos[params.m:2 * params.m]
-        vels.append(frame_to_coords(params, frame[0], y))
-        for _ in range(n_steps):
-            df1, dp1 = _frenet_rhs(params, t, frame, pos, kfuns)
-            df2, dp2 = _frenet_rhs(params, t + h / 2, frame + h / 2 * df1,
-                                   pos + h / 2 * dp1, kfuns)
-            df3, dp3 = _frenet_rhs(params, t + h / 2, frame + h / 2 * df2,
-                                   pos + h / 2 * dp2, kfuns)
-            df4, dp4 = _frenet_rhs(params, t + h, frame + h * df3,
-                                   pos + h * dp3, kfuns)
-            frame = frame + h / 6 * (df1 + 2 * df2 + 2 * df3 + df4)
-            pos = pos + h / 6 * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-            frame, drift = _orthonormalize(frame)
-            if drift > spec.drift_tol:
-                raise SynthesisError(
-                    f"frame drift {drift:.3e} exceeds {spec.drift_tol:g} in a "
-                    f"single step: step {spec.step:g} too large")
-            t += h
-            frames.append(frame.copy())
-            poss.append(pos.copy())
-            y = pos[params.m:2 * params.m]
-            vels.append(frame_to_coords(params, frame[0], y))
-        return frames, poss, vels
-
-    f_fwd, p_fwd, v_fwd = march(n_fwd, +1.0)
-    f_bwd, p_bwd, v_bwd = march(n_bwd, -1.0)
-    frames = np.array(f_bwd[::-1][:-1] + f_fwd)     # (n, r, dim)
-    points = np.array(p_bwd[::-1][:-1] + p_fwd)
-    vels = np.array(v_bwd[::-1][:-1] + v_fwd)
-    ts = ts_grid
+    frames = states[:, :r * dim].reshape(-1, r, dim)
+    points = states[:, r * dim:]
+    vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
 
     derivs, stride = _derivative_stack(vels, spec.step, 5)
     trace = CurveTrace(params, ts, points, derivs,
                        meta={"synthesized": True, "fd_stride": stride,
                              **spec.meta})
-    kmat = np.array([[k(t) for t in ts] for k in kfuns]) if kfuns else np.zeros((0, len(ts)))
     fdata = FrenetData(params=params, ts=ts, order=spec.order,
                        frames=frames.transpose(1, 0, 2), curvatures=kmat,
                        threshold=0.0, raw_curvatures=kmat,
@@ -326,29 +334,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     st0[8] = psi0
     st0[9:] = p0
 
-    def march(t_end):
-        n = int(round(abs(t_end) / step))
-        h = np.sign(t_end) * step if n else step
-        st = st0.copy()
-        t = 0.0
-        recs = [st.copy()]
-        for _ in range(n):
-            a1 = rhs(t, st)
-            a2 = rhs(t + h / 2, st + h / 2 * a1)
-            a3 = rhs(t + h / 2, st + h / 2 * a2)
-            a4 = rhs(t + h, st + h * a3)
-            st = st + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            t += h
-            recs.append(st.copy())
-        return recs
-
-    if not lo <= 0.0 <= hi:
-        raise ValueError("steering window must contain t = 0")
-    rec_f = march(hi)
-    rec_b = march(lo)
-    recs = np.array(rec_b[::-1][:-1] + rec_f)
-    ts = step * np.arange(-len(rec_b) + 1, len(rec_f))
-
+    ts, recs = _rk4_march(rhs, st0, 0.0, window, step)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
     points = recs[:, 9:]
     vel_frame = np.zeros((len(ts), params.dim))
@@ -408,33 +394,11 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
         out[2:] = dg
         return out
 
-    lo, hi = window
-    if not lo <= 0.0 <= hi:
-        raise ValueError("window must contain t = 0")
     st0 = np.zeros(2 + params.dim)
     st0[0] = np.sqrt(P)
     st0[2:] = p0
 
-    def march(t_end):
-        n = int(round(abs(t_end) / step))
-        h = np.sign(t_end) * step if n else step
-        st = st0.copy()
-        t = 0.0
-        recs = [st.copy()]
-        for _ in range(n):
-            a1 = rhs(t, st)
-            a2 = rhs(t + h / 2, st + h / 2 * a1)
-            a3 = rhs(t + h / 2, st + h / 2 * a2)
-            a4 = rhs(t + h, st + h * a3)
-            st = st + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            t += h
-            recs.append(st.copy())
-        return recs
-
-    rec_f = march(hi)
-    rec_b = march(lo)
-    recs = np.array(rec_b[::-1][:-1] + rec_f)
-    ts = step * np.arange(-len(rec_b) + 1, len(rec_f))
+    ts, recs = _rk4_march(rhs, st0, 0.0, window, step)
     points = recs[:, 2:]
     vel_frame = np.zeros((len(ts), params.dim))
     vel_frame[:, 0] = recs[:, 0]

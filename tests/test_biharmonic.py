@@ -11,7 +11,7 @@ from sspaceform.biharmonic import (WeightFunction, case1_case2_checker,
                                    classify_case, mainprop_residuals, tau2,
                                    tau3)
 from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
-from sspaceform.manifold import ModelParams
+from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
 
 from conftest import k1_case2, k1_catenary
@@ -438,27 +438,7 @@ def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):
     st0[0] = np.sqrt(P)
     st0[5] = np.sqrt(P)
 
-    def march(t_end):
-        n = int(round(abs(t_end) / step))
-        h = np.sign(t_end) * step
-        st, t = st0.copy(), 0.0
-        recs = [st.copy()]
-        for _ in range(n):
-            a1 = rhs(t, st)
-            a2 = rhs(t + h / 2, st + h / 2 * a1)
-            a3 = rhs(t + h / 2, st + h / 2 * a2)
-            a4 = rhs(t + h, st + h * a3)
-            st = st + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-            t += h
-            recs.append(st.copy())
-        return recs
-
-    rec_f = march(window[1])
-    rec_b = march(window[0])
-    recs = np.array(rec_b[::-1][:-1] + rec_f)
-    ts = step * np.arange(-len(rec_b) + 1, len(rec_f))
-    from sspaceform.curve import CurveTrace
-    from sspaceform.manifold import frame_to_coords
+    ts, recs = synth._rk4_march(rhs, st0, 0.0, window, step)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
     points = recs[:, 8:]
     vf = np.zeros((len(ts), params.dim))
@@ -466,13 +446,7 @@ def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):
     vf[:, m:m + 2] = zeta.imag
     vf[:, 2 * m:] = sv
     vels = frame_to_coords(params, vf, points[:, m:2 * m])
-    from sspaceform.curve import fd_derivative as fdd
-    stride = max(1, int(round(0.005 / step)))
-    derivs = [vels]
-    cur = vels
-    for _ in range(3):
-        cur = fdd(cur, step, stride=stride)
-        derivs.append(cur)
+    derivs, stride = synth._derivative_stack(vels, step, 4)
     return CurveTrace(params, ts, points, derivs,
                       meta={"synthesized": True, "fd_stride": stride})
 

@@ -183,7 +183,6 @@ def test_synth_writes_loadable_trace(tmp_path):
                      "--window", "0:3", "--step", "1e-3"])
     assert code == cli.EXIT_OK
     tr = CurveTrace.from_csv(ModelParams(2, 2), out)
-    tr.meta["sampled"] = True
     fd = frenet_apparatus(tr)
     assert fd.order == 2
     assert np.max(np.abs(fd.curvatures[0][5:-5] - 1.0)) < 1e-5

@@ -78,7 +78,6 @@ def test_csv_round_trip(catenary, tmp_path):
     path = tmp_path / "catenary.csv"
     catenary.to_csv(path)
     loaded = CurveTrace.from_csv(catenary.params, path)
-    loaded.meta["sampled"] = True
     assert np.max(np.abs(loaded.points - catenary.points)) < 1e-14
     fd = frenet_apparatus(loaded)
     k1 = fd.curvatures[0]
@@ -179,7 +178,6 @@ def test_reparametrization_stability(params22):
     def k1_error(n):
         tr_full = synth.legendre_catenary(params22, window=(-1, 1), n=n)
         tr = CurveTrace.from_positions(params22, tr_full.ts, tr_full.points)
-        tr.meta["sampled"] = True
         fd = frenet_apparatus(tr)
         expect = 1.0 / (1.0 + tr.ts ** 2)
         return np.max(np.abs(fd.curvatures[0] - expect)[10:-10])

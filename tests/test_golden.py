@@ -23,7 +23,7 @@ from sspaceform import cli
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 STRIDE = 100
 ANALYTIC = ("catenary", "circle", "geodesic")
-SYNTHESIZED = ("case2-order3", "r6-steered")
+SYNTHESIZED = ("case2-order3", "r6-steered", "r6-example")
 COLUMNS = {"t": "t", "k1": "k1", "k2": "k2", "k3": "k3",
            "p2": "g_phiT_V2", "p3": "g_phiT_V3", "p4": "g_phiT_V4",
            "eq1": "eq1", "eq2": "eq2", "eq3": "eq3", "eq4": "eq4"}

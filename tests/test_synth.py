@@ -103,6 +103,28 @@ def test_positive_curvature_guard(params22):
         synth.integrate_frenet_system(spec)
 
 
+def test_rk4_march_linear_amplification():
+    # y' = y: one RK4 step multiplies by R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24
+    # exactly, so the state k steps from t0 is R(+-h)^|k| y0 on either side
+    t0, step, y0 = 0.3, 0.05, np.array([1.0, -2.0])
+    calls = []
+
+    def after(y):
+        calls.append(1)
+        return y
+
+    ts, states = synth._rk4_march(lambda t, y: y, y0, t0, (-0.2, 0.6), step,
+                                  after=after)
+    k = np.arange(-10, 7)
+    np.testing.assert_array_equal(ts, t0 + step * k)
+    R = lambda z: 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    amp = np.where(k < 0, R(-step) ** np.abs(k), R(step) ** np.abs(k))
+    np.testing.assert_allclose(states, amp[:, None] * y0, rtol=1e-14, atol=0)
+    assert len(calls) == 16
+    with pytest.raises(ValueError, match="t0"):
+        synth._rk4_march(lambda t, y: y, y0, 1.0, (-0.2, 0.6), step)
+
+
 # ---------------------------------------------------------------------------
 # steering construction
 # ---------------------------------------------------------------------------
