@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import odesol
 from .odesol import _c_s
-from .curve import CurveTrace, FrenetData, fd_derivative
+from .curve import CurveTrace, FrenetData, fd_derivative, uniform_step
 from .manifold import ModelParams, curvature_frame, phi_frame
 from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
@@ -93,10 +92,13 @@ class WeightFunction:
 
     @classmethod
     def from_samples(cls, ts, f) -> "WeightFunction":
-        """Sampled weight; derivatives by 4th-order differencing."""
+        """Sampled weight; derivatives by 4th-order differencing.
+
+        The grid must be uniform (FD stencils assume constant step).
+        """
         ts = np.asarray(ts, dtype=float)
         f = np.asarray(f, dtype=float)
-        h = ts[1] - ts[0]
+        h = uniform_step(ts, "WeightFunction.from_samples")
         fp = fd_derivative(f, h)
         return cls(ts=ts, f=f, fp=fp, fpp=fd_derivative(fp, h))
 
@@ -544,6 +546,9 @@ def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
     composite Simpson on the grid, with the free constant set to zero
     (callers shift it to match the k2^2 relation at a reference sample).
     """
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import cumulative_simpson
+
     c, s = _c_s(params)
     ts = np.asarray(ts, dtype=float)
     integrand = np.cos(np.asarray(beta)) ** 2 * np.asarray(k1p) / np.asarray(k1) ** 3

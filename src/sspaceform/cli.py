@@ -32,7 +32,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import CurveTrace, fd_derivative, frenet_apparatus, unit_speed_check
+from .curve import (CurveTrace, fd_derivative, frenet_apparatus,
+                    unit_speed_check, write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -53,10 +54,6 @@ BUILTIN_CURVES = ("catenary", "circle", "geodesic", "case2-order3",
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.16e}"
 
 
 def _json_default(obj):
@@ -285,11 +282,7 @@ def _write_verify_csv(path, trace, fd, profile, report) -> None:
               + [f"eta{a+1}_T" for a in range(trace.params.s)]
               + ["g_phiT_V2", "g_phiT_V3", "g_phiT_V4", "beta", "tau3_norm",
                  "eq1", "eq2", "eq3", "eq4", "g_tau3_phiT"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.column_stack(columns):
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, header, np.column_stack(columns))
 
 
 def run_synth(builtin: str, out_path: str, window: str | None, step: float,
@@ -376,14 +369,11 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
                    - 4 * yg ** 2 * ((1 + c2 ** 2) * yg ** 2 - eps * lam ** 2))
         residual[ok] = r[ok]
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "residual", "domain_ok"])
-            for i in range(len(ts)):
-                writer.writerow([_fmt(ts[i]),
-                                 _fmt(y[i]) if ok[i] else "nan",
-                                 _fmt(residual[i]) if np.isfinite(residual[i]) else "nan",
-                                 int(ok[i])])
+        write_csv(out_path, ["t", "y", "residual", "domain_ok"],
+                  np.column_stack([ts, np.where(ok, y, np.nan),
+                                   np.where(np.isfinite(residual), residual,
+                                            np.nan), ok]),
+                  formats=["%.16e"] * 3 + ["%d"])
         print(f"wrote {len(ts)} samples to {out_path}")
     frac = float(np.mean(ok))
     if frac == 0.0:

@@ -13,7 +13,6 @@ chain up to nabla_T^(d-1) T, i.e. Frenet order up to d.
 """
 from __future__ import annotations
 
-import csv
 from math import comb
 from dataclasses import dataclass, field
 
@@ -25,8 +24,10 @@ from .manifold import (ModelParams, connection_term, coords_to_frame,
 __all__ = [
     "CurveTrace",
     "FrenetData",
+    "write_csv",
     "FrameDegeneracyError",
     "fd_derivative",
+    "uniform_step",
     "unit_speed_check",
     "covariant_chain",
     "frenet_apparatus",
@@ -82,6 +83,43 @@ def fd_derivative(arr: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
         out[n - 1 - i] = np.tensordot(
             _FD5[4], arr[n - 1 - i - 4 * q:n - i:q], axes=(0, 0)) / H
     return out
+
+
+def uniform_step(ts: np.ndarray, who: str) -> float:
+    """The step of a uniform grid; ValueError naming `who` if it is not one."""
+    steps = np.diff(ts)
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+        raise ValueError(f"{who} requires a uniform grid")
+    return steps[0]
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+_CSV_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header, data, formats=None) -> None:
+    """Write a header row and the rows of a 2-D array as CSV.
+
+    Every cell is printed with "%.16e" unless `formats` gives one format per
+    column.  The text equals csv.writer rows of f"{v:.16e}" strings,
+    nan, inf and -0.0 included, with the same "\\r\\n" line endings.
+
+    Rows are formatted a block at a time from one flat list of floats, so
+    memory stays bounded by the block and no per-row list is allocated:
+    floats are not tracked by the cyclic garbage collector, but lists are,
+    and thousands of row lists alive at once set off collections.
+    """
+    data = np.asarray(data, dtype=float)
+    formats = formats or ["%.16e"] * data.shape[1]
+    row = ",".join(formats) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +188,7 @@ class CurveTrace:
         The grid must be uniform (FD stencils assume constant step).
         """
         ts = np.asarray(ts, dtype=float)
-        steps = np.diff(ts)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-            raise ValueError("from_positions requires a uniform grid")
-        h = steps[0]
+        h = uniform_step(ts, "from_positions")
         derivs = []
         cur = np.asarray(points, dtype=float)
         for _ in range(depth):
@@ -165,19 +200,15 @@ class CurveTrace:
     @classmethod
     def from_csv(cls, params: ModelParams, path, depth: int = 4) -> "CurveTrace":
         """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD."""
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
             if len(header) < 1 + params.dim:
                 raise ValueError(
                     f"csv needs {1 + params.dim} columns (t + coordinates), "
                     f"got {len(header)}")
-            for row in reader:
-                if row:
-                    rows.append([float(x) for x in row[:1 + params.dim]])
-        data = np.asarray(rows, dtype=float)
-        return cls.from_positions(params, data[:, 0], data[:, 1:1 + params.dim],
+            data = np.loadtxt(fh, delimiter=",", usecols=range(1 + params.dim),
+                              ndmin=2)
+        return cls.from_positions(params, data[:, 0], data[:, 1:],
                                   depth=depth, meta={"source": str(path)})
 
     def to_csv(self, path, include_derivatives: bool = True) -> None:
@@ -195,14 +226,7 @@ class CurveTrace:
             for k, d in enumerate(self.derivs, start=1):
                 header += [f"d{k}_{name}" for name in coord_names]
                 blocks.append(d)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [f"{self.ts[i]:.16e}"]
-                for block in blocks:
-                    row += [f"{v:.16e}" for v in block[i]]
-                writer.writerow(row)
+        write_csv(path, header, np.column_stack([self.ts] + blocks))
 
     def tangent_frame(self) -> np.ndarray:
         """Frame components of the velocity, per sample."""
@@ -334,25 +358,21 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     n = trace.n
     dim = trace.params.dim
 
+    # modified Gram-Schmidt, one chain level at a time over all samples; a
+    # sample whose residual norm falls below 1e-13 keeps zero frames and
+    # zero residuals from the next level on
     frames = np.zeros((max_order, n, dim))
-    resid = np.zeros((max_order - 1, n)) if max_order > 1 else np.zeros((0, n))
-    alive = np.ones(max_order, dtype=bool)
-    for idx in range(n):
-        basis = []
-        for j in range(max_order):
-            if not alive[j]:
-                break
-            v = chain[j][idx].copy()
-            for b in basis:
-                v -= np.dot(v, b) * b
-            nv = float(np.linalg.norm(v))
-            if j >= 1:
-                resid[j - 1, idx] = nv
-            if nv < 1e-13:
-                break
-            basis.append(v / nv)
-        for j, b in enumerate(basis):
-            frames[j, idx] = b
+    resid = np.zeros((max(max_order - 1, 0), n))
+    live = np.ones(n, dtype=bool)
+    for j in range(max_order):
+        v = chain[j].copy()
+        for b in frames[:j]:
+            v -= np.vecdot(v, b)[:, None] * b
+        nv = np.sqrt(np.vecdot(v, v))
+        if j >= 1:
+            resid[j - 1] = np.where(live, nv, 0.0)
+        live &= ~(nv < 1e-13)
+        frames[j, live] = v[live] / nv[live, None]
 
     # curvatures from residual ratios
     raw_k = np.zeros_like(resid)
@@ -382,16 +402,29 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
                     f"mid-window; above-threshold subwindows: {windows}",
                     j + 1, windows)
             order = j + 2  # keep it, but the report carries the split windows
-    # sign alignment pass (sequential)
     for j in range(1, order):
-        for idx in range(1, n):
-            if np.dot(frames[j, idx], frames[j, idx - 1]) < 0:
-                frames[j, idx] = -frames[j, idx]
+        _align_signs(frames[j])
     kept = raw_k[:order - 1] if order > 1 else np.zeros((0, n))
     return FrenetData(params=trace.params, ts=trace.ts, order=order,
                       frames=frames[:order], curvatures=kept,
                       threshold=threshold, raw_curvatures=raw_k,
                       chain=chain, degeneracy=degeneracy)
+
+
+def _align_signs(frame: np.ndarray) -> None:
+    """Flip, in place, each sample that points against its aligned predecessor.
+
+    A flip negates the dot product with the next sample, so the sign of
+    sample i is the running product of the signs of the raw dot products
+    d_i = <V(t_i), V(t_i-1)>.  A zero dot (a zero frame on either side)
+    flips nothing and restarts the product at +1.
+    """
+    d = np.vecdot(frame[1:], frame[:-1])
+    neg = np.concatenate(([0], d < 0)).cumsum()
+    restart = np.concatenate(([True], ~((d < 0) | (d > 0))))
+    last = np.maximum.accumulate(np.where(restart, np.arange(len(frame)), 0))
+    flip = (neg - neg[last]) % 2 == 1
+    frame[flip] = -frame[flip]
 
 
 def _contiguous_windows(ts: np.ndarray, mask: np.ndarray) -> list:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,12 @@ def k1_catenary(ts):
     ts = np.asarray(ts, dtype=float)
     u = 1.0 + ts ** 2
     return 1.0 / u, -2.0 * ts / u ** 2, (6.0 * ts ** 2 - 2.0) / u ** 3
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """Bytes of csv.writer rows, the reference for the row-format writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()

@@ -36,6 +36,14 @@ def test_weight_from_samples():
     assert not f.is_constant
 
 
+def test_weight_from_samples_rejects_nonuniform_grid():
+    # the stencils assume h = ts[1] - ts[0]; on this grid f = 1 + t^2 used
+    # to come out with f' off by 0.37
+    ts = np.linspace(-1, 1, 401) ** 3
+    with pytest.raises(ValueError, match="uniform"):
+        WeightFunction.from_samples(ts, 1.0 + ts ** 2)
+
+
 # ---------------------------------------------------------------------------
 # tension fields
 # ---------------------------------------------------------------------------

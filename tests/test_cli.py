@@ -1,13 +1,19 @@
 """CLI subcommands: exit codes, determinism, report and CSV schemas."""
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sspaceform import cli, synth
+from sspaceform import cli, odesol, synth
 from sspaceform.curve import CurveTrace, frenet_apparatus
 from sspaceform.manifold import ModelParams
+
+from conftest import csv_writer_bytes
 
 
 def write_config(path, body):
@@ -407,3 +413,75 @@ source = csv:{path}
 """)
     assert cli.main(["verify", "--config", cfg]) == cli.EXIT_NUMERICAL
     assert "row 100" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes and import cost
+# ---------------------------------------------------------------------------
+
+def _captured_write_csv(monkeypatch):
+    """Patch cli.write_csv to record its (header, data) and still write."""
+    calls = []
+    real = cli.write_csv
+
+    def spy(path, header, data, **kw):
+        calls.append((header, np.asarray(data, dtype=float)))
+        real(path, header, data, **kw)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    return calls
+
+
+def test_verify_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
+    # the geodesic's beta and residual columns hold nan
+    cfg = write_config(tmp_path / "geo.ini", """
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = builtin:geodesic
+""")
+    calls = _captured_write_csv(monkeypatch)
+    out = tmp_path / "s.csv"
+    assert cli.main(["verify", "--config", cfg, "--csv", str(out),
+                     "--report", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    (header, data), = calls
+    assert np.isnan(data).any()
+    old = csv_writer_bytes(tmp_path / "old.csv", header,
+                            [[f"{v:.16e}" for v in row] for row in data])
+    assert out.read_bytes() == old
+
+
+@pytest.mark.parametrize("case, eps, lam, c3", [
+    ("iii", 0, 0.0, 4.0),
+    ("i", 1, 1.0, 1.0),      # nowhere real: every y is "nan"
+])
+def test_ode_csv_bytes_match_csv_writer(case, eps, lam, c3, tmp_path):
+    out = tmp_path / "ode.csv"
+    cli.main(["ode", "--case", case, "--lambda", str(lam), "--c2", "1",
+              "--c3", str(c3), "--range", "-1:1:0.01", "--out", str(out)])
+    ts = np.arange(-1.0, 1.0 + 0.005, 0.01)
+    spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam, c2=1.0, c3=c3, c4=0.0)
+    y, ok = odesol.k1_closed_form(spec, ts)
+    residual = np.loadtxt(out, delimiter=",", skiprows=1, usecols=2)
+    rows = [[f"{ts[i]:.16e}", f"{y[i]:.16e}" if ok[i] else "nan",
+             f"{residual[i]:.16e}" if np.isfinite(residual[i]) else "nan",
+             int(ok[i])] for i in range(len(ts))]
+    assert out.read_bytes() == csv_writer_bytes(
+        tmp_path / "old.csv", ["t", "y", "residual", "domain_ok"], rows)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.integrate is most of the import time of a cold CLI run; only
+    # case4_mu needs it and imports it itself
+    code = ("import sys, sspaceform.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"

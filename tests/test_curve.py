@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from sspaceform import synth
-from sspaceform.curve import (CurveTrace, fd_derivative, frenet_apparatus,
-                              osculating_order, unit_speed_check,
-                              covariant_chain)
+from sspaceform.curve import (CurveTrace, _contiguous_windows, fd_derivative,
+                              frenet_apparatus, osculating_order,
+                              unit_speed_check, covariant_chain, write_csv)
 from sspaceform.manifold import ModelParams, connection_term
+
+from conftest import csv_writer_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +246,161 @@ def test_from_csv_malformed(params22, tmp_path):
     nonuniform.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="uniform"):
         CurveTrace.from_csv(params22, nonuniform)
+
+
+# ---------------------------------------------------------------------------
+# batched Frenet apparatus against the per-sample reference
+# ---------------------------------------------------------------------------
+
+def _frenet_oracle(trace, max_order=None, threshold=1e-6, edge_trim=4):
+    """Per-sample Gram-Schmidt and sequential sign pass (the reference).
+
+    Returns (frames, raw_curvatures, order, degeneracy, flips).
+    """
+    chain = covariant_chain(trace)
+    if max_order is None:
+        max_order = len(chain)
+    max_order = min(max_order, len(chain), trace.params.dim)
+    n, dim = trace.n, trace.params.dim
+    frames = np.zeros((max_order, n, dim))
+    resid = np.zeros((max_order - 1, n)) if max_order > 1 else np.zeros((0, n))
+    for idx in range(n):
+        basis = []
+        for j in range(max_order):
+            v = chain[j][idx].copy()
+            for b in basis:
+                v -= np.dot(v, b) * b
+            nv = float(np.linalg.norm(v))
+            if j >= 1:
+                resid[j - 1, idx] = nv
+            if nv < 1e-13:
+                break
+            basis.append(v / nv)
+        for j, b in enumerate(basis):
+            frames[j, idx] = b
+    raw_k = np.zeros_like(resid)
+    prod = np.ones(n)
+    for j in range(max_order - 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw_k[j] = np.where(prod > 0, resid[j] / prod, 0.0)
+        prod = prod * raw_k[j]
+    interior = slice(edge_trim, n - edge_trim)
+    order = max_order
+    degeneracy = []
+    for j in range(max_order - 1):
+        k = raw_k[j][interior]
+        if np.max(k) < threshold:
+            order = j + 1
+            break
+        if np.min(k) < threshold:
+            degeneracy.append({"curvature_index": j + 1, "windows":
+                               _contiguous_windows(trace.ts[interior],
+                                                   k >= threshold)})
+            order = j + 2
+    flips = 0
+    for j in range(1, order):
+        for idx in range(1, n):
+            if np.dot(frames[j, idx], frames[j, idx - 1]) < 0:
+                frames[j, idx] = -frames[j, idx]
+                flips += 1
+    return frames[:order], raw_k, order, degeneracy, flips
+
+
+def _spliced_case2(cs, geodesic_rows):
+    """Rows of case2-order3 `cs` run forward, reversed, geodesic, reversed.
+
+    Reversing the traversal negates the odd derivatives, so V_3 flips at
+    the first junction; the geodesic rows have zero V_2, V_3, after which
+    the sign pass restarts unflipped.
+    """
+    rev = [-d if k % 2 == 0 else d for k, d in enumerate(cs.derivs[:4])]
+    blocks = [(cs.points, cs.derivs[:4]), (cs.points, rev),
+              (geodesic_rows.points, geodesic_rows.derivs), (cs.points, rev)]
+    cut = [0, 1000, 2000, 3000, cs.n]
+    points = np.concatenate([blk[0][cut[i]:cut[i + 1]]
+                             for i, blk in enumerate(blocks)])
+    derivs = [np.concatenate([blk[1][k][cut[i]:cut[i + 1]]
+                              for i, blk in enumerate(blocks)])
+              for k in range(4)]
+    return CurveTrace(cs.params, cs.ts, points, derivs)
+
+
+@pytest.mark.parametrize("name", ["geodesic", "circle", "catenary",
+                                  "case2-order3", "csv:case2-order3",
+                                  "case2-order3 max_order=2", "sign-flip"])
+def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
+    max_order = None
+    if name == "csv:case2-order3":
+        path = tmp_path / "case2.csv"
+        request.getfixturevalue("case2_curve").to_csv(path)
+        trace = CurveTrace.from_csv(params22, path)
+    elif name == "case2-order3 max_order=2":
+        trace, max_order = request.getfixturevalue("case2_curve"), 2
+    elif name == "sign-flip":
+        trace = _spliced_case2(
+            request.getfixturevalue("case2_curve"),
+            synth.geodesic_trace(params22, window=(-2.0, 2.0), n=4001))
+    else:
+        trace = request.getfixturevalue(
+            {"case2-order3": "case2_curve"}.get(name, name))
+    frames, raw_k, order, degeneracy, flips = _frenet_oracle(trace, max_order)
+    fd = frenet_apparatus(trace, max_order=max_order)
+    assert fd.order == order
+    assert np.array_equal(fd.frames, frames)
+    assert np.array_equal(fd.raw_curvatures, raw_k)
+    assert fd.degeneracy == degeneracy
+    if name == "geodesic":
+        assert order == 1 and np.all(raw_k[0] < 1e-13)
+    if name in ("csv:case2-order3", "sign-flip"):
+        assert degeneracy and flips > 0
+    if name == "sign-flip":
+        # the second block is flipped, the last one is not
+        assert order == 3 and flips == 1000
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes
+# ---------------------------------------------------------------------------
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    data = np.array([[0.0, -0.0, np.nan, 1.0],
+                     [np.inf, -np.inf, 5e-324, 0.0],
+                     [1.7976931348623157e308, -1.0 / 3.0, 2.0 ** -1074, 1.0]])
+    write_csv(tmp_path / "new.csv", ["a", "b", "c", "d"], data)
+    old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
+                            [[f"{v:.16e}" for v in row] for row in data])
+    assert (tmp_path / "new.csv").read_bytes() == old
+    # per-column formats: the ode writer's integer domain flag
+    write_csv(tmp_path / "fmt.csv", ["a", "b", "c", "d"], data,
+              formats=["%.16e"] * 3 + ["%d"])
+    old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
+                            [[f"{v:.16e}" for v in row[:3]] + [int(row[3])]
+                             for row in data])
+    assert (tmp_path / "fmt.csv").read_bytes() == old
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2500])
+def test_write_csv_blocks_match_csv_writer(tmp_path, n_rows):
+    """Row counts at, around and past the formatting block size."""
+    rng = np.random.default_rng(n_rows)
+    data = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
+        -300, 300, size=(n_rows, 3))
+    write_csv(tmp_path / "new.csv", ["a", "b", "c"], data)
+    old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c"],
+                            [[f"{v:.16e}" for v in row] for row in data])
+    assert (tmp_path / "new.csv").read_bytes() == old
+
+
+def test_to_csv_bytes_match_csv_writer(case2_curve, tmp_path):
+    points = case2_curve.points[:50].copy()
+    points[::2, 0] = -0.0
+    trace = CurveTrace(case2_curve.params, case2_curve.ts[:50], points,
+                       [d[:50] for d in case2_curve.derivs])
+    trace.to_csv(tmp_path / "new.csv")
+    header = (tmp_path / "new.csv").read_text().splitlines()[0].split(",")
+    rows = [[f"{trace.ts[i]:.16e}"]
+            + [f"{v:.16e}" for block in [trace.points] + trace.derivs
+               for v in block[i]] for i in range(trace.n)]
+    assert (tmp_path / "new.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "old.csv", header, rows)
+    assert b"-0.0000000000000000e+00" in (tmp_path / "new.csv").read_bytes()
