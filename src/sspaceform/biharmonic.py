@@ -65,7 +65,8 @@ class WeightFunction:
     """Positive weight f on the trace grid, with derivative samples.
 
     Closed-form weights f = c1 k1^(-3/2) carry c1; sampled weights carry
-    c1 = None.  f must be positive on the window.
+    c1 = None.  f must be positive on the window; a non-finite f, f' or f''
+    raises FloatingPointError naming its row.
     """
 
     ts: np.ndarray
@@ -79,6 +80,11 @@ class WeightFunction:
         self.f = np.asarray(self.f, dtype=float)
         self.fp = np.asarray(self.fp, dtype=float)
         self.fpp = np.asarray(self.fpp, dtype=float)
+        for name in ("f", "fp", "fpp"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if len(bad):
+                raise FloatingPointError(
+                    f"non-finite {name} in row {bad[0]} of the weight")
         if np.any(self.f <= 0):
             raise ValueError("f must be positive on the whole window")
         if self.c1 is not None and self.c1 <= 0:
@@ -123,7 +129,8 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
     """Residual arrays of the five proper-f-biharmonicity conditions.
 
     params may be a ModelParams or a (c, s) pair (hypothetical mode).
-    Curvature derivatives default to 4th-order differences on ts.
+    Curvature derivatives default to 4th-order differences on ts, which
+    must then be a uniform grid.
     extra_gphiT, when given, is |phiT|^2 - (p2^2+p3^2+p4^2) per sample
     (the part of phiT outside span{V2,V3,V4}), needed for condition (5)
     on traces of order > 4; scalar mode assumes phiT lies in the span.
@@ -134,7 +141,7 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
     if k1p is None or k1pp is None or k2p is None:
         if ts is None:
             raise ValueError("need ts for finite-difference curvature derivatives")
-        h = ts[1] - ts[0]
+        h = uniform_step(ts, "mainprop_residuals")
         k1p = fd_derivative(k1, h) if k1p is None else k1p
         k1pp = fd_derivative(k1p, h) if k1pp is None else k1pp
         k2p = fd_derivative(k2, h) if k2p is None else k2p
@@ -191,7 +198,7 @@ def tau2(fd: FrenetData) -> dict:
     direct = chain[3] - R_term
 
     k1, k2, k3 = _measured_scalars(fd)
-    h = fd.ts[1] - fd.ts[0]
+    h = fd.step
     k1p = fd_derivative(k1, h)
     k1pp = fd_derivative(k1p, h)
     k2p = fd_derivative(k2, h)
@@ -263,23 +270,21 @@ EQUATIONS = ("eq1", "eq2", "eq3", "eq4", "gphiT")   # the five master equations
 
 
 def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
-                     f: WeightFunction, eq_tol: float = 1e-3,
-                     edge_trim: int | None = None) -> BiharmonicReport:
+                     f: WeightFunction, eq_tol: float = 1e-3) -> BiharmonicReport:
     """Evaluate the five master-equation residuals and classify the verdict.
 
     Verdict logic: all five residuals below eq_tol makes the curve
     f-biharmonic for this f; 'proper-f-biharmonic' additionally requires f
     non-constant (relative variation > 1e-8), constant f gives 'biharmonic'.
     A geodesic (k1 below threshold everywhere) is 'harmonic/geodesic'.
-    Residuals are maxed over the window with edge_trim samples dropped at
-    each end (finite-difference edge effects of the measured curvatures);
-    the default adapts to the trace's differencing stride.  tau3_norm is
-    reported only when the chain reaches TAU2_CHAIN_LEVELS.
+    Residuals are maxed over the window with 2 + 3 * trace.fd_stride
+    samples dropped at each end (finite-difference edge effects of the
+    measured curvatures).  tau3_norm is reported only when the chain
+    reaches TAU2_CHAIN_LEVELS.
     """
     params = trace.params
     n = trace.n
-    if edge_trim is None:
-        edge_trim = 2 + 3 * trace.meta.get("fd_stride", 1)
+    edge_trim = 2 + 3 * trace.fd_stride
     k1, k2, k3 = _measured_scalars(fd)
     dec = phiT_decomposition(trace, fd, profile) if fd.order >= 2 else None
     zeros = np.zeros(n)
@@ -409,7 +414,7 @@ def case1_case2_checker(profile_or_ab, params, k1, k2, f: WeightFunction,
         k1v, k1p, k1pp = (np.asarray(v, dtype=float) for v in k1(ts))
     else:
         k1v = np.asarray(k1, dtype=float)
-        h = ts[1] - ts[0]
+        h = uniform_step(ts, "case1_case2_checker")
         k1p = fd_derivative(k1v, h)
         k1pp = fd_derivative(k1p, h)
     if np.any(k1v <= 0):
@@ -578,7 +583,7 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     dec = phiT_decomposition(trace, fd, profile)
     sl = slice(edge_trim, trace.n - edge_trim)
     ts = trace.ts[sl]
-    h = trace.ts[1] - trace.ts[0]
+    h = trace.step
     scalars = _measured_scalars(fd)
     k1, k2, k3 = (arr[sl] for arr in scalars)
     if np.min(np.abs(np.cos(dec.beta[sl]))) < 1e-12 or np.max(np.abs(dec.p2[sl])) < 1e-12:

@@ -32,8 +32,7 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import (CurveTrace, fd_derivative, frenet_apparatus,
-                    unit_speed_check, write_csv)
+from .curve import CurveTrace, fd_derivative, frenet_apparatus, write_csv
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -147,14 +146,14 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     return trace, cfg.k1
 
 
-def _build_weight(ts, k1_measured, k1_callable, cp) -> bih.WeightFunction:
+def _build_weight(trace, k1_measured, k1_callable, cp) -> bih.WeightFunction:
+    ts = trace.ts
     section = cp["weight"] if cp.has_section("weight") else {}
     keys = [k for k in ("c1", "constant", "csv") if k in section]
     if len(keys) > 1:
         raise ConfigError("[weight] must set exactly one of c1, constant, csv")
     if not keys or keys[0] == "c1":
         c1 = float(section.get("c1", "1.0")) if section else 1.0
-        h = ts[1] - ts[0]
         if k1_callable is not None:
             k1v = np.asarray(k1_callable(ts), dtype=float)
         else:
@@ -163,8 +162,8 @@ def _build_weight(ts, k1_measured, k1_callable, cp) -> bih.WeightFunction:
             # geodesic: f = c1 k1^(-3/2) is undefined and irrelevant
             # (every tension term carries k1); use a constant weight
             return bih.WeightFunction.constant(ts, c1)
-        k1p = fd_derivative(k1v, h)
-        k1pp = fd_derivative(k1p, h)
+        k1p = fd_derivative(k1v, trace.step)
+        k1pp = fd_derivative(k1p, trace.step)
         return odesol.f_from_k1(ts, k1v, k1p, k1pp, c1=c1)
     if keys[0] == "constant":
         return bih.WeightFunction.constant(ts, float(section["constant"]))
@@ -212,7 +211,7 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
         fd = frenet_apparatus(trace)
         profile = contact_angles(trace, tolerance=tol["slant"])
         k1 = fd.curvatures[0] if fd.order >= 2 else np.zeros(trace.n)
-        weight = _build_weight(trace.ts, k1, k1_callable, cp)
+        weight = _build_weight(trace, k1, k1_callable, cp)
         report = bih.check_conditions(trace, fd, profile, weight,
                                       eq_tol=tol["eq"])
     except (ConfigError, ValueError) as exc:
@@ -233,7 +232,7 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
             "source": cp.get("curve", "source"),
             "n_samples": trace.n,
             "window": [float(trace.ts[0]), float(trace.ts[-1])],
-            "unit_speed_deviation": unit_speed_check(trace)["max_deviation"],
+            "unit_speed_deviation": fd.unit_speed_deviation,
             "osculating_order": fd.order,
         },
         "slant": {

@@ -18,30 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import (ModelParams, connection_term, coords_to_frame,
-                       frame_to_coords)
+from .manifold import ModelParams, connection_term, coords_to_frame
 
 __all__ = [
     "CurveTrace",
     "FrenetData",
     "write_csv",
-    "FrameDegeneracyError",
     "fd_derivative",
     "uniform_step",
     "unit_speed_check",
     "covariant_chain",
     "frenet_apparatus",
-    "osculating_order",
 ]
-
-
-class FrameDegeneracyError(RuntimeError):
-    """A curvature crosses the order-detection threshold mid-window."""
-
-    def __init__(self, message, index, windows):
-        super().__init__(message)
-        self.index = index          # 1-based curvature index that degenerates
-        self.windows = windows      # list of (t_lo, t_hi) where k_i > threshold
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +74,10 @@ def fd_derivative(arr: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
 
 
 def uniform_step(ts: np.ndarray, who: str) -> float:
-    """The step of a uniform grid; ValueError naming `who` if it is not one."""
+    """The step of a uniform grid, its first difference exactly; ValueError
+    naming `who` if the grid is not uniform or has fewer than two samples."""
+    if len(ts) < 2:
+        raise ValueError(f"{who} requires at least two grid samples")
     steps = np.diff(ts)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
         raise ValueError(f"{who} requires a uniform grid")
@@ -131,17 +122,26 @@ class CurveTrace:
     """Sampled unit-speed curve with coordinate derivatives.
 
     derivs[k] holds gamma^(k+1) on the grid, so derivs[0] is the velocity.
-    `sampled` marks traces whose derivatives were all differenced from
-    positions (`from_positions`); they get the looser unit-speed and slant
-    tolerances.  A non-finite value raises FloatingPointError naming its row.
+    The grid must be uniform, as every 4th-order stencil downstream
+    assumes: `step` is derived once from ts with `uniform_step` when the
+    trace is built, and a non-uniform grid or one with fewer than two
+    samples raises ValueError.  `fd_stride` is the differencing stride the
+    deep derivatives were taken with (synthesized traces difference the
+    velocity at an effective step near 0.005); the residual edge trim of
+    `check_conditions` follows it.  `sampled` marks traces whose
+    derivatives were all differenced from positions (`from_positions`);
+    they get the looser unit-speed and slant tolerances.  A non-finite
+    value raises FloatingPointError naming its row.
     """
 
     params: ModelParams
     ts: np.ndarray
     points: np.ndarray
     derivs: list[np.ndarray]
-    meta: dict = field(default_factory=dict)
     sampled: bool = False
+    fd_stride: int = 1
+    _step: float = field(init=False, repr=False)
+    _tangent: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -163,6 +163,13 @@ class CurveTrace:
                     f"non-finite {name} in row {bad[0]} of the trace")
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("parameter grid must be strictly increasing")
+        self._step = uniform_step(self.ts, "CurveTrace")
+
+    @property
+    def step(self) -> float:
+        """Grid step, the first difference of ts, checked uniform when the
+        trace was built."""
+        return self._step
 
     @property
     def n(self) -> int:
@@ -181,8 +188,8 @@ class CurveTrace:
         return self.derivs[0]
 
     @classmethod
-    def from_positions(cls, params: ModelParams, ts, points, depth: int = 4,
-                       meta: dict | None = None) -> "CurveTrace":
+    def from_positions(cls, params: ModelParams, ts, points,
+                       depth: int = 4) -> "CurveTrace":
         """Build a trace from sampled positions only; derivatives by FD.
 
         The grid must be uniform (FD stencils assume constant step).
@@ -195,7 +202,7 @@ class CurveTrace:
             cur = fd_derivative(cur, h)
             derivs.append(cur)
         return cls(params, ts, np.asarray(points, dtype=float), derivs,
-                   meta=dict(meta or {}), sampled=True)
+                   sampled=True)
 
     @classmethod
     def from_csv(cls, params: ModelParams, path, depth: int = 4) -> "CurveTrace":
@@ -208,8 +215,7 @@ class CurveTrace:
                     f"got {len(header)}")
             data = np.loadtxt(fh, delimiter=",", usecols=range(1 + params.dim),
                               ndmin=2)
-        return cls.from_positions(params, data[:, 0], data[:, 1:],
-                                  depth=depth, meta={"source": str(path)})
+        return cls.from_positions(params, data[:, 0], data[:, 1:], depth=depth)
 
     def to_csv(self, path, include_derivatives: bool = True) -> None:
         """Write t, coordinates and (optionally) the derivative columns.
@@ -229,8 +235,14 @@ class CurveTrace:
         write_csv(path, header, np.column_stack([self.ts] + blocks))
 
     def tangent_frame(self) -> np.ndarray:
-        """Frame components of the velocity, per sample."""
-        return coords_to_frame(self.params, self.velocity, self.y)
+        """Frame components of the velocity, per sample.
+
+        Built on the first call and kept, read-only, for the later ones.
+        """
+        if self._tangent is None:
+            self._tangent = coords_to_frame(self.params, self.velocity, self.y)
+            self._tangent.setflags(write=False)
+        return self._tangent
 
 
 # ---------------------------------------------------------------------------
@@ -307,29 +319,31 @@ def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
 # Frenet apparatus
 # ---------------------------------------------------------------------------
 
+# samples ignored at each window end by order detection and degeneracy
+# analysis: one-sided difference stencils of sampled traces are noisier there
+ORDER_EDGE_TRIM = 4
+
+
 @dataclass
 class FrenetData:
-    """Per-sample orthonormal frame (frame components) and curvatures."""
+    """Per-sample orthonormal frame (frame components) and curvatures,
+    measured from a trace by `frenet_apparatus`."""
 
     params: ModelParams
     ts: np.ndarray
+    step: float                 # the trace's checked grid step
     order: int
     frames: np.ndarray          # (order, n, dim) frame components of V_1..V_r
     curvatures: np.ndarray      # (order-1, n), k_1..k_{r-1}
     threshold: float
     raw_curvatures: np.ndarray  # (max_order-1, n) including sub-threshold ones
     chain: tuple                # covariant_chain(trace), read-only levels
+    unit_speed_deviation: float  # max |g(T,T) - 1| over the trace
     degeneracy: list = field(default_factory=list)
-
-    def frame_coords(self, trace: CurveTrace) -> np.ndarray:
-        """Frenet frames in coordinate components."""
-        return np.stack([frame_to_coords(self.params, self.frames[i], trace.y)
-                         for i in range(self.order)])
 
 
 def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
-                     threshold: float = 1e-6, edge_trim: int = 4,
-                     strict_degeneracy: bool = False) -> FrenetData:
+                     threshold: float = 1e-6) -> FrenetData:
     """Gram-Schmidt Frenet apparatus from the exact covariant chain.
 
     k_i is extracted from the Gram-Schmidt residual norms of the chain
@@ -337,14 +351,10 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     stays below `threshold` on the whole window.  Frames are sign-aligned
     with the previous sample to prevent spurious flips.
 
-    Order detection and degeneracy analysis ignore `edge_trim` samples at
-    each window end, where one-sided difference stencils of sampled traces
-    are noisier; the returned arrays still cover the full grid.
-
-    If a curvature crosses the threshold mid-window the data is degenerate:
-    with strict_degeneracy=True a FrameDegeneracyError carrying the
-    above-threshold subwindows is raised, otherwise they are recorded in
-    FrenetData.degeneracy.
+    Order detection and degeneracy analysis ignore ORDER_EDGE_TRIM samples
+    at each window end; the returned arrays still cover the full grid.  A
+    curvature that crosses the threshold mid-window is kept, and its
+    above-threshold subwindows are recorded in FrenetData.degeneracy.
     """
     dev = unit_speed_check(trace)["max_deviation"]
     tol = 1e-5 if trace.sampled else 1e-8
@@ -383,7 +393,8 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
         prod = prod * raw_k[j]
 
     # order detection: first curvature below threshold on the whole window
-    interior = slice(edge_trim, n - edge_trim) if n > 2 * edge_trim else slice(None)
+    trim = ORDER_EDGE_TRIM
+    interior = slice(trim, n - trim) if n > 2 * trim else slice(None)
     order = max_order
     degeneracy = []
     for j in range(max_order - 1):
@@ -396,19 +407,14 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
             above = raw_k[j][interior] >= threshold
             windows = _contiguous_windows(trace.ts[interior], above)
             degeneracy.append({"curvature_index": j + 1, "windows": windows})
-            if strict_degeneracy:
-                raise FrameDegeneracyError(
-                    f"curvature k_{j+1} crosses threshold {threshold:g} "
-                    f"mid-window; above-threshold subwindows: {windows}",
-                    j + 1, windows)
             order = j + 2  # keep it, but the report carries the split windows
     for j in range(1, order):
         _align_signs(frames[j])
     kept = raw_k[:order - 1] if order > 1 else np.zeros((0, n))
-    return FrenetData(params=trace.params, ts=trace.ts, order=order,
-                      frames=frames[:order], curvatures=kept,
-                      threshold=threshold, raw_curvatures=raw_k,
-                      chain=chain, degeneracy=degeneracy)
+    return FrenetData(params=trace.params, ts=trace.ts, step=trace.step,
+                      order=order, frames=frames[:order], curvatures=kept,
+                      threshold=threshold, raw_curvatures=raw_k, chain=chain,
+                      unit_speed_deviation=dev, degeneracy=degeneracy)
 
 
 def _align_signs(frame: np.ndarray) -> None:
@@ -440,7 +446,3 @@ def _contiguous_windows(ts: np.ndarray, mask: np.ndarray) -> list:
         windows.append((float(ts[start]), float(ts[-1])))
     return windows
 
-
-def osculating_order(fd: FrenetData) -> int:
-    """Detected osculating order r."""
-    return fd.order

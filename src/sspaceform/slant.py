@@ -135,6 +135,10 @@ def nabla_phiT_check(trace: CurveTrace, fd: FrenetData,
     }
 
 
+# relative size below which a phi T projection counts as zero
+SPAN_TOL = 1e-6
+
+
 @dataclass
 class PhiTDecomposition:
     """Projection of phi T onto the Frenet frame, with angle functions."""
@@ -145,23 +149,22 @@ class PhiTDecomposition:
     p4: np.ndarray                  # g(phiT, V4), zeros if r < 4
     beta: np.ndarray                # arccos(p2 / sqrt(1-a)) in [0, pi]
     w: np.ndarray                   # angle in span{V3, V4}; nan where undefined
-    sin2beta_sign: np.ndarray       # sign of sin(2 beta) per sample
     norm_defect: np.ndarray         # p2^2+p3^2+p4^2 - (1-a), when span covers
     phiT_norm2: np.ndarray          # |phiT|^2 per sample
     in_span_v234: bool              # |phiT|^2 - (p2^2+p3^2+p4^2) small
     degenerate: bool                # a = 1: phi T = 0
-    signs: dict
     derivative_residual: float      # eq. d/dt p2 = k2 p3
 
 
 def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
-                       profile: SlantProfile, span_tol: float = 1e-6) -> PhiTDecomposition:
+                       profile: SlantProfile) -> PhiTDecomposition:
     """Inner products of phi T with V2..V4 and the angles beta, w.
 
-    beta is reported in [0, pi] (arccos branch); the sign ambiguities of the
-    sin-beta terms are resolved per sample from the measured inner products
-    and reported in `signs`.  When 1 - a < 1e-12, phi T vanishes identically
-    and the decomposition is flagged degenerate.
+    beta is reported in [0, pi] (arccos branch); the signs of the sin-beta
+    terms are those of the measured p3, p4.  w is undefined where the
+    projection onto span{V3, V4} is below SPAN_TOL sqrt(1-a).  When
+    1 - a < 1e-12, phi T vanishes identically and the decomposition is
+    flagged degenerate.
     """
     if fd.order < 2:
         raise ValueError("phi T decomposition needs osculating order >= 2")
@@ -175,9 +178,8 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
         return PhiTDecomposition(
             ts=trace.ts, p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
             beta=np.full(n, np.nan), w=np.full(n, np.nan),
-            sin2beta_sign=zeros.copy(), norm_defect=zeros.copy(),
-            phiT_norm2=phiT_norm2, in_span_v234=True, degenerate=True, signs={},
-            derivative_residual=0.0)
+            norm_defect=zeros.copy(), phiT_norm2=phiT_norm2,
+            in_span_v234=True, degenerate=True, derivative_residual=0.0)
 
     def proj(i):
         if fd.order >= i + 1:
@@ -187,24 +189,17 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     p2, p3, p4 = proj(1), proj(2), proj(3)
     sq = np.sqrt(one_minus_a)
     beta = np.arccos(np.clip(p2 / sq, -1.0, 1.0))
-    sinb = np.sin(beta)
     # w: angle of the projection onto span{V3, V4} relative to V3
     plane = np.hypot(p3, p4)
-    w = np.where(plane > span_tol * sq, np.arctan2(p4, p3), np.nan)
+    w = np.where(plane > SPAN_TOL * sq, np.arctan2(p4, p3), np.nan)
     norm_defect = p2 ** 2 + p3 ** 2 + p4 ** 2 - one_minus_a
     in_span = bool(np.max(np.abs(phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2)))
-                   <= max(span_tol, 1e-10) * max(1.0, one_minus_a))
+                   <= SPAN_TOL * max(1.0, one_minus_a))
     # derivative identity d/dt g(phiT,V2) = k2 g(phiT,V3)
     k2 = fd.curvatures[1] if fd.order >= 3 else 0.0     # p3 = 0 below order 3
-    dp2 = fd_derivative(p2, trace.ts[1] - trace.ts[0])
+    dp2 = fd_derivative(p2, trace.step)
     resid = float(np.max(np.abs(dp2 - k2 * p3)))
-    signs = {
-        "sin_beta_cos_w": np.sign(p3),
-        "sin_beta_sin_w": np.sign(p4),
-    }
     return PhiTDecomposition(
         ts=trace.ts, p2=p2, p3=p3, p4=p4, beta=beta, w=w,
-        sin2beta_sign=np.sign(2 * np.cos(beta) * sinb),
         norm_defect=norm_defect, phiT_norm2=phiT_norm2,
-        in_span_v234=in_span, degenerate=False,
-        signs=signs, derivative_residual=resid)
+        in_span_v234=in_span, degenerate=False, derivative_residual=resid)

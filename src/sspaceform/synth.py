@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import (CurveTrace, FrenetData, covariant_chain, fd_derivative,
-                    frenet_apparatus)
+from .curve import CurveTrace, fd_derivative, frenet_apparatus
 from .manifold import ModelParams, connection_term, frame_to_coords
 
 __all__ = [
@@ -72,14 +71,20 @@ class SlantSteeringError(SynthesisError):
 # prescribed-curvature Frenet integration
 # ---------------------------------------------------------------------------
 
+# largest orthonormality defect one RK4 step may leave in the frame before
+# the step size is declared too large
+FRAME_DRIFT_TOL = 1e-6
+
+
 @dataclass
 class SynthesisSpec:
     """Prescription for `integrate_frenet_system`.
 
     curvatures[i] is the callable k_{i+1}(t); the osculating order of the
     synthesized curve is len(curvatures) + 1.  frame0 holds orthonormal
-    frame components of V_1..V_r at t_anchor (defaults to 0), p0 the
-    initial point.  Curvature functions must be positive on the window.
+    frame components of V_1..V_r at t = 0, p0 the initial point; the
+    window must contain 0.  Curvature functions must be positive on the
+    window.
     """
 
     params: ModelParams
@@ -88,9 +93,6 @@ class SynthesisSpec:
     curvatures: list
     window: tuple[float, float] = (-2.0, 2.0)
     step: float = 1e-3
-    t_anchor: float = 0.0
-    drift_tol: float = 1e-6
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.p0 = np.asarray(self.p0, dtype=float)
@@ -103,8 +105,8 @@ class SynthesisSpec:
         if np.max(np.abs(gram - np.eye(r))) > 1e-12:
             raise ValueError("initial frame is not orthonormal to 1e-12")
         lo, hi = self.window
-        if not lo <= self.t_anchor <= hi:
-            raise ValueError("t_anchor must lie inside the window")
+        if not lo <= 0.0 <= hi:
+            raise ValueError("the window must contain t = 0, where frame0 sits")
 
     @property
     def order(self) -> int:
@@ -183,15 +185,17 @@ def _orthonormalize(frame: np.ndarray) -> tuple[np.ndarray, float]:
     return out, drift
 
 
-def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, FrenetData]:
+def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray]:
     """Integrate the prescribed-curvature Frenet system with RK4.
 
     The frame is re-orthonormalized after every step; if a single step's
-    drift exceeds spec.drift_tol the step size is declared too large and a
+    drift exceeds FRAME_DRIFT_TOL the step size is declared too large and a
     SynthesisError is raised.  Prescribed curvatures must stay positive on
     the window.  Returns the sampled trace (coordinate derivatives to depth
-    4 for the downstream Frenet machinery: velocity exact, higher by
-    4th-order differencing) and the integrated frames as FrenetData.
+    5 for the downstream Frenet machinery: velocity exact, higher by
+    4th-order differencing) and the integrated frames V_1..V_r as an
+    (order, n, dim) array of frame components.  What the trace measures is
+    left to `frenet_apparatus`.
     """
     params = spec.params
     r, dim, m = spec.order, params.dim, params.m
@@ -204,18 +208,17 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, FrenetData
 
     def reorthonormalize(st):
         frame, drift = _orthonormalize(st[:r * dim].reshape(r, dim))
-        if drift > spec.drift_tol:
+        if drift > FRAME_DRIFT_TOL:
             raise SynthesisError(
-                f"frame drift {drift:.3e} exceeds {spec.drift_tol:g} in a "
+                f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_TOL:g} in a "
                 f"single step: step {spec.step:g} too large")
         return np.concatenate([frame.ravel(), st[r * dim:]])
 
     ts, states = _rk4_march(rhs, np.concatenate([spec.frame0.ravel(), spec.p0]),
-                            spec.t_anchor, spec.window, spec.step,
+                            0.0, spec.window, spec.step,
                             after=reorthonormalize)
-    kmat = np.array([[k(t) for t in ts] for k in kfuns]).reshape(len(kfuns), len(ts))
-    for i, vals in enumerate(kmat):
-        if np.any(vals <= 0):
+    for i, k in enumerate(kfuns):
+        if any(k(t) <= 0 for t in ts):
             raise SynthesisError(
                 f"prescribed curvature k_{i+1} hits zero or below on the window")
     frames = states[:, :r * dim].reshape(-1, r, dim)
@@ -223,14 +226,8 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, FrenetData
     vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
 
     derivs, stride = _derivative_stack(vels, spec.step, 5)
-    trace = CurveTrace(params, ts, points, derivs,
-                       meta={"synthesized": True, "fd_stride": stride,
-                             **spec.meta})
-    fdata = FrenetData(params=params, ts=ts, order=spec.order,
-                       frames=frames.transpose(1, 0, 2), curvatures=kmat,
-                       threshold=0.0, raw_curvatures=kmat,
-                       chain=covariant_chain(trace))
-    return trace, fdata
+    trace = CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return trace, frames.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +341,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     vels = frame_to_coords(params, vel_frame,
                            points[:, params.m:2 * params.m])
     derivs, stride = _derivative_stack(vels, step, 5)
-    return CurveTrace(params, ts, points, derivs,
-                      meta={"synthesized": True, "steered": True,
-                            "fd_stride": stride,
-                            "thetas": tuple(float(x) for x in np.atleast_1d(thetas)),
-                            "p2": p2, "c2": c2, "branch": branch})
+    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +399,7 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     vel_frame[:, 2 * params.m:] = sv
     vels = frame_to_coords(params, vel_frame, points[:, params.m:2 * params.m])
     derivs, stride = _derivative_stack(vels, step, 4)
-    return CurveTrace(params, ts, points, derivs,
-                      meta={"synthesized": True, "fd_stride": stride,
-                            "phiT_aligned": True, "epsilon": epsilon})
+    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
 
 
 def geodesic_trace(params: ModelParams, thetas=None, window=(-2.0, 2.0),
@@ -429,8 +420,7 @@ def geodesic_trace(params: ModelParams, thetas=None, window=(-2.0, 2.0),
     vel = np.zeros_like(points)
     vel[:, 2 * params.m:] = 2.0 * sv
     zeros = np.zeros_like(points)
-    return CurveTrace(params, ts, points, [vel] + [zeros.copy() for _ in range(3)],
-                      meta={"builtin": "geodesic"})
+    return CurveTrace(params, ts, points, [vel] + [zeros.copy() for _ in range(3)])
 
 
 def flat_circle_trace(params: ModelParams, radius: float = 2.0,
@@ -457,8 +447,7 @@ def flat_circle_trace(params: ModelParams, radius: float = 2.0,
         d[:, params.m] = R * w ** order * np.cos(w * ts + ph)
         d[:, params.m + 1] = R * w ** order * np.sin(w * ts + ph)
         derivs.append(d)
-    return CurveTrace(params, ts, points, derivs,
-                      meta={"builtin": "circle", "k1": w, "radius": R})
+    return CurveTrace(params, ts, points, derivs)
 
 
 def legendre_catenary(params: ModelParams, window=(-2.0, 2.0),
@@ -489,8 +478,7 @@ def legendre_catenary(params: ModelParams, window=(-2.0, 2.0),
     d4 = np.zeros_like(points)
     d4[:, params.m] = 18.0 * ts * u ** -2.5 - 30.0 * ts ** 3 * u ** -3.5
     d4[:, params.m + 1] = -6.0 * u ** -2.5 + 30.0 * ts ** 2 * u ** -3.5
-    return CurveTrace(params, ts, points, [d1, d2, d3, d4],
-                      meta={"builtin": "catenary", "k1": "1/(1+t^2)"})
+    return CurveTrace(params, ts, points, [d1, d2, d3, d4])
 
 
 def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3,
@@ -506,11 +494,8 @@ def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3,
     params = ModelParams(m=2, s=2)
     denom0 = 16.0 + 16.0  # c2 = 1
     k1 = lambda t: 4.0 * c3 / (c3 ** 2 * (t + c4) ** 2 + denom0)
-    trace = steered_slant_curve(params, (np.pi / 3, 2 * np.pi / 3), k1,
-                                p2=0.0, c2=1.0, window=window, step=step)
-    trace.meta["builtin"] = "case2-order3"
-    trace.meta["k1_c3_c4"] = (c3, c4)
-    return trace
+    return steered_slant_curve(params, (np.pi / 3, 2 * np.pi / 3), k1,
+                               p2=0.0, c2=1.0, window=window, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +608,7 @@ class R6ExampleConfig:
         frame0, p0 = self.initial_frame()
         return SynthesisSpec(params=self.params, p0=p0, frame0=frame0,
                              curvatures=[self.k1, self.k2, self.k3],
-                             window=window, step=step,
-                             meta={"builtin": "r6-example"})
+                             window=window, step=step)
 
     def initial_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """V_1..V_4 frame components at t = 0 from the steering chain."""

@@ -415,6 +415,49 @@ source = csv:{path}
     assert "row 100" in capsys.readouterr().err
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every package binding of it."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod in [m for key, m in list(sys.modules.items())
+                if key.split(".")[0] == "sspaceform"]:
+        for attr, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_builds_each_measurement_once(catenary_cfg, tmp_path,
+                                             monkeypatch):
+    from sspaceform import curve, manifold
+    # on this path only CurveTrace.tangent_frame calls coords_to_frame
+    builds = _count_calls(monkeypatch, manifold, "coords_to_frame")
+    speed = _count_calls(monkeypatch, curve, "unit_speed_check")
+    assert cli.run_verify(catenary_cfg,
+                          report_path=str(tmp_path / "r.json")) == cli.EXIT_OK
+    assert (len(builds), len(speed)) == (1, 1)
+
+    # r6-example: one chain for the initial frame, one for the verify; the
+    # synthesis itself builds none
+    chains = _count_calls(monkeypatch, curve, "covariant_chain")
+    cfg = write_config(tmp_path / "r6.ini", """
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = builtin:r6-example
+window = -0.5:0.5
+""")
+    assert cli.run_verify(cfg, report_path=str(tmp_path / "r6.json")) == cli.EXIT_OK
+    assert len(chains) == 2
+
+
 # ---------------------------------------------------------------------------
 # CSV bytes and import cost
 # ---------------------------------------------------------------------------

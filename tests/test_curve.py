@@ -1,11 +1,14 @@
 """Curve traces, covariant chains and the Frenet apparatus."""
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
-from sspaceform import synth
+from sspaceform import curve, synth
 from sspaceform.curve import (CurveTrace, _contiguous_windows, fd_derivative,
-                              frenet_apparatus, osculating_order,
-                              unit_speed_check, covariant_chain, write_csv)
+                              frenet_apparatus, unit_speed_check,
+                              covariant_chain, write_csv)
 from sspaceform.manifold import ModelParams, connection_term
 
 from conftest import csv_writer_bytes
@@ -53,6 +56,35 @@ def test_trace_validation(params22):
     with pytest.raises(ValueError):
         CurveTrace(params22, np.linspace(0, 1, 3), np.zeros((3, 5)),
                    [np.zeros((3, 5))])
+    # every stencil downstream assumes one step: a strictly increasing but
+    # non-uniform grid used to be accepted and differenced with h = t1 - t0
+    ts = np.linspace(-1, 1, 401) ** 3
+    with pytest.raises(ValueError, match="uniform"):
+        CurveTrace(params22, ts, np.zeros((401, 6)), [np.zeros((401, 6))])
+    with pytest.raises(ValueError, match="two"):
+        CurveTrace(params22, [0.0], np.zeros((1, 6)), [np.zeros((1, 6))])
+
+
+def test_trace_owns_step_stride_and_tangent_frame(catenary, case2_curve):
+    assert catenary.step == catenary.ts[1] - catenary.ts[0]
+    with pytest.raises(AttributeError):
+        catenary.step = 0.5
+    # synthesized traces difference at an effective step near 0.005
+    assert (catenary.fd_stride, case2_curve.fd_stride) == (1, 5)
+    tf = catenary.tangent_frame()
+    assert catenary.tangent_frame() is tf and not tf.flags.writeable
+
+
+def test_package_reads_no_untyped_grid():
+    # the grid step and the differencing stride are typed fields of
+    # CurveTrace; no module re-derives the step or carries a meta dict
+    pattern = re.compile(r"ts\[1\] - |\.ts\[1\]|\bmeta\b")
+    src = pathlib.Path(curve.__file__).resolve().parent
+    hits = [f"{path.name}:{no}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 def test_trace_rejects_nan_velocity(catenary):
@@ -118,13 +150,13 @@ def test_frenet_keeps_read_only_chain(catenary, catenary_fd):
 
 def test_geodesic_order(geodesic):
     fd = frenet_apparatus(geodesic)
-    assert osculating_order(fd) == 1
+    assert fd.order == 1
     assert fd.curvatures.shape[0] == 0
 
 
 def test_circle_order_and_curvature(circle):
     fd = frenet_apparatus(circle)
-    assert osculating_order(fd) == 2
+    assert fd.order == 2
     assert np.max(np.abs(fd.curvatures[0] - 1.0)) < 1e-12  # k1 = 2/R, R = 2
 
 
@@ -154,7 +186,7 @@ def test_frenet_equations_residual(case2_curve, case2_fd):
     # ||nabla_T V_j + k_{j-1} V_{j-1} - k_j V_{j+1}|| < 1e-4 on the window
     trace, fd = case2_curve, case2_fd
     h = trace.ts[1] - trace.ts[0]
-    stride = trace.meta.get("fd_stride", 1)
+    stride = trace.fd_stride
     tf = trace.tangent_frame()
     sl = slice(4 * stride, trace.n - 4 * stride)
     for j in range(fd.order):

@@ -25,6 +25,10 @@ def test_spec_validation(params22):
     with pytest.raises(ValueError, match="orthonormal"):
         synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
                             curvatures=[lambda t: 1.0])
+    frame0[1] = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="window"):
+        synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
+                            curvatures=[lambda t: 1.0], window=(0.5, 1.0))
 
 
 def test_geodesic_preserves_contact_angles(params22):
@@ -80,8 +84,7 @@ def test_round_trip_nonconstant_curvatures(r6_config):
 
 def test_frame_orthonormality_preserved(r6_config):
     spec = r6_config.synthesis_spec(window=(-1.0, 1.0), step=1e-3)
-    _, fdata = synth.integrate_frenet_system(spec)
-    frames = fdata.frames  # (order, n, dim)
+    _, frames = synth.integrate_frenet_system(spec)  # (order, n, dim)
     gram = np.einsum("ind,jnd->nij", frames, frames)
     assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
