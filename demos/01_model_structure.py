@@ -1,71 +1,71 @@
 #!/usr/bin/env python3
-"""Tour of the coordinate model R^(2m+s)(-3s): structure tensors, the
-Levi-Civita connection, and the curvature tensor with its independent
-finite-difference oracle.
+"""Tour of the coordinate model R^(2m+s)(-3s): the exact structure tensors,
+the Levi-Civita connection and the curvature tensor derived from g in
+sympy, and the frame layer the pipeline uses, checked against them.
 
 Run:  python demos/01_model_structure.py
 """
 import numpy as np
+import sympy as sp
 
 from sspaceform import manifold as mf
-from sspaceform.manifold import ModelParams, Point, Tangent
+from sspaceform.manifold import ModelParams
+from sspaceform.oracles import exact_model, nabla, structure_identities
 
 print("=" * 72)
 print("The model space R^6(-6): m = 2, s = 2, phi-sectional curvature -6")
 print("=" * 72)
 
 params = ModelParams(m=2, s=2)
+M = exact_model(params)
 print(f"dimension 2m+s = {params.dim}, c = -3s = {params.c}")
+print("metric g in (x1, x2, y1, y2, z1, z2):")
+sp.pprint(M.g, use_unicode=False)
 
-# Every framed-metric-structure identity holds exactly (they are algebraic
-# in this coordinate model), so residuals sit at rounding level.
-rep = mf.verify_structure(params, samples=100, seed=0)
-print("\nstructure identities, max residual over 100 random samples:")
-for name, val in rep.residuals.items():
-    print(f"  {name:<14} {val:.2e}")
+# Every framed-metric-structure identity is polynomial in the coordinates
+# and the sampled vectors, so it can be expanded to exactly zero.
+print("\nstructure identities, expanded exactly:")
+for name, expr in structure_identities(M).items():
+    print(f"  {name:<14} {'0' if expr.is_zero_matrix else expr}")
 
-# The metric depends only on the y-coordinates; its Christoffel symbols are
-# polynomial in y and we carry them in closed form.  A 4th-order
-# finite-difference pass over the metric is kept as an oracle.
+# The Christoffel symbols come from g by the Levi-Civita formula; they are
+# polynomial in y.
+print("\nsome Christoffel symbols derived from g:")
+x = M.coords
+for c, a, b in [(2, 0, 0), (0, 0, 2), (4, 0, 2), (2, 0, 4)]:
+    print(f"  Gamma^{x[c]}_({x[a]} {x[b]}) = {M.gamma[c, a, b]}")
+
+# nabla xi_alpha = -phi, exactly, for a generic constant vector v.
+v = sp.Matrix(sp.symbols("v0:6", real=True))
+print("\nnabla_v xi_1 + phi v =", sp.expand(nabla(M, v, M.xi[0]) + M.phi * v).T)
+
+# In the frame (X_i, phi X_i, xi_alpha) the connection coefficients are
+# constants; the frame layer's connection_term carries exactly these.
+C = np.array(M.frame_connection.tolist(), dtype=float)
+eye = np.eye(params.dim)
+table = np.array([[mf.connection_term(params, eye[i], eye[j])
+                   for j in range(params.dim)] for i in range(params.dim)])
+print(f"\nconnection_term vs the exact frame connection: "
+      f"max difference {np.max(np.abs(table - C)):.1e}")
+
+# Curvature: closed form in frame components vs R derived from g.
+frame, riemann = M.numeric("frame"), M.numeric("riemann")
 rng = np.random.default_rng(1)
-p = rng.uniform(-1, 1, params.dim)
-Ga = mf.christoffel(params, p)
-Gf = mf.christoffel_fd(params, p)
-print(f"\nChristoffel symbols at a random point:")
-print(f"  analytic vs finite-difference: {np.max(np.abs(Ga - Gf)):.2e}")
-print(f"  torsion (lower-index asymmetry): {np.max(np.abs(Ga - Ga.transpose(0, 2, 1))):.2e}")
-
-# nabla xi_alpha = -phi: differentiate the characteristic fields along a
-# random curve and compare with -phi(velocity).
-c0, c1 = rng.uniform(-1, 1, (2, params.dim))
-curve = lambda t: c0 + c1 * t
-xi1 = lambda t: np.array([0, 0, 0, 0, 2.0, 0])
-out = mf.covariant_derivative(params, curve, xi1, 0.0)
-phiT = mf.phi_apply(params, Tangent(Point(c0), c1)).components
-print(f"\nnabla_T xi_1 + phi T along a random line: "
-      f"{np.max(np.abs(out.components + phiT)):.2e}")
-
-# Curvature: closed form vs the second-covariant-derivative oracle.
 worst = 0.0
 for _ in range(20):
-    q = rng.uniform(-1, 1, params.dim)
+    p = rng.uniform(-1, 1, params.dim)
     X, Y, Z = rng.uniform(-1, 1, (3, params.dim))
-    pt = Point(q)
-    rm = mf.curvature_model(params, Tangent(pt, X), Tangent(pt, Y),
-                            Tangent(pt, Z)).components
-    rn = mf.curvature_numeric(params, lambda u: X, lambda u: Y,
-                              lambda u: Z, q).components
-    worst = max(worst, np.max(np.abs(rm - rn)) / np.max(np.abs(rm)))
-print(f"\ncurvature closed form vs finite-difference oracle "
-      f"(20 tuples): worst relative {worst:.2e}")
+    E, R = frame(p), riemann(p)
+    exact = np.linalg.solve(E, np.einsum("dcab,a,b,c->d", R, E @ X, E @ Y, E @ Z))
+    got = mf.curvature_frame(params, X, Y, Z)
+    worst = max(worst, np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+print(f"curvature_frame vs R derived from g (20 tuples): worst relative {worst:.2e}")
 
 # phi-sectional curvature: for unit X orthogonal to all xi_alpha the plane
 # {X, phi X} has sectional curvature exactly c = -3s.
-p = Point(rng.uniform(-1, 1, params.dim))
-v = rng.uniform(-1, 1, params.dim)
-v[4] = v[5] = np.dot(p.coords[2:4], v[:2])     # eta_alpha(v) = 0
-t = Tangent(p, v)
-t = Tangent(p, v / np.sqrt(mf.metric_eval(params, t, t)))
-pv = mf.phi_apply(params, t)
-sec = mf.metric_eval(params, mf.curvature_model(params, t, pv, pv), t)
+X = rng.uniform(-1, 1, params.dim)
+X[4:] = 0.0                                    # eta_alpha(X) = 0
+X /= np.linalg.norm(X)
+pX = mf.phi_frame(params, X)
+sec = mf.curvature_frame(params, X, pX, pX) @ X
 print(f"phi-sectional curvature of a random phi-section: {sec:.12f}")

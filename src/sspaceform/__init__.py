@@ -3,15 +3,17 @@ the coordinate-model S-space form R^(2m+s)(-3s).
 
 Submodules
 ----------
-manifold    structure tensors, metric, connection, curvature (+ FD oracles)
+manifold    frame layer: frame components, phi, connection, curvature
 curve       curve traces, exact covariant chains, Frenet apparatus
 slant       contact angles, slant constants, phi T decomposition
 biharmonic  bitension fields, master equations, four-case classification
 odesol      the governing autonomous ODE: closed forms vs RK4 oracle
 synth       curve synthesis (prescribed-curvature Frenet flow, steering)
 cli         verify / synth / ode command-line front end
+oracles     exact sympy model built from g (tests and demos only; not
+            imported here)
 """
-from .manifold import ModelParams, Point, Tangent, verify_structure
+from .manifold import ModelParams
 from .curve import CurveTrace, FrenetData, frenet_apparatus, unit_speed_check
 from .slant import SlantProfile, contact_angles, phiT_decomposition
 from .biharmonic import BiharmonicReport, WeightFunction, check_conditions
@@ -21,7 +23,7 @@ from .synth import SynthesisSpec, integrate_frenet_system, builtin_example_r6
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "Point", "Tangent", "verify_structure",
+    "ModelParams",
     "CurveTrace", "FrenetData", "frenet_apparatus", "unit_speed_check",
     "SlantProfile", "contact_angles", "phiT_decomposition",
     "BiharmonicReport", "WeightFunction", "check_conditions",

@@ -269,6 +269,13 @@ GEODESIC_K1 = 1e-9
 EQUATIONS = ("eq1", "eq2", "eq3", "eq4", "gphiT")   # the five master equations
 
 
+def _interior(trace: CurveTrace) -> slice:
+    """Rows kept after dropping 2 + 3 * fd_stride at each end, where the
+    measured curvatures carry the one-sided stencils of `fd_derivative`."""
+    trim = 2 + 3 * trace.fd_stride
+    return slice(trim, trace.n - trim) if trace.n > 2 * trim else slice(None)
+
+
 def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                      f: WeightFunction, eq_tol: float = 1e-3) -> BiharmonicReport:
     """Evaluate the five master-equation residuals and classify the verdict.
@@ -284,7 +291,6 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     """
     params = trace.params
     n = trace.n
-    edge_trim = 2 + 3 * trace.fd_stride
     k1, k2, k3 = _measured_scalars(fd)
     dec = phiT_decomposition(trace, fd, profile) if fd.order >= 2 else None
     zeros = np.zeros(n)
@@ -307,7 +313,7 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                                 details={"reason": "k1 below geodesic threshold"},
                                 per_sample=per_sample, decomposition=dec)
 
-    sl = slice(edge_trim, n - edge_trim) if n > 2 * edge_trim else slice(None)
+    sl = _interior(trace)
     residuals = {k: float(np.max(np.abs(per_sample[k][sl]))) for k in EQUATIONS}
     case = classify_case(dec, profile, params)
     details = {"case_detail": case[1], "slant": profile.is_slant,
@@ -563,7 +569,7 @@ def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
 
 def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                   params: ModelParams, f: WeightFunction,
-                  beta_const_tol: float = 1e-5, edge_trim: int = 6) -> dict:
+                  beta_const_tol: float = 1e-5) -> dict:
     """Verify the case IV characterization on a measured trace.
 
     beta constant branch: k2/k1 = c2, the case ODE with bracket
@@ -575,13 +581,14 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     constant fixed by matching k2^2 = -(3(c-s)/4)(1-a)cos^2 beta + mu k1^2
     at the window midpoint, then that relation, the mu-modified ODE and the
     k2 k3 relation with sin(w), cos(w) = -+ beta'/k2, are all checked.
+    Rows are trimmed at both ends as in `check_conditions`.
     """
     if fd.order < 3:
         raise ValueError("case IV analysis needs osculating order >= 3")
     c, s = params.c, params.s
     one_minus_a = 1.0 - profile.a
     dec = phiT_decomposition(trace, fd, profile)
-    sl = slice(edge_trim, trace.n - edge_trim)
+    sl = _interior(trace)
     ts = trace.ts[sl]
     h = trace.step
     scalars = _measured_scalars(fd)

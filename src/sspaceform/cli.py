@@ -207,6 +207,13 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return _verify_trace(cp, params, tol, trace, k1_callable, expected,
+                         report_path, csv_path)
+
+
+def _verify_trace(cp, params, tol, trace, k1_callable, expected,
+                  report_path=None, csv_path=None) -> int:
+    """Run the pipeline on a built trace; write the report (and CSV)."""
     try:
         fd = frenet_apparatus(trace)
         profile = contact_angles(trace, tolerance=tol["slant"])
@@ -301,7 +308,7 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     cp.set("curve", "step", repr(step))
     try:
         params = ModelParams(m=2, s=2)
-        trace, _ = _build_trace(params, cp)
+        trace, k1_callable = _build_trace(params, cp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -310,16 +317,15 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
         return EXIT_NUMERICAL
     trace.to_csv(out_path)
     print(f"wrote {trace.n} samples to {out_path}")
-    if verify:
-        import tempfile
-        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-            cp.write(fh)
-            cfg_path = fh.name
-        try:
-            return run_verify(cfg_path, report_path=report_path)
-        finally:
-            os.unlink(cfg_path)
-    return EXIT_OK
+    if not verify:
+        return EXIT_OK
+    try:
+        tol = _tolerances(cp)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return _verify_trace(cp, params, tol, trace, k1_callable, "any",
+                         report_path)
 
 
 def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
@@ -358,15 +364,13 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
     residual = np.full_like(ts, np.nan)
     if spec.case == "iii":
         yy, yp, ypp = odesol.case_iii_profile(spec, ts)
-        residual[ok] = np.abs(3 * yp[ok] ** 2 - 2 * yy[ok] * ypp[ok]
-                              - 4 * yy[ok] ** 2 * ((1 + c2 ** 2) * yy[ok] ** 2))
+        residual[ok] = odesol.ode_residual(yy[ok], spec, yp[ok],
+                                           ypp[ok])["per_sample"]
     elif np.sum(ok) >= 5:
         yg = np.where(ok, y, np.nan)
         ypg = np.gradient(yg, ts)
-        yppg = np.gradient(ypg, ts)
-        r = np.abs(3 * ypg ** 2 - 2 * yg * yppg
-                   - 4 * yg ** 2 * ((1 + c2 ** 2) * yg ** 2 - eps * lam ** 2))
-        residual[ok] = r[ok]
+        r = odesol.ode_residual(yg, spec, ypg, np.gradient(ypg, ts))
+        residual[ok] = r["per_sample"][ok]
     if out_path:
         write_csv(out_path, ["t", "y", "residual", "domain_ok"],
                   np.column_stack([ts, np.where(ok, y, np.nan),

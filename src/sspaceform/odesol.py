@@ -145,25 +145,14 @@ def case_iii_profile(spec: OdeSolutionSpec, t):
     return y, yp, ypp
 
 
-def ode_residual(y, spec: OdeSolutionSpec, ts=None, yp=None, ypp=None) -> dict:
-    """|3 y'^2 - 2 y y'' - 4 y^2 ((1+c2^2) y^2 - eps lam^2)| on the window.
+def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
+    """|3 y'^2 - 2 y y'' - 4 y^2 ((1+c2^2) y^2 - eps lam^2)| per sample.
 
-    Ground truth for every closed-form claim.  Accepts either a callable
-    y(t) -> (y, y', y'') evaluated on ts, or explicit arrays y, yp, ypp.
+    Ground truth for every closed-form claim, on arrays y, y', y''.
     Reports the max absolute residual (windows containing y = 0 make the
     relative residual meaningless, so absolute is reported).
     """
-    if callable(y):
-        if ts is None:
-            raise ValueError("a callable y requires the evaluation grid ts")
-        vals = y(np.asarray(ts, dtype=float))
-        y, yp, ypp = (np.asarray(v, dtype=float) for v in vals)
-    else:
-        y = np.asarray(y, dtype=float)
-        if yp is None or ypp is None:
-            raise ValueError("array input requires yp and ypp arrays")
-        yp = np.asarray(yp, dtype=float)
-        ypp = np.asarray(ypp, dtype=float)
+    y, yp, ypp = (np.asarray(v, dtype=float) for v in (y, yp, ypp))
     lhs = 3.0 * yp ** 2 - 2.0 * y * ypp
     rhs = 4.0 * y ** 2 * ((1 + spec.c2 ** 2) * y ** 2 - spec.epsilon * spec.lam ** 2)
     res = np.abs(lhs - rhs)

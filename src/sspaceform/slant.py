@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CurveTrace, FrenetData, fd_derivative
-from .manifold import ModelParams, Point, Tangent, connection_term, phi_frame
+from .manifold import ModelParams, connection_term, phi_frame
 
 __all__ = [
     "SlantProfile",
     "PhiTDecomposition",
     "contact_angles",
-    "slant_field_V",
     "nabla_phiT_check",
     "phiT_decomposition",
 ]
@@ -76,14 +75,6 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
         tolerance=float(tolerance),
         eta_samples=etas,
     )
-
-
-def slant_field_V(profile: SlantProfile, p: Point) -> Tangent:
-    """The field V = sum cos(theta_alpha) xi_alpha at p."""
-    params = profile.params
-    comp = np.zeros(params.dim)
-    comp[2 * params.m:] = 2.0 * profile.cos_thetas
-    return Tangent(p, comp)
 
 
 def v_frame(profile: SlantProfile) -> np.ndarray:

@@ -10,18 +10,17 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from sspaceform import cli, odesol, synth
 from sspaceform.biharmonic import (WeightFunction, case3_grid_scan,
                                    check_conditions, tau2, tau3)
 from sspaceform.curve import fd_derivative, frenet_apparatus
-from sspaceform.manifold import (ModelParams, Point, Tangent, christoffel,
-                                 christoffel_fd, covariant_derivative,
-                                 curvature_model, curvature_numeric,
-                                 metric_eval, phi_apply, verify_structure)
+from sspaceform.manifold import ModelParams, curvature_frame, phi_frame
+from sspaceform.oracles import exact_model, nabla, structure_identities
 from sspaceform.slant import contact_angles
 
-from conftest import k1_case2
+from conftest import curvature_evaluator, frame_gamma, is_zero, k1_case2
 
 
 def report(criterion, ok, detail=""):
@@ -33,104 +32,78 @@ def report(criterion, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_structure_suite():
-    """Every framed-structure identity < 1e-12 on 100 samples, < 1 s."""
+    """Every framed-structure identity of the exact model expands to 0, < 1 s."""
     t0 = time.time()
-    rep = verify_structure(ModelParams(2, 2), samples=100, seed=0)
+    ids = structure_identities(exact_model(ModelParams(2, 2)))
+    nonzero = sorted(k for k, v in ids.items() if not is_zero(v))
     elapsed = time.time() - t0
-    worst = rep.max_residual
-    report(1, worst < 1e-12 and elapsed < 1.0,
-           f"max residual {worst:.2e}, runtime {elapsed:.2f}s")
+    report(1, len(ids) == 7 and not nonzero and elapsed < 1.0,
+           f"{len(ids)} identities, nonzero: {nonzero or 'none'}, "
+           f"runtime {elapsed:.2f}s")
 
 
 def test_criterion_02_connection_suite():
     """Metric compatibility, torsion, nabla xi = -phi, (nabla phi) formula:
-    < 1e-6 on the finite-difference path, < 1e-10 on the analytic path."""
+    exactly 0 for the connection derived from g; the frame layer's
+    connection within 1e-12 relative of it on 50 random points."""
     t0 = time.time()
     params = ModelParams(2, 2)
+    M = exact_model(params)
+    G, g, x, phi = M.gamma, M.g, M.coords, M.phi
+    X, Y = (sp.Matrix(sp.symbols(f"{c}0:6", real=True)) for c in "XY")
+    gphi = ((phi * X).T * g * (phi * Y))[0]
+    exact_checks = {
+        "torsion": G - sp.permutedims(G, (0, 2, 1)),
+        "metric": sp.Array([[[g[b, c].diff(x[a]) - sum(
+            G[d, a, b] * g[d, c] + G[d, a, c] * g[b, d] for d in range(6))
+            for c in range(6)] for b in range(6)] for a in range(6)]),
+        "nabla_xi": sp.Matrix.hstack(*(nabla(M, X, xi) + phi * X for xi in M.xi)),
+        "nabla_phi": nabla(M, X, phi * Y) - phi * nabla(M, X, Y) - sum(
+            (gphi * xi + (eta * Y)[0] * phi * phi * X for eta, xi in zip(M.eta, M.xi)),
+            sp.zeros(6, 1)),
+    }
+    nonzero = sorted(k for k, v in exact_checks.items() if not is_zero(v))
+    gamma = M.numeric("gamma")
     rng = np.random.default_rng(2)
-    worst_analytic = 0.0
-    worst_fd = 0.0
+    worst = 0.0
     for _ in range(50):
         p = rng.uniform(-1, 1, 6)
-        # torsion and analytic-vs-fd Christoffel
-        Ga = christoffel(params, p)
-        worst_analytic = max(worst_analytic,
-                             np.max(np.abs(Ga - Ga.transpose(0, 2, 1))))
-        Gf = christoffel_fd(params, p)
-        worst_fd = max(worst_fd, np.max(np.abs(Ga - Gf)),
-                       np.max(np.abs(Gf - Gf.transpose(0, 2, 1))))
-
-        # nabla_v xi_alpha + phi v = 0 via the analytic symbols
-        v = rng.uniform(-1, 1, 6)
-        for alpha in range(2):
-            xi = np.zeros(6)
-            xi[4 + alpha] = 2.0
-            nab = np.einsum("cab,a,b->c", Ga, v, xi)
-            y = p[2:4]
-            phiv = np.concatenate([v[2:4], -v[:2],
-                                   np.full(2, np.dot(v[2:4], y))])
-            worst_analytic = max(worst_analytic, np.max(np.abs(nab + phiv)))
-
-        # metric compatibility and the (nabla phi) formula on the FD path
-        c1 = rng.uniform(-1, 1, 6)
-        Y = rng.uniform(-1, 1, 6)
-
-        def curve(t, p=p, c1=c1):
-            return p + c1 * t
-
-        def phiY_field(t, Y=Y, curve=curve):
-            pt = Point(curve(t))
-            return phi_apply(params, Tangent(pt, Y)).components
-
-        lhs = covariant_derivative(params, curve, phiY_field, 0.0).components
-        pt = Point(p)
-        lhs -= phi_apply(params, covariant_derivative(
-            params, curve, lambda t: Y, 0.0)).components
-        X = Tangent(pt, c1)
-        Yt = Tangent(pt, Y)
-        phiX = phi_apply(params, X)
-        rhs = np.zeros(6)
-        for alpha in (1, 2):
-            from sspaceform.manifold import eta_eval, xi_tangent
-            rhs += (metric_eval(params, phiX, phi_apply(params, Yt))
-                    * xi_tangent(params, alpha, pt).components)
-            rhs += eta_eval(params, alpha, Yt) * phi_apply(params, phiX).components
-        worst_fd = max(worst_fd, np.max(np.abs(lhs - rhs)))
+        exact_gamma = gamma(p)
+        worst = max(worst, np.max(np.abs(frame_gamma(params, p) - exact_gamma))
+                    / np.max(np.abs(exact_gamma)))
     elapsed = time.time() - t0
-    report(2, worst_analytic < 1e-10 and worst_fd < 1e-6 and elapsed < 5.0,
-           f"analytic {worst_analytic:.2e}, fd {worst_fd:.2e}, "
+    report(2, not nonzero and worst < 1e-12 and elapsed < 5.0,
+           f"exact nonzero: {nonzero or 'none'}, frame layer rel {worst:.2e}, "
            f"runtime {elapsed:.2f}s")
 
 
 def test_criterion_03_curvature_oracle():
-    """curvature_model vs curvature_numeric rel < 1e-5 on 50 tuples;
-    phi-sectional curvature of 20 random phi-sections = -3s within 1e-6."""
+    """curvature_frame vs the curvature derived from g, rel < 1e-12 on 50
+    tuples; phi-sectional curvature of 20 random phi-sections = -3s within
+    1e-12 on both."""
     t0 = time.time()
     params = ModelParams(2, 2)
+    exact_curvature = curvature_evaluator(exact_model(params))
     rng = np.random.default_rng(3)
     worst_rel = 0.0
     for _ in range(50):
         p = rng.uniform(-1, 1, 6)
         X, Y, Z = rng.uniform(-1, 1, (3, 6))
-        pt = Point(p)
-        rm = curvature_model(params, Tangent(pt, X), Tangent(pt, Y),
-                             Tangent(pt, Z)).components
-        rn = curvature_numeric(params, lambda q: X, lambda q: Y,
-                               lambda q: Z, p).components
-        worst_rel = max(worst_rel,
-                        np.max(np.abs(rm - rn)) / max(np.max(np.abs(rm)), 1e-10))
+        rm = exact_curvature(p, X, Y, Z)
+        rf = curvature_frame(params, X, Y, Z)
+        worst_rel = max(worst_rel, np.max(np.abs(rf - rm)) / np.max(np.abs(rm)))
     worst_sec = 0.0
     for _ in range(20):
-        p = Point(rng.uniform(-1, 1, 6))
-        v = rng.uniform(-1, 1, 6)
-        v[4] = v[5] = np.dot(p.coords[2:4], v[:2])
-        t = Tangent(p, v)
-        t = Tangent(p, v / np.sqrt(metric_eval(params, t, t)))
-        pv = phi_apply(params, t)
-        sec = metric_eval(params, curvature_model(params, t, pv, pv), t)
-        worst_sec = max(worst_sec, abs(sec - params.c))
+        p = rng.uniform(-1, 1, 6)
+        X = rng.uniform(-1, 1, 6)
+        X[4:] = 0.0                                  # eta_alpha(X) = 0
+        X /= np.linalg.norm(X)
+        pX = phi_frame(params, X)
+        for R in (exact_curvature(p, X, pX, pX),
+                  curvature_frame(params, X, pX, pX)):
+            worst_sec = max(worst_sec, abs(R @ X - params.c))
     elapsed = time.time() - t0
-    report(3, worst_rel < 1e-5 and worst_sec < 1e-6 and elapsed < 10.0,
+    report(3, worst_rel < 1e-12 and worst_sec < 1e-12 and elapsed < 10.0,
            f"worst rel {worst_rel:.2e}, phi-sectional defect {worst_sec:.2e}, "
            f"runtime {elapsed:.2f}s")
 

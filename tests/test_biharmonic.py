@@ -390,6 +390,18 @@ def test_case4_checker_r6_steered(r6_steered, r6_steered_fd):
     assert np.max(np.abs(np.cos(dec.w[20:-20][interior]))) < 1e-3
 
 
+def test_case4_checker_trims_the_stencil_edge(r6_steered, r6_steered_fd):
+    # a synthesized trace is differenced with stride 5, so its one-sided
+    # stencil rows reach 2 + 3 * 5 = 17 samples in; a fixed 6-row trim let
+    # them set c2_deviation (1.2e-5) and ode_residual (3.6e-6)
+    assert r6_steered.fd_stride == 5
+    prof = contact_angles(r6_steered)
+    f = WeightFunction.constant(r6_steered.ts, 1.0)
+    rep = case4_checker(r6_steered, r6_steered_fd, prof, r6_steered.params, f)
+    assert rep["c2_deviation"] < 1e-6
+    assert rep["ode_residual"] < 1e-7
+
+
 def test_case4_checker_rejects_case2_input(case2_curve, case2_fd, case2_profile):
     f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
     with pytest.raises(ValueError, match="case II"):

@@ -458,6 +458,18 @@ window = -0.5:0.5
     assert len(chains) == 2
 
 
+def test_synth_verify_builds_the_trace_once(tmp_path, monkeypatch):
+    # synth --verify verifies the trace it wrote; it does not synthesize a
+    # second one from a re-read config
+    builds = _count_calls(monkeypatch, synth, "steered_slant_curve")
+    assert cli.main(["synth", "--builtin", "case2-order3",
+                     "--out", str(tmp_path / "c.csv"), "--verify",
+                     "--report", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert len(builds) == 1
+    assert json.loads((tmp_path / "r.json").read_text())["report"]["verdict"] \
+        == "proper-f-biharmonic"
+
+
 # ---------------------------------------------------------------------------
 # CSV bytes and import cost
 # ---------------------------------------------------------------------------
@@ -517,14 +529,17 @@ def test_ode_csv_bytes_match_csv_writer(case, eps, lam, c3, tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate is most of the import time of a cold CLI run; only
-    # case4_mu needs it and imports it itself
-    code = ("import sys, sspaceform.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # case4_mu needs it and imports it itself.  sympy and the exact model
+    # in sspaceform.oracles are for tests and demos only.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.strip() == "[]"
+    for module in ("sspaceform", "sspaceform.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'sympy') "
+                "or m == 'sspaceform.oracles'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[]", (module, out.stdout)

@@ -1,6 +1,7 @@
 """Closed-form candidates, residual ground truth, and the RK4 oracle."""
 import numpy as np
 import pytest
+import sympy as sp
 
 from sspaceform import odesol
 from sspaceform.manifold import ModelParams
@@ -287,3 +288,65 @@ def test_lambda_constants_accepts_profile(case2_profile):
     lam, eps = lambda_constants(case2_profile, ModelParams(2, 2), "II")
     assert eps == 0
     assert lam < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# exact checks (sympy): the formulas are typed here and tied to the code
+# ---------------------------------------------------------------------------
+
+T, C2, C3, C4, LAM, EPS, U, W, Y, YP = sp.symbols(
+    "t c2 c3 c4 lam eps u w y yp", real=True)
+
+
+def test_case_iii_family_solves_the_ode_exactly():
+    # 3 y'^2 - 2 y y'' = 4 y^2 (1 + c2^2) y^2 identically in t, c2, c3, c4
+    A = 1 + C2 ** 2
+    y = 4 * C3 / (C3 ** 2 * (T + C4) ** 2 + 16 * A)
+    yp, ypp = y.diff(T), y.diff(T, 2)
+    assert sp.simplify(3 * yp ** 2 - 2 * y * ypp - 4 * y ** 2 * (A * y ** 2)) == 0
+    exact = sp.lambdify((T, C2, C3, C4), [y, yp, ypp])
+    ts = np.linspace(-2, 2, 101)
+    for c2, c3, c4 in ((0.0, 1.0, -1.0), (1.0, 4.0, 0.0), (2.0, 10.0, 1.0)):
+        got = case_iii_profile(spec_iii(c2, c3, c4), ts)
+        for g, e in zip(got, exact(ts, c2, c3, c4)):
+            assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+
+def test_first_integral_is_exactly_conserved():
+    # dC/dt = C_y y' + C_y' y'' = 0 with y'' from the ODE
+    A = 1 + C2 ** 2
+    ypp = (3 * YP ** 2 - 4 * Y ** 2 * (A * Y ** 2 - EPS * LAM ** 2)) / (2 * Y)
+    C = (YP ** 2 + 4 * A * Y ** 4 + 4 * EPS * LAM ** 2 * Y ** 2) / Y ** 3
+    assert sp.simplify(C.diff(Y) * YP + C.diff(YP) * ypp) == 0
+    # the typed y'' zeroes ode_residual and the typed C is first_integral
+    rng = np.random.default_rng(3)
+    yv, ypv = rng.uniform(0.2, 2.0, 20), rng.uniform(-1, 1, 20)
+    for eps, lam in ((1, 0.7), (-1, 1.3), (0, 0.0)):
+        spec = OdeSolutionSpec(epsilon=eps, lam=lam, c2=0.5, c3=1.0, c4=0.0)
+        at = {C2: 0.5, EPS: eps, LAM: lam}
+        yppv = sp.lambdify((Y, YP), ypp.subs(at))(yv, ypv)
+        assert ode_residual(yv, spec, ypv, yppv)["max_residual"] < 1e-12
+        Cv = sp.lambdify((Y, YP), C.subs(at))(yv, ypv)
+        assert np.max(np.abs(first_integral(yv, ypv, spec) - Cv)) <= 1e-12 * np.max(np.abs(Cv))
+
+
+def test_cases_i_ii_N_nonpositive_for_every_real_u():
+    # case (i): with w = tan(u), sec^2(u) = 1 + w^2 and
+    #   N = -lam^2 (1 + w^2) (2 c3^2 + (1 + c2^2 + c3^2) w^2)
+    # case (ii): N = -lam^2 (1 + c2^2 + c3^2) tanh^2(u) sech^2(u)
+    k = 1 + C2 ** 2 + C3 ** 2
+    sec2 = 1 + W ** 2
+    N_i = LAM ** 2 * sec2 * (-k * sec2 + (1 + C2 ** 2 - C3 ** 2))
+    minus_i = LAM ** 2 * sec2 * (2 * C3 ** 2 + k * W ** 2)
+    sech2 = 1 / sp.cosh(U) ** 2
+    N_ii = LAM ** 2 * sech2 * k * (sech2 - 1)
+    minus_ii = LAM ** 2 * k * sp.tanh(U) ** 2 * sech2
+    assert sp.expand(N_i + minus_i) == 0 and minus_i.is_nonnegative
+    assert sp.simplify(N_ii + minus_ii) == 0 and minus_ii.is_nonnegative
+    # the typed N are the ones k1_closed_form evaluates (u = 2 lam t + c4)
+    ts = np.linspace(-0.7, 0.7, 41)
+    for eps, N in ((1, N_i.subs(W, sp.tan(U))), (-1, N_ii)):
+        spec = OdeSolutionSpec(epsilon=eps, lam=0.6, c2=1.0, c3=0.8, c4=0.1)
+        code_N = odesol._case_NMD(spec, ts)[0]
+        typed = sp.lambdify(U, N.subs({LAM: 0.6, C2: 1.0, C3: 0.8}))(1.2 * ts + 0.1)
+        assert np.max(np.abs(code_N - typed)) <= 1e-12 * np.max(np.abs(typed))

@@ -4,9 +4,14 @@ import pytest
 
 from sspaceform import synth
 from sspaceform.curve import frenet_apparatus
-from sspaceform.manifold import ModelParams, Point
+from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import (contact_angles, nabla_phiT_check,
-                              phiT_decomposition, slant_field_V)
+                              phiT_decomposition, v_frame)
+
+
+def slant_field_V(profile, y):
+    """Coordinate components of V = sum cos(theta_alpha) xi_alpha."""
+    return frame_to_coords(profile.params, v_frame(profile), y)
 
 
 def test_catenary_is_legendre(catenary):
@@ -52,20 +57,20 @@ def test_non_slant_flagged(params22):
 
 
 def test_slant_field_V(params22, case2_profile, r6_steered):
-    p = Point(np.zeros(6))
+    p = np.array([0.4, -1.3])   # V has no x, y part, so y must not matter
     # all angles pi/2 -> zero field
     legendre = contact_angles(synth.legendre_catenary(params22, n=1001))
-    assert np.allclose(slant_field_V(legendre, p).components, 0.0, atol=1e-12)
+    assert np.allclose(slant_field_V(legendre, p), 0.0, atol=1e-12)
     # r6 profile -> (1/2) xi_2, i.e. coordinate components (0,...,0, 0, 1)
     prof = contact_angles(r6_steered)
-    out = slant_field_V(prof, p).components
+    out = slant_field_V(prof, p)
     assert np.allclose(out, [0, 0, 0, 0, 0, 1.0], atol=1e-10)
     # slant curve with a common angle: V = cos(theta) sum xi_alpha
     tr = synth.steered_slant_curve(params22, (np.pi / 3, np.pi / 3),
                                    lambda t: 0.3, p2=0.0, c2=2.0,
                                    window=(-0.5, 0.5), step=1e-3)
     prof_common = contact_angles(tr)
-    out = slant_field_V(prof_common, p).components
+    out = slant_field_V(prof_common, p)
     expect = np.zeros(6)
     expect[4:] = 2.0 * np.cos(np.pi / 3)
     assert np.allclose(out, expect, atol=1e-10)
