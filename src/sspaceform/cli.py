@@ -361,16 +361,13 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         print("numerical failure: case (iii) with c3 = 0 degenerates to "
               "y = 0 (not a positive curvature)", file=sys.stderr)
         return EXIT_NUMERICAL
+    # cases (i)/(ii) are real at isolated samples at most (N <= 0), where
+    # no residual can be differenced: their residual column stays NaN
     residual = np.full_like(ts, np.nan)
     if spec.case == "iii":
         yy, yp, ypp = odesol.case_iii_profile(spec, ts)
         residual[ok] = odesol.ode_residual(yy[ok], spec, yp[ok],
                                            ypp[ok])["per_sample"]
-    elif np.sum(ok) >= 5:
-        yg = np.where(ok, y, np.nan)
-        ypg = np.gradient(yg, ts)
-        r = odesol.ode_residual(yg, spec, ypg, np.gradient(ypg, ts))
-        residual[ok] = r["per_sample"][ok]
     if out_path:
         write_csv(out_path, ["t", "y", "residual", "domain_ok"],
                   np.column_stack([ts, np.where(ok, y, np.nan),

@@ -89,7 +89,7 @@ def frame_to_coords(params: ModelParams, w: np.ndarray, y: np.ndarray) -> np.nda
     out = np.empty_like(w)
     out[..., :m] = 2.0 * B
     out[..., m:2 * m] = 2.0 * A
-    out[..., 2 * m:] = 2.0 * C + 2.0 * np.sum(B * y, axis=-1, keepdims=True)
+    out[..., 2 * m:] = 2.0 * C + 2.0 * np.add.reduce(B * y, axis=-1, keepdims=True)
     return out
 
 
@@ -117,12 +117,14 @@ def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> 
     m = params.m
     tau, sig, sv = t_frame[..., :m], t_frame[..., m:2 * m], t_frame[..., 2 * m:]
     A, B, C = w[..., :m], w[..., m:2 * m], w[..., 2 * m:]
-    S = np.sum(sv, axis=-1, keepdims=True)
-    Ctot = np.sum(C, axis=-1, keepdims=True)
+    # np.add.reduce is np.sum without its Python-level wrapper, which costs
+    # as much as the reduction on the few-element rows of a synthesis step
+    S = np.add.reduce(sv, axis=-1, keepdims=True)
+    Ctot = np.add.reduce(C, axis=-1, keepdims=True)
     out = np.empty_like(w)
     out[..., :m] = S * B + Ctot * sig
     out[..., m:2 * m] = -S * A - Ctot * tau
-    out[..., 2 * m:] = np.sum(B * tau - A * sig, axis=-1, keepdims=True)
+    out[..., 2 * m:] = np.add.reduce(B * tau - A * sig, axis=-1, keepdims=True)
     return out
 
 

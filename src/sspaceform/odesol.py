@@ -167,7 +167,7 @@ def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
 def real_domain_report(spec: OdeSolutionSpec, window=(-2.0, 2.0), n: int = 2001) -> dict:
     """Where, if anywhere, the literal formula is real on the window."""
     ts = np.linspace(window[0], window[1], n)
-    y, ok = k1_closed_form(spec, ts)
+    _, ok = k1_closed_form(spec, ts)
     frac = float(np.mean(ok))
     report = {
         "case": spec.case,
@@ -180,10 +180,6 @@ def real_domain_report(spec: OdeSolutionSpec, window=(-2.0, 2.0), n: int = 2001)
         good = np.where(ok)[0]
         report["first_real_t"] = float(ts[good[0]])
         report["last_real_t"] = float(ts[good[-1]])
-        res = ode_residual(y[ok], spec,
-                           yp=np.gradient(y, ts)[ok],
-                           ypp=np.gradient(np.gradient(y, ts), ts)[ok])
-        report["residual_on_real_subdomain"] = res["max_residual"]
     return report
 
 

@@ -31,6 +31,29 @@ __all__ = [
 ]
 
 
+def _arccos_clipped(x: np.ndarray, what: str) -> np.ndarray:
+    """arccos of x clipped into [-1, 1]; a value the clip moves is logged.
+
+    The warning goes to the "sspaceform.slant" logger with the largest
+    excess |x| - 1.  The package logger "sspaceform" gets a NullHandler,
+    so nothing is printed unless the application configures logging.
+    `logging` is imported only here, when a clip happens, so importing the
+    package loads no logging module.
+    """
+    excess = np.abs(x) - 1.0
+    moved = excess > 0.0
+    if np.any(moved):
+        import logging
+        package = logging.getLogger("sspaceform")
+        if not package.handlers:
+            package.addHandler(logging.NullHandler())
+        logging.getLogger(__name__).warning(
+            "%s: clipped %d of %d arccos arguments into [-1, 1]; "
+            "largest excess |x| - 1 = %.3e", what, int(np.count_nonzero(moved)),
+            moved.size, float(np.max(excess[moved])))
+    return np.arccos(np.clip(x, -1.0, 1.0))
+
+
 @dataclass
 class SlantProfile:
     """Contact angles and derived constants of a (candidate) slant curve."""
@@ -63,7 +86,7 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
     etas = tf[:, 2 * trace.params.m:]          # eta_alpha(T) = C_alpha
     means = etas.mean(axis=0)
     deviation = float(np.max(np.abs(etas - means))) if len(etas) else 0.0
-    thetas = np.arccos(np.clip(means, -1.0, 1.0))
+    thetas = _arccos_clipped(means, "contact angles (mean eta_alpha(T))")
     cos = np.cos(thetas)
     return SlantProfile(
         params=trace.params,
@@ -179,7 +202,7 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
 
     p2, p3, p4 = proj(1), proj(2), proj(3)
     sq = np.sqrt(one_minus_a)
-    beta = np.arccos(np.clip(p2 / sq, -1.0, 1.0))
+    beta = _arccos_clipped(p2 / sq, "beta (g(phiT, V2) / sqrt(1-a))")
     # w: angle of the projection onto span{V3, V4} relative to V3
     plane = np.hypot(p3, p4)
     w = np.where(plane > SPAN_TOL * sq, np.arctan2(p4, p3), np.nan)

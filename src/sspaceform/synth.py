@@ -31,6 +31,7 @@ realizability analysis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +82,12 @@ class SynthesisSpec:
     """Prescription for `integrate_frenet_system`.
 
     curvatures[i] is the callable k_{i+1}(t); the osculating order of the
-    synthesized curve is len(curvatures) + 1.  frame0 holds orthonormal
-    frame components of V_1..V_r at t = 0, p0 the initial point; the
-    window must contain 0.  Curvature functions must be positive on the
-    window.
+    synthesized curve is len(curvatures) + 1.  Each curvature is called on
+    arrays of stage times (once per half march) and must return an array
+    of the same shape or a constant, which is broadcast (`lambda t: 1.0`
+    is fine).  frame0 holds orthonormal frame components of V_1..V_r at
+    t = 0, p0 the initial point; the window must contain 0.  Curvature
+    functions must be positive on the window.
     """
 
     params: ModelParams
@@ -113,26 +116,40 @@ class SynthesisSpec:
         return len(self.curvatures) + 1
 
 
-def _frenet_rhs(params: ModelParams, t, frame, pos, kfuns):
-    """d/dt of (frame rows, position) under the Frenet + connection system."""
-    T = frame[0]
-    kvals = np.array([k(t) for k in kfuns]).reshape(-1, 1)
-    target = np.zeros_like(frame)
-    target[1:] -= kvals * frame[:-1]
-    target[:-1] += kvals * frame[1:]
-    dframe = target - connection_term(params, T, frame)
-    y = pos[params.m:2 * params.m]
-    dpos = frame_to_coords(params, T, y)
-    return dframe, dpos
+def _stage_times(t0: float, n_steps: int, h: float) -> np.ndarray:
+    """The distinct stage times of an n-step RK4 march with step h, in
+    march order: t_0, t_0 + h/2, t_1, ..., t_n (2n + 1 values).
+
+    t_{k+1} = t_k + h is accumulated exactly as the step loop of
+    `_rk4_march` would, so a stage time here is the float that loop would
+    pass to its right-hand side.
+    """
+    nodes = [t0]
+    t = t0
+    for _ in range(n_steps):
+        t += h
+        nodes.append(t)
+    times = np.empty(2 * n_steps + 1)
+    times[0::2] = nodes
+    times[1::2] = times[0:-1:2] + h / 2
+    return times
 
 
-def _rk4_march(rhs, y0, t0, window, step, after=None):
-    """Classical fixed-step RK4 for y' = rhs(t, y) from (t0, y0) to both
+def _rk4_march(rhs, y0, t0, window, step, after=None, table=None):
+    """Classical fixed-step RK4 for y' = rhs(row, y) from (t0, y0) to both
     ends of `window`.
 
+    Step k of a half march evaluates rhs at the stage times t_k,
+    t_k + h/2 (twice) and t_{k+1} (see `_stage_times`).  `table` maps the
+    array of a half march's distinct stage times to one row per time, and
+    rhs receives the row of its stage time; without a table the row is
+    the time itself, as a Python float.  Both tables are built before the
+    first step, so a table that raises refuses the march before any rhs
+    call.  `after(y)`, if given, corrects the state after every step (and
+    may raise to refuse the march).
+
     Returns the grid t0 + step * k, k = -n_bwd..n_fwd, and the states on it
-    stacked along axis 0.  `after(y)`, if given, corrects the state after
-    every step (and may raise to refuse the march).
+    stacked along axis 0.
     """
     lo, hi = window
     if not lo <= t0 <= hi:
@@ -140,23 +157,28 @@ def _rk4_march(rhs, y0, t0, window, step, after=None):
     n_fwd = int(round((hi - t0) / step))
     n_bwd = int(round((t0 - lo) / step))
 
-    def march(n_steps, h):
+    def rows_of(n_steps, h):
+        times = _stage_times(t0, n_steps, h)
+        return times.tolist() if table is None else list(table(times))
+
+    def march(rows, h):
+        half, sixth = h / 2, h / 6
         y = np.array(y0, dtype=float)
-        t = t0
         states = [y]
-        for _ in range(n_steps):
-            a1 = rhs(t, y)
-            a2 = rhs(t + h / 2, y + h / 2 * a1)
-            a3 = rhs(t + h / 2, y + h / 2 * a2)
-            a4 = rhs(t + h, y + h * a3)
-            y = y + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        for k in range(0, len(rows) - 1, 2):
+            mid = rows[k + 1]
+            a1 = rhs(rows[k], y)
+            a2 = rhs(mid, y + half * a1)
+            a3 = rhs(mid, y + half * a2)
+            a4 = rhs(rows[k + 2], y + h * a3)
+            y = y + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
             if after is not None:
                 y = after(y)
-            t += h
             states.append(y)
         return states
 
-    states = march(n_bwd, -step)[::-1][:-1] + march(n_fwd, step)
+    bwd, fwd = rows_of(n_bwd, -step), rows_of(n_fwd, step)
+    states = march(bwd, -step)[::-1][:-1] + march(fwd, step)
     return t0 + step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
 
 
@@ -171,58 +193,67 @@ def _derivative_stack(vels: np.ndarray, step: float, depth: int):
     return derivs, stride
 
 
-def _orthonormalize(frame: np.ndarray) -> tuple[np.ndarray, float]:
-    """Modified Gram-Schmidt; returns the corrected frame and the drift
-    (worst orthonormality defect of the input frame)."""
-    gram = frame @ frame.T
-    drift = float(np.max(np.abs(gram - np.eye(len(frame)))))
-    out = frame.copy()
-    for j in range(len(out)):
-        v = out[j]
+def _orthonormalize(frame: np.ndarray) -> None:
+    """Modified Gram-Schmidt on the rows of `frame`, in place."""
+    for j, v in enumerate(frame):
         for i in range(j):
-            v = v - np.dot(v, out[i]) * out[i]
-        out[j] = v / np.linalg.norm(v)
-    return out, drift
+            v = v - v.dot(frame[i]) * frame[i]
+        frame[j] = v / math.sqrt(v.dot(v))
 
 
 def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray]:
     """Integrate the prescribed-curvature Frenet system with RK4.
 
-    The frame is re-orthonormalized after every step; if a single step's
-    drift exceeds FRAME_DRIFT_TOL the step size is declared too large and a
-    SynthesisError is raised.  Prescribed curvatures must stay positive on
-    the window.  Returns the sampled trace (coordinate derivatives to depth
-    5 for the downstream Frenet machinery: velocity exact, higher by
-    4th-order differencing) and the integrated frames V_1..V_r as an
-    (order, n, dim) array of frame components.  What the trace measures is
-    left to `frenet_apparatus`.
+    The state is one (order + 1, dim) block: the frame rows V_1..V_r and
+    the position.  The curvatures are tabulated on the stage times before
+    the first step, and a curvature that is not positive there refuses
+    the march.  The frame is re-orthonormalized after every step; if a
+    single step's drift exceeds FRAME_DRIFT_TOL the step size is declared
+    too large and a SynthesisError is raised.  Returns the sampled trace
+    (coordinate derivatives to depth 5 for the downstream Frenet
+    machinery: velocity exact, higher by 4th-order differencing) and the
+    integrated frames V_1..V_r as an (order, n, dim) array of frame
+    components.  What the trace measures is left to `frenet_apparatus`.
     """
     params = spec.params
-    r, dim, m = spec.order, params.dim, params.m
-    kfuns = list(spec.curvatures)
+    r, m = spec.order, params.m
 
-    def rhs(t, st):
-        dframe, dpos = _frenet_rhs(params, t, st[:r * dim].reshape(r, dim),
-                                   st[r * dim:], kfuns)
-        return np.concatenate([dframe.ravel(), dpos])
+    def curvature_table(times):
+        kmat = np.empty((len(times), r - 1, 1))
+        for i, k in enumerate(spec.curvatures):
+            kmat[:, i, 0] = k(times)
+            if np.any(kmat[:, i] <= 0):
+                raise SynthesisError(
+                    f"prescribed curvature k_{i+1} hits zero or below on the window")
+        return kmat
 
-    def reorthonormalize(st):
-        frame, drift = _orthonormalize(st[:r * dim].reshape(r, dim))
+    def rhs(kcol, S):
+        # Frenet equations V_j' = -k_{j-1} V_{j-1} + k_j V_{j+1} minus the
+        # connection along T = V_1, and gamma' = T in coordinates
+        frame, T = S[:r], S[0]
+        dS = np.zeros_like(S)
+        dS[1:r] -= kcol * frame[:-1]
+        dS[:r - 1] += kcol * frame[1:]
+        dS[:r] -= connection_term(params, T, frame)
+        dS[r] = frame_to_coords(params, T, S[r, m:2 * m])
+        return dS
+
+    eye = np.eye(r)
+
+    def reorthonormalize(S):
+        frame = S[:r]
+        drift = float(np.abs(frame @ frame.T - eye).max())
         if drift > FRAME_DRIFT_TOL:
             raise SynthesisError(
                 f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_TOL:g} in a "
                 f"single step: step {spec.step:g} too large")
-        return np.concatenate([frame.ravel(), st[r * dim:]])
+        _orthonormalize(frame)
+        return S
 
-    ts, states = _rk4_march(rhs, np.concatenate([spec.frame0.ravel(), spec.p0]),
-                            0.0, spec.window, spec.step,
-                            after=reorthonormalize)
-    for i, k in enumerate(kfuns):
-        if any(k(t) <= 0 for t in ts):
-            raise SynthesisError(
-                f"prescribed curvature k_{i+1} hits zero or below on the window")
-    frames = states[:, :r * dim].reshape(-1, r, dim)
-    points = states[:, r * dim:]
+    ts, states = _rk4_march(rhs, np.vstack([spec.frame0, spec.p0]), 0.0,
+                            spec.window, spec.step, after=reorthonormalize,
+                            table=curvature_table)
+    frames, points = states[:, :r], states[:, r]
     vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
 
     derivs, stride = _derivative_stack(vels, spec.step, 5)
@@ -288,11 +319,19 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     # degenerate family and drop the root term exactly.
     radicand_zero = float(np.max(np.abs(rad))) < 1e-12
 
-    def psi_rhs(t):
-        if radicand_zero:
-            return b - p2 * k1(t) / P
-        R = max(radicand(t), 0.0)
-        return b - p2 * k1(t) / P + branch * np.sqrt(R / (P * W0sq))
+    def coefficients(times):
+        # per stage time: q i, k1 W0 and psi'.  k1 is called once per
+        # time on a Python float, since a Python-float formula can round
+        # differently on arrays (`**` is not np.square); the rest is array
+        # arithmetic with the per-time operations in the same order
+        k = np.array([k1(t) for t in times.tolist()], dtype=float)
+        psi_dot = b - p2 * k / P
+        if not radicand_zero:
+            R = A2 * k * k + B1 * k + C0
+            R = np.where(R < 0.0, 0.0, R)   # max(R, 0.0): NaN, -0.0 kept
+            psi_dot = psi_dot + branch * np.sqrt(R / (P * W0sq))
+        q = 2.0 * b + p2 * k / P
+        return zip(q * 1j, k * W0, psi_dot)
 
     if p0 is None:
         p0 = np.zeros(params.dim)
@@ -300,29 +339,26 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     # the curve lives in the C^2 span of the first two horizontal pairs:
     # state = zeta in C^2 (4 floats), nu in C^2 (4), psi (1), gamma (dim)
     nst = 9 + params.dim
+    two_sv = 2 * sv
 
-    def rhs(t, st):
+    def rhs(row, st):
+        qi, kW0, psi_dot = row
         zeta = st[0:2] + 1j * st[2:4]
         nu = st[4:6] + 1j * st[6:8]
         psi = st[8]
-        k = k1(t)
-        q = 2.0 * b + p2 * k / P
         e_psi = np.cos(psi) * nu + np.sin(psi) * (1j * nu)
-        dzeta = q * 1j * zeta + k * W0 * e_psi
-        dnu = -k * W0 * np.exp(-1j * psi) * zeta
-        y = st[9 + m:9 + 2 * m]
+        dzeta = qi * zeta + kW0 * e_psi
+        dnu = -kW0 * np.exp(-1j * psi) * zeta
         Av, Bv = zeta.real, zeta.imag
-        dg = np.zeros(params.dim)
-        dg[0:2] = 2 * Bv
-        dg[m:m + 2] = 2 * Av
-        dg[2 * m:] = 2 * sv + 2 * np.dot(Bv, y[:2])
-        out = np.empty(nst)
+        out = np.zeros(nst)
         out[0:2] = dzeta.real
         out[2:4] = dzeta.imag
         out[4:6] = dnu.real
         out[6:8] = dnu.imag
-        out[8] = psi_rhs(t)
-        out[9:] = dg
+        out[8] = psi_dot
+        out[9:11] = 2 * Bv
+        out[9 + m:11 + m] = 2 * Av
+        out[9 + 2 * m:] = two_sv + 2 * np.dot(Bv, st[9 + m:11 + m])
         return out
 
     st0 = np.zeros(nst)
@@ -331,7 +367,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     st0[8] = psi0
     st0[9:] = p0
 
-    ts, recs = _rk4_march(rhs, st0, 0.0, window, step)
+    ts, recs = _rk4_march(rhs, st0, 0.0, window, step, table=coefficients)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
     points = recs[:, 9:]
     vel_frame = np.zeros((len(ts), params.dim))
@@ -358,7 +394,7 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     curvature of the result obeys the structural identity
     k2 = sqrt(a d^2 - a s + b^2 + 2 epsilon b d + s), d = k1/sqrt(1-a).
     """
-    s = params.s
+    m, s = params.m, params.s
     sv = np.cos(np.asarray(thetas, dtype=float))
     if len(sv) != s:
         raise ValueError(f"need {s} contact angles")
@@ -373,25 +409,28 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
         p0 = np.zeros(params.dim)
     p0 = np.asarray(p0, dtype=float)
 
-    def rhs(t, st):
-        zeta = st[0] + 1j * st[1]
-        q = 2.0 * b + epsilon * k1(t) / np.sqrt(P)
-        dz = q * 1j * zeta
-        y = st[2 + params.m:2 + 2 * params.m]
-        out = np.empty(2 + params.dim)
+    def rotation(times):
+        # q i per stage time; k1 is called on Python floats, as in
+        # `steered_slant_curve`
+        k = np.array([k1(t) for t in times.tolist()], dtype=float)
+        return (2.0 * b + epsilon * k / np.sqrt(P)) * 1j
+
+    two_sv = 2 * sv
+
+    def rhs(qi, st):
+        dz = qi * (st[0] + 1j * st[1])
+        out = np.zeros(2 + params.dim)
         out[0], out[1] = dz.real, dz.imag
-        dg = np.zeros(params.dim)
-        dg[0] = 2 * st[1]            # x_1' = 2 B_1
-        dg[params.m] = 2 * st[0]     # y_1' = 2 A_1
-        dg[2 * params.m:] = 2 * sv + 2 * st[1] * y[0]
-        out[2:] = dg
+        out[2] = 2 * st[1]                  # x_1' = 2 B_1
+        out[2 + m] = 2 * st[0]              # y_1' = 2 A_1
+        out[2 + 2 * m:] = two_sv + 2 * st[1] * st[2 + m]
         return out
 
     st0 = np.zeros(2 + params.dim)
     st0[0] = np.sqrt(P)
     st0[2:] = p0
 
-    ts, recs = _rk4_march(rhs, st0, 0.0, window, step)
+    ts, recs = _rk4_march(rhs, st0, 0.0, window, step, table=rotation)
     points = recs[:, 2:]
     vel_frame = np.zeros((len(ts), params.dim))
     vel_frame[:, 0] = recs[:, 0]
@@ -618,7 +657,7 @@ class R6ExampleConfig:
         fd = frenet_apparatus(small, max_order=4)
         i0 = small.n // 2
         frame = np.array([fd.frames[j][i0] for j in range(4)])
-        frame, _ = _orthonormalize(frame)
+        _orthonormalize(frame)
         return frame, small.points[i0]
 
 

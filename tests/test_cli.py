@@ -255,6 +255,19 @@ def test_ode_case_i_nowhere_real_exit_3():
                      "--range", "-2:2:0.01"]) == cli.EXIT_NUMERICAL
 
 
+def test_ode_isolated_real_sample_has_no_residual(tmp_path):
+    # case (ii) is real only at u = 0, a single sample: no residual can be
+    # differenced there, so the column is NaN and the run is refused
+    out = tmp_path / "ode.csv"
+    assert cli.main(["ode", "--case", "ii", "--c2", "1", "--c3", "2",
+                     "--lambda", "1", "--range", "-1:1:0.5",
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 3], [0, 0, 1, 0, 0])
+    assert data[2, 1] == -0.5           # y = M/D = 2/(-4) at t = 0
+    assert np.all(np.isnan(data[:, 2]))
+
+
 def test_ode_bad_range_exit_2():
     assert cli.main(["ode", "--case", "iii", "--c3", "4",
                      "--range", "2:-2:0.01"]) == cli.EXIT_CONFIG
@@ -543,3 +556,16 @@ def test_cli_import_leaves_scipy_unloaded():
                              capture_output=True, text=True, check=True,
                              timeout=120)
         assert out.stdout.strip() == "[]", (module, out.stdout)
+
+
+def test_cli_import_leaves_logging_unloaded():
+    # the package logger is set up on the first clipped angle, not on import
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, sspaceform.cli; print('logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,12 @@
 """Contact angles, slant constants, and the phi T decomposition."""
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from sspaceform import synth
-from sspaceform.curve import frenet_apparatus
+from sspaceform.curve import CurveTrace, frenet_apparatus
 from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import (contact_angles, nabla_phiT_check,
                               phiT_decomposition, v_frame)
@@ -183,3 +186,36 @@ def test_phiT_norm_identity_on_slant_traces(case2_curve, r6_steered):
         phiT = phi_frame(tr.params, tr.tangent_frame())
         norms = np.einsum("nd,nd->n", phiT, phiT)
         assert np.max(np.abs(norms + prof.a - 1.0)) < 1e-8
+
+
+def test_clipped_arccos_arguments_are_logged(geodesic, r6_steered,
+                                             r6_steered_fd, caplog):
+    caplog.set_level(logging.WARNING, logger="sspaceform")
+    # speed 1.5 along xi_1: the mean eta_1(T) = 1.5 is clipped to theta = 0
+    fast = CurveTrace(geodesic.params, geodesic.ts, 1.5 * geodesic.points,
+                      [1.5 * d for d in geodesic.derivs])
+    assert contact_angles(fast).thetas[0] == 0.0
+    (record,) = caplog.records
+    assert record.name == "sspaceform.slant"
+    assert record.levelno == logging.WARNING
+    assert "contact angles" in record.getMessage()
+    assert "clipped 1 of 2" in record.getMessage()
+    assert "largest excess |x| - 1 = 5.000e-01" in record.getMessage()
+
+    # with a = 0.97, |g(phiT, V2)| = 0.204 exceeds sqrt(1-a) = 0.173
+    caplog.clear()
+    prof = dataclasses.replace(contact_angles(r6_steered), a=0.97)
+    dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
+    assert np.all(dec.beta == np.pi)
+    (record,) = caplog.records
+    assert "beta" in record.getMessage()
+    excess = np.max(np.abs(dec.p2)) / np.sqrt(0.03) - 1.0
+    assert f"= {excess:.3e}" in record.getMessage()
+
+
+def test_unclipped_angles_log_nothing(case2_curve, case2_fd, case2_profile,
+                                      r6_steered, r6_steered_fd, caplog):
+    caplog.set_level(logging.DEBUG, logger="sspaceform")
+    phiT_decomposition(case2_curve, case2_fd, contact_angles(case2_curve))
+    phiT_decomposition(r6_steered, r6_steered_fd, contact_angles(r6_steered))
+    assert caplog.records == []

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from sspaceform import synth
-from sspaceform.curve import frenet_apparatus, unit_speed_check
-from sspaceform.manifold import ModelParams, phi_frame
+from sspaceform.curve import CurveTrace, frenet_apparatus, unit_speed_check
+from sspaceform.manifold import (ModelParams, connection_term, frame_to_coords,
+                                 phi_frame)
 from sspaceform.slant import contact_angles
 
 
@@ -327,3 +328,311 @@ def test_steering_enforcement_random_configurations(params22):
         p2m = np.einsum("nd,nd->n", phiT, fd.frames[1])
         assert np.max(np.abs(p2m - p2)[sl]) < 1e-7
     assert tried == 5, "not enough admissible random configurations"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-stage-callable marches that the table-driven ones replaced
+# ---------------------------------------------------------------------------
+# Each march calls its right-hand side with the stage time and evaluates
+# every curvature, steering coefficient and constant inside it.  The
+# table-driven marches must reproduce them bit for bit.
+
+def oracle_rk4_march(rhs, y0, t0, window, step, after=None):
+    lo, hi = window
+    n_fwd = int(round((hi - t0) / step))
+    n_bwd = int(round((t0 - lo) / step))
+
+    def march(n_steps, h):
+        y = np.array(y0, dtype=float)
+        t = t0
+        states = [y]
+        for _ in range(n_steps):
+            a1 = rhs(t, y)
+            a2 = rhs(t + h / 2, y + h / 2 * a1)
+            a3 = rhs(t + h / 2, y + h / 2 * a2)
+            a4 = rhs(t + h, y + h * a3)
+            y = y + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            if after is not None:
+                y = after(y)
+            t += h
+            states.append(y)
+        return states
+
+    states = march(n_bwd, -step)[::-1][:-1] + march(n_fwd, step)
+    return t0 + step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
+
+
+def oracle_orthonormalize(frame):
+    out = frame.copy()
+    for j in range(len(out)):
+        v = out[j]
+        for i in range(j):
+            v = v - np.dot(v, out[i]) * out[i]
+        out[j] = v / np.linalg.norm(v)
+    return out
+
+
+def oracle_frenet(spec):
+    params = spec.params
+    r, dim, m = spec.order, params.dim, params.m
+    kfuns = list(spec.curvatures)
+
+    def frenet_rhs(t, frame, pos):
+        T = frame[0]
+        kvals = np.array([k(t) for k in kfuns]).reshape(-1, 1)
+        target = np.zeros_like(frame)
+        target[1:] -= kvals * frame[:-1]
+        target[:-1] += kvals * frame[1:]
+        dframe = target - connection_term(params, T, frame)
+        dpos = frame_to_coords(params, T, pos[m:2 * m])
+        return dframe, dpos
+
+    def rhs(t, st):
+        dframe, dpos = frenet_rhs(t, st[:r * dim].reshape(r, dim), st[r * dim:])
+        return np.concatenate([dframe.ravel(), dpos])
+
+    def reorthonormalize(st):
+        frame = oracle_orthonormalize(st[:r * dim].reshape(r, dim))
+        return np.concatenate([frame.ravel(), st[r * dim:]])
+
+    ts, states = oracle_rk4_march(rhs, np.concatenate([spec.frame0.ravel(), spec.p0]),
+                                  0.0, spec.window, spec.step,
+                                  after=reorthonormalize)
+    frames = states[:, :r * dim].reshape(-1, r, dim)
+    points = states[:, r * dim:]
+    vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
+    derivs, stride = synth._derivative_stack(vels, spec.step, 5)
+    return CurveTrace(params, ts, points, derivs, fd_stride=stride), \
+        frames.transpose(1, 0, 2)
+
+
+def oracle_steered(params, thetas, k1, p2, c2, window=(-1.0, 1.0),
+                   step=1e-3, branch=+1, psi0=0.0, p0=None):
+    m, s = params.m, params.s
+    sv = np.cos(np.asarray(thetas, dtype=float))
+    a = float(np.sum(sv ** 2))
+    b = float(np.sum(sv))
+    P = 1.0 - a
+    W0sq = (P - p2 * p2) / (P * P)
+    W0 = np.sqrt(W0sq)
+    A2 = c2 * c2 + a / (a - 1.0)
+    B1 = -2.0 * b * p2 / P
+    C0 = -p2 * p2 * (b * b + s * P) / P
+
+    def radicand(t):
+        k = k1(t)
+        return A2 * k * k + B1 * k + C0
+
+    lo, hi = window
+    probe = np.linspace(lo, hi, max(101, int((hi - lo) / step) + 1))
+    radicand_zero = max(abs(radicand(t)) for t in probe) < 1e-12
+
+    def psi_rhs(t):
+        if radicand_zero:
+            return b - p2 * k1(t) / P
+        R = max(radicand(t), 0.0)
+        return b - p2 * k1(t) / P + branch * np.sqrt(R / (P * W0sq))
+
+    p0 = np.zeros(params.dim) if p0 is None else np.asarray(p0, dtype=float)
+    nst = 9 + params.dim
+
+    def rhs(t, st):
+        zeta = st[0:2] + 1j * st[2:4]
+        nu = st[4:6] + 1j * st[6:8]
+        psi = st[8]
+        k = k1(t)
+        q = 2.0 * b + p2 * k / P
+        e_psi = np.cos(psi) * nu + np.sin(psi) * (1j * nu)
+        dzeta = q * 1j * zeta + k * W0 * e_psi
+        dnu = -k * W0 * np.exp(-1j * psi) * zeta
+        y = st[9 + m:9 + 2 * m]
+        Av, Bv = zeta.real, zeta.imag
+        dg = np.zeros(params.dim)
+        dg[0:2] = 2 * Bv
+        dg[m:m + 2] = 2 * Av
+        dg[2 * m:] = 2 * sv + 2 * np.dot(Bv, y[:2])
+        out = np.empty(nst)
+        out[0:2] = dzeta.real
+        out[2:4] = dzeta.imag
+        out[4:6] = dnu.real
+        out[6:8] = dnu.imag
+        out[8] = psi_rhs(t)
+        out[9:] = dg
+        return out
+
+    st0 = np.zeros(nst)
+    st0[0] = np.sqrt(P)
+    st0[5] = np.sqrt(P)
+    st0[8] = psi0
+    st0[9:] = p0
+    ts, recs = oracle_rk4_march(rhs, st0, 0.0, window, step)
+    zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
+    points = recs[:, 9:]
+    vel_frame = np.zeros((len(ts), params.dim))
+    vel_frame[:, 0:2] = zeta.real
+    vel_frame[:, m:m + 2] = zeta.imag
+    vel_frame[:, 2 * m:] = sv
+    vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
+    derivs, stride = synth._derivative_stack(vels, step, 5)
+    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+
+
+def oracle_phiT_aligned(params, thetas, k1, epsilon=+1, window=(-2.0, 2.0),
+                        step=1e-3, p0=None):
+    m = params.m
+    sv = np.cos(np.asarray(thetas, dtype=float))
+    a = float(np.sum(sv ** 2))
+    b = float(np.sum(sv))
+    P = 1.0 - a
+    p0 = np.zeros(params.dim) if p0 is None else np.asarray(p0, dtype=float)
+
+    def rhs(t, st):
+        zeta = st[0] + 1j * st[1]
+        q = 2.0 * b + epsilon * k1(t) / np.sqrt(P)
+        dz = q * 1j * zeta
+        y = st[2 + m:2 + 2 * m]
+        out = np.empty(2 + params.dim)
+        out[0], out[1] = dz.real, dz.imag
+        dg = np.zeros(params.dim)
+        dg[0] = 2 * st[1]
+        dg[m] = 2 * st[0]
+        dg[2 * m:] = 2 * sv + 2 * st[1] * y[0]
+        out[2:] = dg
+        return out
+
+    st0 = np.zeros(2 + params.dim)
+    st0[0] = np.sqrt(P)
+    st0[2:] = p0
+    ts, recs = oracle_rk4_march(rhs, st0, 0.0, window, step)
+    points = recs[:, 2:]
+    vel_frame = np.zeros((len(ts), params.dim))
+    vel_frame[:, 0] = recs[:, 0]
+    vel_frame[:, m] = recs[:, 1]
+    vel_frame[:, 2 * m:] = sv
+    vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
+    derivs, stride = synth._derivative_stack(vels, step, 4)
+    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays down to the bit: shape, dtype and bytes (so also the
+    sign of every zero)."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_trace(got, want):
+    assert_same_bits(got.ts, want.ts)
+    assert_same_bits(got.points, want.points)
+    assert len(got.derivs) == len(want.derivs)
+    for g, w in zip(got.derivs, want.derivs):
+        assert_same_bits(g, w)
+    assert got.fd_stride == want.fd_stride
+
+
+def test_rk4_march_stage_times_match_accumulated_loop():
+    # without a table the right-hand side sees exactly the Python floats
+    # the accumulating step loop passes: t, t + h/2 (twice), t + h
+    for t0, window, step in ((0.0, (-2.0, 2.0), 1e-3), (0.3, (-0.2, 0.6), 0.05),
+                             (0.1, (0.1, 1.0), 0.07)):
+        seen, want = [], []
+        synth._rk4_march(lambda t, y: seen.append(t) or y, np.ones(1), t0,
+                         window, step)
+        oracle_rk4_march(lambda t, y: want.append(t) or y, np.ones(1), t0,
+                         window, step)
+        assert seen == want
+        assert all(type(t) is float for t in seen)
+
+
+@pytest.mark.parametrize("window", [(-0.5, 0.5), (-2.0, 2.0)])
+def test_frenet_march_matches_per_stage_oracle(r6_config, window):
+    spec = r6_config.synthesis_spec(window=window, step=1e-3)
+    trace, frames = synth.integrate_frenet_system(spec)
+    want_trace, want_frames = oracle_frenet(spec)
+    assert_same_trace(trace, want_trace)
+    assert_same_bits(frames, want_frames)
+
+
+def test_r6_initial_frame_matches_oracle(r6_config):
+    cfg = r6_config
+    small = oracle_steered(cfg.params, cfg.thetas, cfg.k1, p2=cfg.p2,
+                           c2=cfg.c2, window=(-0.02, 0.02), step=1e-4)
+    fd = frenet_apparatus(small, max_order=4)
+    i0 = small.n // 2
+    want = oracle_orthonormalize(np.array([fd.frames[j][i0] for j in range(4)]))
+    frame0, p0 = cfg.initial_frame()
+    assert_same_bits(frame0, want)
+    assert_same_bits(p0, small.points[i0])
+
+
+def test_case2_order3_matches_per_stage_oracle(case2_curve):
+    # the builtin's k1 is a Python-float lambda, called per stage time
+    c3, c4 = 4.0, 0.0
+    k1 = lambda t: 4.0 * c3 / (c3 ** 2 * (t + c4) ** 2 + 32.0)
+    want = oracle_steered(ModelParams(2, 2), (np.pi / 3, 2 * np.pi / 3), k1,
+                          p2=0.0, c2=1.0, window=(-2.0, 2.0), step=1e-3)
+    assert_same_trace(case2_curve, want)
+
+
+def test_r6_steered_matches_per_stage_oracle(r6_config, r6_steered):
+    cfg = r6_config
+    tmax = 0.95 * cfg.feasible_abs_t()
+    want = oracle_steered(cfg.params, cfg.thetas, cfg.k1, p2=cfg.p2,
+                          c2=cfg.c2, window=(-tmax, tmax), step=1e-3)
+    assert_same_trace(r6_steered, want)
+
+
+def test_steering_other_branch_matches_per_stage_oracle(params22):
+    kwargs = dict(thetas=(0.4 * np.pi, 0.6 * np.pi),
+                  k1=lambda t: 0.4 / (1.0 + 0.3 * t * t), p2=-0.15, c2=1.4,
+                  window=(-1.0, 0.75), step=1e-3, branch=-1, psi0=0.7,
+                  p0=[0.3, -0.2, 0.5, 1.1, -0.4, 0.25])
+    got = synth.steered_slant_curve(params22, **kwargs)
+    assert_same_trace(got, oracle_steered(params22, **kwargs))
+
+
+def test_phiT_aligned_matches_per_stage_oracle(params22):
+    kwargs = dict(thetas=(np.pi / 3, np.pi / 2),
+                  k1=lambda t: 0.3 + 0.05 * np.sin(t), epsilon=-1,
+                  window=(-1.0, 1.5), step=1e-3,
+                  p0=[0.1, 0.0, -0.7, 0.2, 0.0, 0.3])
+    got = synth.phiT_aligned_curve(params22, **kwargs)
+    assert_same_trace(got, oracle_phiT_aligned(params22, **kwargs))
+
+
+def test_frenet_march_tabulates_each_curvature_once_per_half_march(r6_config):
+    spec = r6_config.synthesis_spec(window=(-0.5, 0.5), step=1e-3)
+    calls = []
+
+    def counted(i, k):
+        def k_counted(t):
+            calls.append(i)
+            return k(t)
+        return k_counted
+
+    spec.curvatures = [counted(i, k) for i, k in enumerate(spec.curvatures)]
+    synth.integrate_frenet_system(spec)
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("k1", [lambda t: 0.5 - t, lambda t: 0.5 + t],
+                         ids=["forward", "backward"])
+def test_nonpositive_curvature_refused_before_the_first_step(params22,
+                                                             monkeypatch, k1):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return connection_term(*args)
+
+    monkeypatch.setattr(synth, "connection_term", counted)
+    frame0 = np.zeros((2, 6))
+    frame0[0, 0] = 1.0
+    frame0[1, 1] = 1.0
+    spec = synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
+                               curvatures=[k1], window=(-1.0, 1.0), step=1e-2)
+    with pytest.raises(synth.SynthesisError, match="k_1 hits zero"):
+        synth.integrate_frenet_system(spec)
+    assert calls == []
