@@ -15,10 +15,12 @@ and tau3 = 0 is equivalent to the five scalar conditions
     (4) k2 k3 + (3(c-s)/4) g(phiT,V2) g(phiT,V4) = 0
     (5) g(tau3, phiT) = 0.
 
-Everything here computes tau2/tau3 two ways: the direct covariant route
-(exact chain + closed-form curvature tensor, in frame components) and the
-Frenet-expansion route from measured scalars; the cross residual is part of
-every report.  The scalar core `mainprop_residuals` also runs standalone on
+tau2 is computed two ways: the direct covariant route (exact chain +
+closed-form curvature tensor, in frame components) and the
+Frenet-expansion route from measured scalars; the cross residual is part
+of every report.  The measured scalars k1, k2, k3 and their jet k1',
+k1'', k2' come from FrenetData, which differences them once per trace.
+The scalar core `mainprop_residuals` also runs standalone on
 hypothetical data (e.g. case I, c = s, which the coordinate model cannot
 realize since c = -3s).
 """
@@ -31,8 +33,9 @@ import numpy as np
 from . import odesol
 from .odesol import _c_s
 from .curve import CurveTrace, FrenetData, fd_derivative, uniform_step
-from .manifold import ModelParams, curvature_frame, phi_frame
-from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
+from .manifold import ModelParams, curvature_frame
+from .slant import (PhiTDecomposition, SlantProfile, _nabla_phiT,
+                    phiT_decomposition)
 
 __all__ = [
     "WeightFunction",
@@ -123,14 +126,15 @@ class WeightFunction:
 # ---------------------------------------------------------------------------
 
 def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
-                       a: float, b: float, ts=None,
-                       k1p=None, k1pp=None, k2p=None,
+                       a: float, b: float, k1p, k1pp, k2p,
                        extra_gphiT=None) -> dict:
     """Residual arrays of the five proper-f-biharmonicity conditions.
 
     params may be a ModelParams or a (c, s) pair (hypothetical mode).
-    Curvature derivatives default to 4th-order differences on ts, which
-    must then be a uniform grid.
+    The curvature derivatives k1', k1'', k2' are the caller's: on a
+    measured trace, `FrenetData.curvature_jet`.  A NaN in k1 (the
+    verify pass masks k1 <= 0) makes eq1-eq3 and gphiT NaN at that
+    sample only.
     extra_gphiT, when given, is |phiT|^2 - (p2^2+p3^2+p4^2) per sample
     (the part of phiT outside span{V2,V3,V4}), needed for condition (5)
     on traces of order > 4; scalar mode assumes phiT lies in the span.
@@ -138,13 +142,6 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
     c, s = _c_s(params)
     k1, k2, k3, p2, p3, p4 = (np.asarray(v, dtype=float)
                               for v in (k1, k2, k3, p2, p3, p4))
-    if k1p is None or k1pp is None or k2p is None:
-        if ts is None:
-            raise ValueError("need ts for finite-difference curvature derivatives")
-        h = uniform_step(ts, "mainprop_residuals")
-        k1p = fd_derivative(k1, h) if k1p is None else k1p
-        k1pp = fd_derivative(k1p, h) if k1pp is None else k1pp
-        k2p = fd_derivative(k2, h) if k2p is None else k2p
     cf = 3.0 * (c - s) / 4.0
     bracket = b * b + ((c + 3 * s) / 4.0) * (1.0 - a)
     eq1 = 3.0 * k1p / k1 + 2.0 * f.fp / f.f
@@ -169,14 +166,6 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
 # tension fields
 # ---------------------------------------------------------------------------
 
-def _measured_scalars(fd: FrenetData):
-    n = len(fd.ts)
-    k1 = fd.curvatures[0] if fd.order >= 2 else np.zeros(n)
-    k2 = fd.curvatures[1] if fd.order >= 3 else np.zeros(n)
-    k3 = fd.curvatures[2] if fd.order >= 4 else np.zeros(n)
-    return k1, k2, k3
-
-
 def tau2(fd: FrenetData) -> dict:
     """Bitension field per sample, computed two ways.
 
@@ -184,7 +173,8 @@ def tau2(fd: FrenetData) -> dict:
     and the closed-form curvature tensor (frame components).
     frenet: (-3 k1 k1') T + (k1'' - k1^3 - k1 k2^2) V2
             + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term,
-    where the R-term uses the same closed form.  Returns both fields and
+    where the R-term uses the same closed form and the scalars are
+    fd.padded_curvatures and fd.curvature_jet.  Returns both fields and
     their cross residual.  A chain shorter than TAU2_CHAIN_LEVELS raises
     ValueError.
     """
@@ -197,11 +187,8 @@ def tau2(fd: FrenetData) -> dict:
     R_term = curvature_frame(params, tf, chain[1], tf)
     direct = chain[3] - R_term
 
-    k1, k2, k3 = _measured_scalars(fd)
-    h = fd.step
-    k1p = fd_derivative(k1, h)
-    k1pp = fd_derivative(k1p, h)
-    k2p = fd_derivative(k2, h)
+    k1, k2, k3 = fd.padded_curvatures
+    k1p, k1pp, k2p = fd.curvature_jet
     n, dim = len(fd.ts), params.dim
     frames = np.zeros((4, n, dim))
     frames[0] = tf
@@ -217,17 +204,16 @@ def tau2(fd: FrenetData) -> dict:
 
 
 def tau3(fd: FrenetData, f: WeightFunction) -> dict:
-    """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T."""
+    """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
+    by the direct route; the cross residual is tau2's."""
     t2 = tau2(fd)
     chain = fd.chain
     w1 = (f.fp / f.f)[:, None]
     w2 = (f.fpp / f.f)[:, None]
     direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
-    frenet = t2["frenet"] + 2.0 * w1 * chain[2] + w2 * chain[1]
     norm = np.linalg.norm(direct, axis=-1)
     return {
         "direct": direct,
-        "frenet": frenet,
         "cross_residual": t2["cross_residual"],
         "norm": norm,
         "max_norm": float(np.max(norm)),
@@ -250,7 +236,8 @@ class BiharmonicReport:
     f_variation: float
     details: dict = field(default_factory=dict)
     # arrays behind the maxima, left out of as_dict(): eq1..eq4, gphiT
-    # (NaN where k1 <= 0) and tau3_norm (NaN when tau3 is not computed)
+    # (eq1-eq3 and gphiT NaN at exactly the samples where k1 <= 0) and
+    # tau3_norm (NaN when tau3 is not computed)
     per_sample: dict = field(default_factory=dict, repr=False)
     decomposition: PhiTDecomposition | None = field(default=None, repr=False)
 
@@ -291,14 +278,14 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     """
     params = trace.params
     n = trace.n
-    k1, k2, k3 = _measured_scalars(fd)
+    k1, k2, k3 = fd.padded_curvatures
     dec = phiT_decomposition(trace, fd, profile) if fd.order >= 2 else None
     zeros = np.zeros(n)
     p2, p3, p4 = (dec.p2, dec.p3, dec.p4) if dec else (zeros, zeros, zeros)
     out_of_span = dec.phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2) if dec else None
     per_sample = mainprop_residuals(params, np.where(k1 > 0, k1, np.nan), k2, k3,
                                     p2, p3, p4, f, profile.a, profile.b,
-                                    ts=trace.ts, extra_gphiT=out_of_span)
+                                    *fd.curvature_jet, extra_gphiT=out_of_span)
     t3 = tau3(fd, f) if len(fd.chain) >= TAU2_CHAIN_LEVELS else None
     per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3["norm"]
 
@@ -396,8 +383,8 @@ def _fit_constant(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return cst, float(np.max(np.abs(ratio - cst)))
 
 
-def case1_case2_checker(profile_or_ab, params, k1, k2, f: WeightFunction,
-                        ts=None, trace: CurveTrace | None = None,
+def case1_case2_checker(profile_or_ab, params, k1, k1p, k1pp, k2,
+                        f: WeightFunction, trace: CurveTrace | None = None,
                         fd: FrenetData | None = None) -> dict:
     """Verify the case I / case II characterization on given data.
 
@@ -408,30 +395,23 @@ def case1_case2_checker(profile_or_ab, params, k1, k2, f: WeightFunction,
     of order 3 are supplied, also checks linear independence of
     {T, V2, V3, phiT, nabla_T phiT, xi_1..xi_s} via the Gram determinant.
 
-    k1, k2 may be callables t -> (value, d/dt, d2/dt2) or arrays on ts.
-    k1 must be strictly positive on the window.
+    k1, its derivatives k1p, k1pp and k2 are arrays on f's grid (on a
+    measured trace: fd.padded_curvatures and fd.curvature_jet).  k1 must
+    be strictly positive on the window.
     """
     a, b = _a_b(profile_or_ab)
     c, s = _c_s(params)
     case = "I" if abs(c - s) < 1e-14 else "II"
     lam, eps = odesol.lambda_constants(a, b, (c, s), case)
-    ts = np.asarray(ts if ts is not None else f.ts, dtype=float)
-    if callable(k1):
-        k1v, k1p, k1pp = (np.asarray(v, dtype=float) for v in k1(ts))
-    else:
-        k1v = np.asarray(k1, dtype=float)
-        h = uniform_step(ts, "case1_case2_checker")
-        k1p = fd_derivative(k1v, h)
-        k1pp = fd_derivative(k1p, h)
-    if np.any(k1v <= 0):
+    k1, k1p, k1pp, k2 = (np.asarray(v, dtype=float) for v in (k1, k1p, k1pp, k2))
+    if np.any(k1 <= 0):
         raise ValueError("k1 has zeros on the window")
-    k2v = np.asarray(k2(ts)[0] if callable(k2) else k2, dtype=float)
 
-    c1_fit, c1_dev = _fit_constant(f.f, k1v ** -1.5)
-    c2_fit, c2_dev = _fit_constant(k2v, k1v)
+    c1_fit, c1_dev = _fit_constant(f.f, k1 ** -1.5)
+    c2_fit, c2_dev = _fit_constant(k2, k1)
     spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam, c2=max(c2_fit, 0.0),
                                   c3=1.0, c4=0.0)
-    ode_res = odesol.ode_residual(k1v, spec, yp=k1p, ypp=k1pp)
+    ode_res = odesol.ode_residual(k1, spec, yp=k1p, ypp=k1pp)
     report = {
         "case": case,
         "lambda": lam,
@@ -453,16 +433,12 @@ def case1_case2_checker(profile_or_ab, params, k1, k2, f: WeightFunction,
 def _independence_gram(trace: CurveTrace, fd: FrenetData) -> dict:
     """Gram-determinant check of {T, V2, V3, phiT, nabla_T phiT, xi_alpha}."""
     params = trace.params
-    from .curve import _frame_jet
-    tjet = _frame_jet(trace)
-    from .manifold import connection_term
-    phiT = phi_frame(params, tjet[0])
-    nabla_phiT = phi_frame(params, tjet[1]) + connection_term(params, tjet[0], phiT)
+    tf, phiT, nabla_phiT = _nabla_phiT(trace)
     n = trace.n
     mids = [n // 4, n // 2, 3 * n // 4]
     dets = []
     for i in mids:
-        vecs = [tjet[0][i], fd.frames[1][i], fd.frames[2][i], phiT[i],
+        vecs = [tf[i], fd.frames[1][i], fd.frames[2][i], phiT[i],
                 nabla_phiT[i]]
         for alpha in range(params.s):
             xi = np.zeros(params.dim)
@@ -568,9 +544,12 @@ def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
 
 
 def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
-                  params: ModelParams, f: WeightFunction,
+                  dec: PhiTDecomposition, f: WeightFunction,
                   beta_const_tol: float = 1e-5) -> dict:
     """Verify the case IV characterization on a measured trace.
+
+    dec is the trace's `phiT_decomposition` (the one `check_conditions`
+    reports), and k1', k1'' are fd.curvature_jet.
 
     beta constant branch: k2/k1 = c2, the case ODE with bracket
     b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a), and
@@ -585,21 +564,17 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     """
     if fd.order < 3:
         raise ValueError("case IV analysis needs osculating order >= 3")
+    params = trace.params
     c, s = params.c, params.s
     one_minus_a = 1.0 - profile.a
-    dec = phiT_decomposition(trace, fd, profile)
     sl = _interior(trace)
     ts = trace.ts[sl]
-    h = trace.step
-    scalars = _measured_scalars(fd)
-    k1, k2, k3 = (arr[sl] for arr in scalars)
+    k1, k2, k3 = (arr[sl] for arr in fd.padded_curvatures)
+    k1p, k1pp, _ = (arr[sl] for arr in fd.curvature_jet)
     if np.min(np.abs(np.cos(dec.beta[sl]))) < 1e-12 or np.max(np.abs(dec.p2[sl])) < 1e-12:
         raise ValueError("g(phiT,V2) = 0 on the window: this is case II, not IV")
     beta = dec.beta[sl]
-    beta_p = fd_derivative(dec.beta, h)[sl]
-    k1p_full = fd_derivative(scalars[0], h)
-    k1p = k1p_full[sl]
-    k1pp = fd_derivative(k1p_full, h)[sl]
+    beta_p = fd_derivative(dec.beta, trace.step)[sl]
     beta_variation = float(np.max(beta) - np.min(beta))
     beta_is_const = beta_variation <= beta_const_tol
     cf38 = 3.0 * (c - s) / 8.0

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -146,7 +146,10 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     return trace, cfg.k1
 
 
-def _build_weight(trace, k1_measured, k1_callable, cp) -> bih.WeightFunction:
+def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
+    """The configured weight on the trace grid.  f = c1 k1^(-3/2) reads
+    the analytic k1 of a builtin when there is one, differenced on the
+    grid, and otherwise the measured k1 with fd.curvature_jet."""
     ts = trace.ts
     section = cp["weight"] if cp.has_section("weight") else {}
     keys = [k for k in ("c1", "constant", "csv") if k in section]
@@ -154,27 +157,27 @@ def _build_weight(trace, k1_measured, k1_callable, cp) -> bih.WeightFunction:
         raise ConfigError("[weight] must set exactly one of c1, constant, csv")
     if not keys or keys[0] == "c1":
         c1 = float(section.get("c1", "1.0")) if section else 1.0
-        if k1_callable is not None:
-            k1v = np.asarray(k1_callable(ts), dtype=float)
+        if k1_callable is None:
+            k1 = fd.padded_curvatures[0]
+            k1p, k1pp, _ = fd.curvature_jet
         else:
-            k1v = np.asarray(k1_measured, dtype=float)
-        if np.all(k1v < 1e-9):
+            k1 = np.asarray(k1_callable(ts), dtype=float)
+            k1p = fd_derivative(k1, trace.step)
+            k1pp = fd_derivative(k1p, trace.step)
+        if np.all(k1 < 1e-9):
             # geodesic: f = c1 k1^(-3/2) is undefined and irrelevant
             # (every tension term carries k1); use a constant weight
             return bih.WeightFunction.constant(ts, c1)
-        k1p = fd_derivative(k1v, trace.step)
-        k1pp = fd_derivative(k1p, trace.step)
-        return odesol.f_from_k1(ts, k1v, k1p, k1pp, c1=c1)
+        return odesol.f_from_k1(ts, k1, k1p, k1pp, c1=c1)
     if keys[0] == "constant":
         return bih.WeightFunction.constant(ts, float(section["constant"]))
-    rows = []
-    with open(section["csv"], newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                rows.append((float(row[0]), float(row[1])))
-    data = np.asarray(rows)
+    with warnings.catch_warnings():
+        # a table without rows is refused below, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(section["csv"], delimiter=",", skiprows=1,
+                          usecols=(0, 1), ndmin=2)
+    if len(data) < 2:
+        raise ConfigError("[weight] csv needs at least two rows of t,f")
     if data[0, 0] > ts[0] or data[-1, 0] < ts[-1]:
         raise ConfigError("sampled weight does not cover the curve window")
     # cubic spline keeps f'' meaningful when the weight grid differs from
@@ -201,7 +204,7 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
         tol = _tolerances(cp)
         trace, k1_callable = _build_trace(params, cp)
         expected = expect or cp.get("expect", "verdict", fallback="any")
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as exc:
@@ -215,13 +218,13 @@ def _verify_trace(cp, params, tol, trace, k1_callable, expected,
                   report_path=None, csv_path=None) -> int:
     """Run the pipeline on a built trace; write the report (and CSV)."""
     try:
+        seed = cp.getint("curve", "seed", fallback=0)
         fd = frenet_apparatus(trace)
         profile = contact_angles(trace, tolerance=tol["slant"])
-        k1 = fd.curvatures[0] if fd.order >= 2 else np.zeros(trace.n)
-        weight = _build_weight(trace, k1, k1_callable, cp)
+        weight = _build_weight(trace, fd, k1_callable, cp)
         report = bih.check_conditions(trace, fd, profile, weight,
                                       eq_tol=tol["eq"])
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (synth.SynthesisError, FloatingPointError) as exc:
@@ -233,7 +236,7 @@ def _verify_trace(cp, params, tol, trace, k1_callable, expected,
         "version": __version__,
         "command": "verify",
         "config_hash": _config_hash(cp),
-        "seed": cp.getint("curve", "seed", fallback=0),
+        "seed": seed,
         "manifold": {"m": params.m, "s": params.s, "c": params.c},
         "curve": {
             "source": cp.get("curve", "source"),
@@ -274,15 +277,14 @@ def _verify_trace(cp, params, tol, trace, k1_callable, expected,
 def _write_verify_csv(path, trace, fd, profile, report) -> None:
     """One row per sample: the arrays whose trimmed maxima the report lists."""
     n = trace.n
-    k = [fd.curvatures[i] if fd.order >= i + 2 else np.zeros(n)
-         for i in range(3)]
     dec = report.decomposition
     if dec is None:
         p = [np.zeros(n)] * 3 + [np.full(n, np.nan)]
     else:
         p = [dec.p2, dec.p3, dec.p4, dec.beta]
     res = report.per_sample
-    columns = ([trace.ts] + k + list(profile.eta_samples.T) + p
+    columns = ([trace.ts] + list(fd.padded_curvatures)
+               + list(profile.eta_samples.T) + p
                + [res[key] for key in ("tau3_norm",) + bih.EQUATIONS])
     header = (["t", "k1", "k2", "k3"]
               + [f"eta{a+1}_T" for a in range(trace.params.s)]

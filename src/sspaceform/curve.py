@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from math import comb
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -340,6 +341,29 @@ class FrenetData:
     chain: tuple                # covariant_chain(trace), read-only levels
     unit_speed_deviation: float  # max |g(T,T) - 1| over the trace
     degeneracy: list = field(default_factory=list)
+
+    @cached_property
+    def padded_curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k1, k2, k3) per sample, zero where the order does not reach them.
+
+        The scalars every master equation reads; derived on first read from
+        `curvatures`, so a `dataclasses.replace` that swaps the curvatures
+        gets its own."""
+        kept = [self.curvatures[i] for i in range(min(3, self.order - 1))]
+        zeros = np.zeros(len(self.ts))
+        zeros.setflags(write=False)
+        return tuple(kept + [zeros] * (3 - len(kept)))
+
+    @cached_property
+    def curvature_jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k1', k1'', k2') differenced once at `step` from the padded,
+        unmasked k1 and k2; read-only, as every consumer shares them."""
+        k1, k2, _ = self.padded_curvatures
+        k1p = fd_derivative(k1, self.step)
+        jet = (k1p, fd_derivative(k1p, self.step), fd_derivative(k2, self.step))
+        for arr in jet:
+            arr.setflags(write=False)
+        return jet
 
 
 def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,

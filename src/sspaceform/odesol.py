@@ -183,8 +183,7 @@ def real_domain_report(spec: OdeSolutionSpec, window=(-2.0, 2.0), n: int = 2001)
     return report
 
 
-def lambda_constants(profile_or_a, b_or_params, params_or_case=None,
-                     case: str | None = None,
+def lambda_constants(a: float, b: float, params, case: str,
                      beta: float | None = None) -> tuple[float, int]:
     """(lambda, epsilon) of the case bracket.
 
@@ -192,19 +191,11 @@ def lambda_constants(profile_or_a, b_or_params, params_or_case=None,
     case 'II' : b^2 + ((c+3s)/4)(1-a)
     case 'IV' : b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a)
 
-    Accepts either (profile, params, case, beta=..) with a SlantProfile, or
-    the raw form (a, b, params, case, beta=..).  params may be a
-    ModelParams (c = -3s) or a (c, s) pair for hypothetical configurations
-    such as case I, which the coordinate model cannot reach.
+    params may be a ModelParams (c = -3s) or a (c, s) pair for
+    hypothetical configurations such as case I, which the coordinate model
+    cannot reach.
     """
-    if hasattr(profile_or_a, "a"):
-        a, b = profile_or_a.a, profile_or_a.b
-        params, case = b_or_params, params_or_case
-    else:
-        a, b = float(profile_or_a), float(b_or_params)
-        params = params_or_case
-    if case is None:
-        raise ValueError("case label is required")
+    a, b = float(a), float(b)
     c, s = _c_s(params)
     case = case.upper().strip()
     one_minus_a = 1.0 - a

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveTrace, FrenetData, fd_derivative
+from .curve import CurveTrace, FrenetData, _frame_jet, fd_derivative
 from .manifold import ModelParams, connection_term, phi_frame
 
 __all__ = [
@@ -108,6 +108,20 @@ def v_frame(profile: SlantProfile) -> np.ndarray:
     return out
 
 
+def _nabla_phiT(trace: CurveTrace):
+    """(T, phi T, nabla_T(phi T)) in frame components, exactly.
+
+    phi is constant-coefficient on frames, so d/dt of phi T's components
+    is phi of T's and nabla_T(phi T) = phi(T') + Phi(T, phi T), from the
+    jet of T's frame components.
+    """
+    params = trace.params
+    tjet = _frame_jet(trace)
+    tf = tjet[0]
+    phiT = phi_frame(params, tf)
+    return tf, phiT, phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)
+
+
 def nabla_phiT_check(trace: CurveTrace, fd: FrenetData,
                      profile: SlantProfile) -> dict:
     """Residual of nabla_T(phi T) = (1-a) sum xi + b(-T + V) + k1 phi V2.
@@ -121,25 +135,15 @@ def nabla_phiT_check(trace: CurveTrace, fd: FrenetData,
     m = params.m
     if trace.depth < 2:
         raise ValueError("need gamma'' to differentiate phi T")
-    # d/dt of phiT's frame components: phi is constant-coefficient on frames
-    from .curve import _frame_jet
-    tjet = _frame_jet(trace)
-    tf = tjet[0]
-    phiT = phi_frame(params, tf)
-    phiT_dot = phi_frame(params, tjet[1])
-    lhs = phiT_dot + connection_term(params, tf, phiT)
+    tf, _, lhs = _nabla_phiT(trace)
 
     a, b = profile.a, profile.b
     xibar = np.zeros(params.dim)
     xibar[2 * m:] = 1.0
     Vf = v_frame(profile)
     geodesic = fd.order < 2
-    if geodesic:
-        k1 = np.zeros(trace.n)
-        phiV2 = np.zeros_like(tf)
-    else:
-        k1 = fd.curvatures[0]
-        phiV2 = phi_frame(params, fd.frames[1])
+    k1 = fd.padded_curvatures[0]
+    phiV2 = np.zeros_like(tf) if geodesic else phi_frame(params, fd.frames[1])
     rhs = (1 - a) * xibar + b * (-tf + Vf) + k1[:, None] * phiV2
     res = np.linalg.norm(lhs - rhs, axis=-1)
     return {
@@ -210,7 +214,7 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     in_span = bool(np.max(np.abs(phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2)))
                    <= SPAN_TOL * max(1.0, one_minus_a))
     # derivative identity d/dt g(phiT,V2) = k2 g(phiT,V3)
-    k2 = fd.curvatures[1] if fd.order >= 3 else 0.0     # p3 = 0 below order 3
+    k2 = fd.padded_curvatures[1]
     dp2 = fd_derivative(p2, trace.step)
     resid = float(np.max(np.abs(dp2 - k2 * p3)))
     return PhiTDecomposition(

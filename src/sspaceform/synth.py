@@ -300,34 +300,27 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     B1 = -2.0 * b * p2 / P
     C0 = -p2 * p2 * (b * b + s * P) / P
 
-    def radicand(t):
-        k = k1(t)
-        return A2 * k * k + B1 * k + C0
-
-    lo, hi = window
-    probe = np.linspace(lo, hi, max(101, int((hi - lo) / step) + 1))
-    rad = np.array([radicand(t) for t in probe])
-    if np.any(rad < -1e-13):
-        good = np.abs(probe[rad >= -1e-13])
-        feas = float(np.max(good)) if len(good) else 0.0
-        raise SlantSteeringError(
-            f"steering radicand negative on part of [{lo}, {hi}]; the slant "
-            f"configuration (a={a:.4g}, b={b:.4g}, p2={p2:.4g}, c2={c2:.4g}) "
-            f"with this k1 is realizable only for |t| <~ {feas:.4g}", feas)
-    # identically-vanishing radicand (c2^2 = a/(1-a), b p2 = 0, p2 = 0 case):
-    # sqrt of rounding noise would randomly kick the steering, so detect the
-    # degenerate family and drop the root term exactly.
-    radicand_zero = float(np.max(np.abs(rad))) < 1e-12
-
     def coefficients(times):
         # per stage time: q i, k1 W0 and psi'.  k1 is called once per
         # time on a Python float, since a Python-float formula can round
         # differently on arrays (`**` is not np.square); the rest is array
-        # arithmetic with the per-time operations in the same order
+        # arithmetic with the per-time operations in the same order.  The
+        # radicand is checked on every stage time before the first step.
         k = np.array([k1(t) for t in times.tolist()], dtype=float)
+        R = A2 * k * k + B1 * k + C0
+        if np.any(R < -1e-13):
+            good = np.abs(times[R >= -1e-13])
+            feas = float(np.max(good)) if len(good) else 0.0
+            lo, hi = window
+            raise SlantSteeringError(
+                f"steering radicand negative on part of [{lo}, {hi}]; the slant "
+                f"configuration (a={a:.4g}, b={b:.4g}, p2={p2:.4g}, c2={c2:.4g}) "
+                f"with this k1 is realizable only for |t| <~ {feas:.4g}", feas)
         psi_dot = b - p2 * k / P
-        if not radicand_zero:
-            R = A2 * k * k + B1 * k + C0
+        # an identically vanishing radicand (c2^2 = a/(1-a), b p2 = 0,
+        # p2 = 0) is rounding noise, whose sqrt would randomly kick the
+        # steering: the root term of that degenerate family is dropped
+        if not float(np.max(np.abs(R))) < 1e-12:
             R = np.where(R < 0.0, 0.0, R)   # max(R, 0.0): NaN, -0.0 kept
             psi_dot = psi_dot + branch * np.sqrt(R / (P * W0sq))
         q = 2.0 * b + p2 * k / P
@@ -695,8 +688,7 @@ def r6_example_realizability(config: R6ExampleConfig | None = None,
         trace = cfg.steering_trace(step=step, branch=branch)
         fd = frenet_apparatus(trace, max_order=5)
         prof = contact_angles(trace)
-        k1, k2 = fd.curvatures[0], fd.curvatures[1]
-        k3 = fd.curvatures[2] if fd.order >= 4 else np.zeros(trace.n)
+        k1, k2, k3 = fd.padded_curvatures
         sl = slice(10, trace.n - 10)
         tgt = cfg.k3(trace.ts)
         f = WeightFunction(ts=trace.ts, f=cfg.f(trace.ts),

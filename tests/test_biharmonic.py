@@ -173,6 +173,23 @@ def test_check_conditions_non_slant_is_none(r6_config):
     assert rep.details["reason"] == "not a slant curve"
 
 
+def test_nonpositive_k1_is_nan_at_its_own_sample(catenary, catenary_fd):
+    # eq1-eq3 and gphiT divide by k1, so a zero k1 makes them NaN at that
+    # sample; the derivatives are differenced from the unmasked k1, so no
+    # NaN reaches the neighbours
+    i = catenary.n // 2
+    k = catenary_fd.curvatures.copy()
+    k[0, i] = 0.0
+    fd = dataclasses.replace(catenary_fd, curvatures=k)
+    # the jet follows the replaced curvatures
+    assert fd.curvature_jet[0][i + 1] != catenary_fd.curvature_jet[0][i + 1]
+    f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    rep = check_conditions(catenary, fd, contact_angles(catenary), f)
+    for key in ("eq1", "eq2", "eq3", "gphiT"):
+        assert np.flatnonzero(np.isnan(rep.per_sample[key])).tolist() == [i], key
+    assert not np.any(np.isnan(rep.per_sample["eq4"]))
+
+
 def test_mainprop_hypothetical_case1_helix_biharmonic():
     # case I (c = s, unreachable in the model): constant-curvature helix
     # with k1^2 + k2^2 = b^2 + s(1-a) and constant f satisfies everything
@@ -188,15 +205,6 @@ def test_mainprop_hypothetical_case1_helix_biharmonic():
     for key, arr in res.items():
         assert np.max(np.abs(arr)) < 1e-12, key
     assert f.is_constant   # biharmonic, not proper
-
-
-def test_mainprop_residuals_requires_ts_or_derivatives():
-    ts = np.linspace(0, 1, 101)
-    ones = np.ones_like(ts)
-    f = WeightFunction.constant(ts, 1.0)
-    with pytest.raises(ValueError):
-        mainprop_residuals((1.0, 1), ones, ones, ones, ones, ones, ones,
-                           f, 0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +263,10 @@ def test_classify_sign_flip_invariance(r6_steered, r6_steered_fd):
 
 def test_case2_checker_on_case2_curve(case2_curve, case2_fd, case2_profile):
     f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
-    rep = case1_case2_checker(case2_profile, case2_curve.params,
-                              case2_fd.curvatures[0], case2_fd.curvatures[1],
-                              f, ts=case2_curve.ts, trace=case2_curve,
-                              fd=case2_fd)
+    k1, k2, _ = case2_fd.padded_curvatures
+    k1p, k1pp, _ = case2_fd.curvature_jet
+    rep = case1_case2_checker(case2_profile, case2_curve.params, k1, k1p,
+                              k1pp, k2, f, trace=case2_curve, fd=case2_fd)
     assert rep["case"] == "II"
     assert rep["epsilon"] == 0                       # bracket b^2 = 0
     assert abs(rep["c1"] - 1.0) < 1e-8
@@ -280,9 +288,9 @@ def test_case1_checker_hypothetical():
         return 1.0 / u, -2.0 * ts / u ** 2, (6.0 * ts ** 2 - 4.0) / u ** 3
 
     f = odesol.f_from_k1(ts, k1, c1=2.0)
-    k1v = k1(ts)[0]
-    rep = case1_case2_checker((0.5, np.sqrt(2) / 2), (1.0, 1), k1, 2.0 * k1v,
-                              f, ts=ts)
+    k1v, k1p, k1pp = k1(ts)
+    rep = case1_case2_checker((0.5, np.sqrt(2) / 2), (1.0, 1), k1v, k1p,
+                              k1pp, 2.0 * k1v, f)
     assert rep["case"] == "I"
     assert rep["lambda"] == pytest.approx(1.0)
     assert rep["epsilon"] == 1
@@ -298,16 +306,19 @@ def test_case2_checker_constant_k2_means_not_proper():
     k0 = 0.7
     k1 = np.full_like(ts, k0)
     f = WeightFunction.constant(ts, 1.0)
-    rep = case1_case2_checker((0.25, 0.5), ModelParams(2, 2), k1, 0.5 * k1, f,
-                              ts=ts)
+    h = ts[1] - ts[0]
+    k1p = fd_derivative(k1, h)
+    rep = case1_case2_checker((0.25, 0.5), ModelParams(2, 2), k1, k1p,
+                              fd_derivative(k1p, h), 0.5 * k1, f)
     assert not rep["proper_possible"]
 
 
 def test_case2_checker_r2_subcase(catenary, catenary_fd):
     prof = contact_angles(catenary)
     f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    k1p, k1pp, _ = catenary_fd.curvature_jet
     rep = case1_case2_checker(prof, catenary.params, catenary_fd.curvatures[0],
-                              np.zeros(catenary.n), f, ts=catenary.ts)
+                              k1p, k1pp, np.zeros(catenary.n), f)
     assert rep["sub_case"] == "r=2 (c2 = 0)"
     assert rep["ode_residual"] < 1e-8   # differenced-k1 roundoff floor
 
@@ -317,7 +328,7 @@ def test_case_checker_k1_zero_guard():
     f = WeightFunction.constant(ts, 1.0)
     with pytest.raises(ValueError, match="zeros"):
         case1_case2_checker((0.25, 0.5), ModelParams(2, 2), np.zeros(101),
-                            np.zeros(101), f, ts=ts)
+                            np.zeros(101), np.zeros(101), np.zeros(101), f)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +386,8 @@ def test_case4_checker_r6_steered(r6_steered, r6_steered_fd):
     # the measured content of the realizability obstruction
     prof = contact_angles(r6_steered)
     f = odesol.f_from_k1(r6_steered.ts, k1_case2, c1=1.0)
-    rep = case4_checker(r6_steered, r6_steered_fd, prof, r6_steered.params, f)
+    dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
+    rep = case4_checker(r6_steered, r6_steered_fd, prof, dec, f)
     assert rep["beta_constant"]
     assert abs(rep["c2"] - 1.0) < 1e-5
     # the measured bracket is zero up to beta-measurement noise
@@ -384,8 +396,6 @@ def test_case4_checker_r6_steered(r6_steered, r6_steered_fd):
     assert rep["k2k3_target_abs"] == pytest.approx(np.sqrt(17) / 4, abs=1e-6)
     assert rep["k2k3_abs_residual"] > 0.5          # the honest mismatch
     # constant beta forces cos(w) = -+ beta'/k2 = 0: measured w is +-pi/2
-    from sspaceform.slant import phiT_decomposition
-    dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
     interior = np.isfinite(dec.w[20:-20])
     assert np.max(np.abs(np.cos(dec.w[20:-20][interior]))) < 1e-3
 
@@ -397,7 +407,8 @@ def test_case4_checker_trims_the_stencil_edge(r6_steered, r6_steered_fd):
     assert r6_steered.fd_stride == 5
     prof = contact_angles(r6_steered)
     f = WeightFunction.constant(r6_steered.ts, 1.0)
-    rep = case4_checker(r6_steered, r6_steered_fd, prof, r6_steered.params, f)
+    dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
+    rep = case4_checker(r6_steered, r6_steered_fd, prof, dec, f)
     assert rep["c2_deviation"] < 1e-6
     assert rep["ode_residual"] < 1e-7
 
@@ -406,7 +417,8 @@ def test_case4_checker_rejects_case2_input(case2_curve, case2_fd, case2_profile)
     f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
     with pytest.raises(ValueError, match="case II"):
         case4_checker(case2_curve, case2_fd, case2_profile,
-                      case2_curve.params, f)
+                      phiT_decomposition(case2_curve, case2_fd, case2_profile),
+                      f)
 
 
 def test_case4_nonconstant_beta_branch(params22):
@@ -417,7 +429,8 @@ def test_case4_nonconstant_beta_branch(params22):
     fd = frenet_apparatus(trace)
     prof = contact_angles(trace)
     f = WeightFunction.constant(trace.ts, 1.0)
-    rep = case4_checker(trace, fd, prof, params22, f, beta_const_tol=1e-4)
+    dec = phiT_decomposition(trace, fd, prof)
+    rep = case4_checker(trace, fd, prof, dec, f, beta_const_tol=1e-4)
     assert not rep["beta_constant"]
     # the mu-branch diagnostics must all be produced and finite
     assert np.isfinite(rep["bb1_residual"])
@@ -425,8 +438,6 @@ def test_case4_nonconstant_beta_branch(params22):
     assert np.isfinite(rep["cos_w_relation_residual"])
     # the structural derivative identity d/dt p2 = k2 p3 (the in-span
     # cos(w) relation only binds f-biharmonic curves, which this is not)
-    from sspaceform.slant import phiT_decomposition
-    dec = phiT_decomposition(trace, fd, prof)
     assert dec.derivative_residual < 1e-4
 
 

@@ -283,6 +283,37 @@ def test_tolerance_profile_env(catenary_cfg, tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", catenary_cfg]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("case", ["missing-curve-csv", "missing-weight-csv",
+                                  "header-only-weight", "one-column-weight",
+                                  "non-integer-seed"])
+def test_verify_bad_input_file_or_value_exit_2(case, tmp_path, capsys):
+    # each used to end in a traceback with exit 1, the verdict-mismatch code
+    source, extra = "builtin:catenary\nwindow = -1:1", ""
+    weight = tmp_path / "w.csv"
+    if case == "missing-curve-csv":
+        source = f"csv:{tmp_path / 'nope.csv'}"
+    elif case == "non-integer-seed":
+        extra = "seed = abc"
+    else:
+        extra = f"\n[weight]\ncsv = {weight}"
+        if case == "header-only-weight":
+            weight.write_text("t,f\n")
+        elif case == "one-column-weight":
+            weight.write_text("t,f\n-2,1\n0\n2,1\n")
+    cfg = write_config(tmp_path / "c.ini", f"""
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = {source}
+{extra}
+""")
+    assert cli.main(["verify", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 # ---------------------------------------------------------------------------
 # additional source/weight paths
 # ---------------------------------------------------------------------------
@@ -469,6 +500,35 @@ window = -0.5:0.5
 """)
     assert cli.run_verify(cfg, report_path=str(tmp_path / "r6.json")) == cli.EXIT_OK
     assert len(chains) == 2
+
+
+def test_verify_differences_each_curvature_once(catenary_cfg, tmp_path,
+                                                monkeypatch):
+    from sspaceform import curve
+    diffs = _count_calls(monkeypatch, curve, "fd_derivative")
+    # catenary: the analytic k1 of the weight (2), d/dt g(phiT, V2) (1)
+    # and the jet k1', k1'', k2' shared by the master equations and tau2 (3)
+    assert cli.run_verify(catenary_cfg,
+                          report_path=str(tmp_path / "r.json")) == cli.EXIT_OK
+    assert len(diffs) == 6
+
+    out = tmp_path / "c2.csv"
+    assert cli.main(["synth", "--builtin", "case2-order3", "--out", str(out),
+                     "--window", "-1:1"]) == cli.EXIT_OK
+    cfg = write_config(tmp_path / "c2.ini", f"""
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = csv:{out}
+""")
+    diffs.clear()
+    # csv: the trace derivatives (4), d/dt g(phiT, V2) (1) and the jet (3),
+    # which the weight f = c1 k1^(-3/2) reads too
+    assert cli.run_verify(cfg, report_path=str(tmp_path / "c2.json")) \
+        == cli.EXIT_OK
+    assert len(diffs) == 8
 
 
 def test_synth_verify_builds_the_trace_once(tmp_path, monkeypatch):

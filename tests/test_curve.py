@@ -87,6 +87,17 @@ def test_package_reads_no_untyped_grid():
     assert hits == []
 
 
+def test_only_curve_reads_curvature_rows():
+    # the zero-padded k1, k2, k3 have one definition,
+    # FrenetData.padded_curvatures; no other module pads them again
+    src = pathlib.Path(curve.__file__).resolve().parent
+    hits = [f"{path.name}:{no}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "curve.py"
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if ".curvatures[" in line]
+    assert hits == []
+
+
 def test_trace_rejects_nan_velocity(catenary):
     # a nan velocity used to pass unit_speed_check (nan > tol is False)
     # and come out as a Frenet curve of order 2

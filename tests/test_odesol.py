@@ -283,13 +283,6 @@ def test_closed_form_and_oracle_agree_where_both_defined():
     assert np.max(np.abs(sol.y - expect)) < 1e-8
 
 
-def test_lambda_constants_accepts_profile(case2_profile):
-    # SlantProfile form of the call: a = 1/2, b = 0, case II bracket = b^2
-    lam, eps = lambda_constants(case2_profile, ModelParams(2, 2), "II")
-    assert eps == 0
-    assert lam < 1e-7
-
-
 # ---------------------------------------------------------------------------
 # exact checks (sympy): the formulas are typed here and tied to the code
 # ---------------------------------------------------------------------------

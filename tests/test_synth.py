@@ -150,6 +150,20 @@ def test_steered_curve_enforced_quantities(params22):
     assert np.max(np.abs(p2_meas - p2)[sl]) < 1e-8
 
 
+def test_steering_calls_k1_once_per_stage_time(params22):
+    # the radicand guard reads the march's stage-time table (2 * 1000 + 1
+    # times per half march) instead of calling k1 on a probe grid of its own
+    calls = []
+
+    def k1(t):
+        calls.append(t)
+        return 0.4 / (1.0 + 0.3 * t * t)
+
+    synth.steered_slant_curve(params22, (0.4 * np.pi, 0.6 * np.pi), k1,
+                              p2=-0.15, c2=1.4, window=(-1.0, 1.0), step=1e-3)
+    assert len(calls) == 2 * (2 * 1000 + 1)
+
+
 def test_steering_window_guard():
     cfg = synth.builtin_example_r6()
     with pytest.raises(synth.SlantSteeringError) as err:
