@@ -22,6 +22,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -96,6 +97,8 @@ def _parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"window must be 'lo:hi', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"window must be finite, got {text!r}")
     if hi <= lo:
         raise ConfigError("window must have hi > lo")
     return lo, hi
@@ -108,8 +111,8 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
         raise ConfigError("[curve] source is required")
     window = _parse_window(cp.get("curve", "window", fallback="-2:2"))
     step = float(cp.get("curve", "step", fallback="1e-3"))
-    if step <= 0:
-        raise ConfigError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError("step must be positive and finite")
     kind, _, arg = source.partition(":")
     if kind == "csv":
         if not arg:
@@ -127,6 +130,8 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
             lambda t: 1.0 / (1.0 + t ** 2)
     if name == "circle":
         radius = float(cp.get("curve", "radius", fallback="2.0"))
+        if radius == 0 or not math.isfinite(radius):
+            raise ConfigError("[curve] radius must be nonzero and finite")
         return synth.flat_circle_trace(params, radius=radius, window=window, n=n), None
     if name == "geodesic":
         return synth.geodesic_trace(params, window=window, n=n), None
@@ -334,11 +339,12 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
             rng: str, out_path=None, tol: float | None = None) -> int:
     try:
         parts = [float(x) for x in rng.split(":")]
-        if len(parts) != 3 or parts[1] <= parts[0] or parts[2] <= 0:
+        if (len(parts) != 3 or not all(map(math.isfinite, parts))
+                or parts[1] <= parts[0] or parts[2] <= 0):
             raise ValueError
     except ValueError:
-        print(f"config error: --range must be 'lo:hi:step', got {rng!r}",
-              file=sys.stderr)
+        print(f"config error: --range must be 'lo:hi:step' with finite "
+              f"lo < hi and step > 0, got {rng!r}", file=sys.stderr)
         return EXIT_CONFIG
     lo, hi, h = parts
     eps = {"i": 1, "ii": -1, "iii": 0}.get(case)

@@ -31,6 +31,7 @@ realizability analysis.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -324,7 +325,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
             R = np.where(R < 0.0, 0.0, R)   # max(R, 0.0): NaN, -0.0 kept
             psi_dot = psi_dot + branch * np.sqrt(R / (P * W0sq))
         q = 2.0 * b + p2 * k / P
-        return zip(q * 1j, k * W0, psi_dot)
+        return zip((q * 1j).tolist(), (k * W0).tolist(), psi_dot.tolist())
 
     if p0 is None:
         p0 = np.zeros(params.dim)
@@ -332,27 +333,32 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     # the curve lives in the C^2 span of the first two horizontal pairs:
     # state = zeta in C^2 (4 floats), nu in C^2 (4), psi (1), gamma (dim)
     nst = 9 + params.dim
-    two_sv = 2 * sv
+    two_sv = (2 * sv).tolist()
+    pad = [0.0] * (m - 2)
 
     def rhs(row, st):
+        # e_psi = cos(psi) nu + sin(psi) (i nu), zeta' = q i zeta + k1 W0 e_psi
+        # and nu' = -k1 W0 e^{-i psi} zeta on Python complex numbers; every
+        # operation must round as its NumPy form on pairs does (the tests
+        # compare the two bit for bit)
         qi, kW0, psi_dot = row
-        zeta = st[0:2] + 1j * st[2:4]
-        nu = st[4:6] + 1j * st[6:8]
-        psi = st[8]
-        e_psi = np.cos(psi) * nu + np.sin(psi) * (1j * nu)
-        dzeta = qi * zeta + kW0 * e_psi
-        dnu = -kW0 * np.exp(-1j * psi) * zeta
-        Av, Bv = zeta.real, zeta.imag
-        out = np.zeros(nst)
-        out[0:2] = dzeta.real
-        out[2:4] = dzeta.imag
-        out[4:6] = dnu.real
-        out[6:8] = dnu.imag
-        out[8] = psi_dot
-        out[9:11] = 2 * Bv
-        out[9 + m:11 + m] = 2 * Av
-        out[9 + 2 * m:] = two_sv + 2 * np.dot(Bv, st[9 + m:11 + m])
-        return out
+        ar1, ar2, ai1, ai2, nr1, nr2, ni1, ni2, psi = st[:9].tolist()
+        z1, z2 = ar1 + 1j * ai1, ar2 + 1j * ai2
+        n1, n2 = nr1 + 1j * ni1, nr2 + 1j * ni2
+        cos_psi, sin_psi = math.cos(psi), math.sin(psi)
+        dz1 = qi * z1 + kW0 * (cos_psi * n1 + sin_psi * (1j * n1))
+        dz2 = qi * z2 + kW0 * (cos_psi * n2 + sin_psi * (1j * n2))
+        # nu' stays a NumPy product: NumPy's complex multiply may fuse
+        # multiply-adds, and Python's complex product rounds differently
+        rot = -kW0 * cmath.exp(-1j * psi)
+        dn1, dn2 = (rot * np.array((z1, z2))).tolist()
+        B1, B2 = z1.imag, z2.imag
+        # np.dot, not B1 x1 + B2 x2, which can round differently
+        z_rate = 2 * float(np.dot((B1, B2), st[9 + m:11 + m]))
+        return np.array([dz1.real, dz2.real, dz1.imag, dz2.imag,
+                         dn1.real, dn2.real, dn1.imag, dn2.imag, psi_dot,
+                         2 * B1, 2 * B2, *pad, 2 * z1.real, 2 * z2.real, *pad,
+                         *(v + z_rate for v in two_sv)])
 
     st0 = np.zeros(nst)
     st0[0] = np.sqrt(P)      # zeta(0) on the first complex axis

@@ -314,6 +314,29 @@ source = {source}
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+@pytest.mark.parametrize("curve", [
+    "source = builtin:circle\nradius = 0",
+    "source = builtin:catenary\nwindow = -inf:2",
+], ids=["circle-radius-zero", "window-minus-inf"])
+def test_verify_degenerate_curve_value_exit_2(curve, tmp_path, capsys):
+    # each used to end in a traceback with exit 1 (ZeroDivisionError in
+    # flat_circle_trace, OverflowError in the sample count)
+    cfg = write_config(tmp_path / "c.ini",
+                       f"[manifold]\nm = 2\ns = 2\n\n[curve]\n{curve}\n")
+    assert cli.main(["verify", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("rng", ["nan:2:0.01", "-2:inf:0.01", "-2:2:nan"])
+def test_ode_nonfinite_range_exit_2(rng, capsys):
+    # np.arange used to raise on these, a traceback with exit 1
+    assert cli.main(["ode", "--case", "iii", "--c3", "4",
+                     f"--range={rng}"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 # ---------------------------------------------------------------------------
 # additional source/weight paths
 # ---------------------------------------------------------------------------

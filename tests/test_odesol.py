@@ -196,6 +196,86 @@ def test_oracle_input_guards():
     with pytest.raises(ValueError):
         numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=(1, 2),
                                 t0=0.0)
+    # a step that is not positive and finite, non-finite initial data and
+    # a non-finite window are refused, not marched to a one-point answer
+    for step in (-1e-3, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step"):
+            numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, step=step)
+    for y0, y0prime in ((np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
+                        (1.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            numeric_solution_oracle(spec, y0=y0, y0prime=y0prime)
+    for window in ((-2.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0)):
+        with pytest.raises(ValueError, match="window must be finite"):
+            numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=window)
+
+
+# the per-stage loop the oracle replaced: each stage calls rhs, which
+# calls _ypp with the spec; kept as the bit-for-bit reference
+def _oracle_ypp(y, yp, spec):
+    return (3.0 * yp * yp
+            - 4.0 * y * y * ((1 + spec.c2 ** 2) * y * y
+                             - spec.epsilon * spec.lam ** 2)) / (2.0 * y)
+
+
+def oracle_numeric_solution(spec, y0, y0prime, window=(-2.0, 2.0),
+                            step=1e-3, t0=0.0, blowup=1e6, floor=1e-12):
+    t_lo, t_hi = window
+
+    def rhs(yv, ypv):
+        return ypv, _oracle_ypp(yv, ypv, spec)
+
+    def march(direction, t_end):
+        n = int(round(abs(t_end - t0) / step))
+        h = direction * step
+        ts, ys, yps = [t0], [y0], [y0prime]
+        t, y, yp = t0, y0, y0prime
+        for _ in range(n):
+            k1a, k1b = rhs(y, yp)
+            k2a, k2b = rhs(y + h / 2 * k1a, yp + h / 2 * k1b)
+            k3a, k3b = rhs(y + h / 2 * k2a, yp + h / 2 * k2b)
+            k4a, k4b = rhs(y + h * k3a, yp + h * k3b)
+            y = y + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            yp = yp + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            t = t + h
+            if not np.isfinite(y) or abs(y) > blowup or y <= floor:
+                return ts, ys, yps, t
+            ts.append(t)
+            ys.append(y)
+            yps.append(yp)
+        return ts, ys, yps, None
+
+    ts_f, ys_f, yps_f, stop_f = march(+1.0, t_hi)
+    ts_b, ys_b, yps_b, stop_b = march(-1.0, t_lo)
+    return (np.array(ts_b[::-1][:-1] + ts_f), np.array(ys_b[::-1][:-1] + ys_f),
+            np.array(yps_b[::-1][:-1] + yps_f),
+            stop_f is not None or stop_b is not None,
+            stop_f if stop_f is not None else stop_b)
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    # case (i), (ii) and (iii) trajectories over the whole window
+    (OdeSolutionSpec(epsilon=1, lam=1.0, c2=0.5, c3=1.0, c4=0.0),
+     dict(y0=0.9, y0prime=0.1, window=(-1, 1), step=5e-4)),
+    (OdeSolutionSpec(epsilon=-1, lam=1.3, c2=0.7, c3=2.0, c4=0.0),
+     dict(y0=0.6, y0prime=-0.3, window=(-1.5, 1), step=1e-3)),
+    (spec_iii(1.0, 4.0, 0.0),
+     dict(y0=0.45, y0prime=0.2, window=(-2, 2), step=1e-3, t0=0.3)),
+    # forward blow-up truncation (|y| > blowup)
+    (spec_iii(0.0, 1.0, 0.0),
+     dict(y0=0.5, y0prime=3.0, window=(-2, 2), step=1e-3, blowup=0.6)),
+    # floor truncation in the backward half (y <= floor)
+    (spec_iii(0.0, 1.0, 0.0),
+     dict(y0=0.5, y0prime=3.0, window=(-1, 0.5), step=1e-3, floor=0.2)),
+])
+def test_oracle_matches_per_stage_loop_bitwise(spec, kwargs):
+    sol = numeric_solution_oracle(spec, **kwargs)
+    ts, y, yp, truncated, blowup_t = oracle_numeric_solution(spec, **kwargs)
+    assert sol.ts.tobytes() == ts.tobytes()
+    assert sol.y.tobytes() == y.tobytes()
+    assert sol.yp.tobytes() == yp.tobytes()
+    assert sol.truncated is truncated
+    assert sol.blowup_t == blowup_t
 
 
 # ---------------------------------------------------------------------------

@@ -607,6 +607,56 @@ def test_steering_other_branch_matches_per_stage_oracle(params22):
     assert_same_trace(got, oracle_steered(params22, **kwargs))
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_steering_rhs_matches_numpy_pair_form_bitwise(m, monkeypatch):
+    # a march absorbs most 1-ulp changes of a stage derivative in its
+    # step update, so the stages themselves are compared here, on random
+    # states, with the NumPy-pair form of the per-stage oracle
+    params = ModelParams(m=m, s=2)
+    thetas = (0.4 * np.pi, 0.6 * np.pi)
+    two_sv = 2 * np.cos(np.asarray(thetas))
+    captured = []
+
+    def capture(rhs, *args, **kwargs):
+        captured.append(rhs)
+        raise _Captured
+
+    monkeypatch.setattr(synth, "_rk4_march", capture)
+    with pytest.raises(_Captured):
+        synth.steered_slant_curve(params, thetas, lambda t: 0.5, p2=0.1,
+                                  c2=1.0)
+    rhs, = captured
+
+    def want(row, st):
+        qi, kW0, psi_dot = np.complex128(row[0]), np.float64(row[1]), row[2]
+        zeta = st[0:2] + 1j * st[2:4]
+        nu = st[4:6] + 1j * st[6:8]
+        psi = st[8]
+        dzeta = qi * zeta + kW0 * (np.cos(psi) * nu + np.sin(psi) * (1j * nu))
+        dnu = -kW0 * np.exp(-1j * psi) * zeta
+        out = np.zeros(len(st))
+        out[0:2], out[2:4] = dzeta.real, dzeta.imag
+        out[4:6], out[6:8] = dnu.real, dnu.imag
+        out[8] = psi_dot
+        out[9:11] = 2 * zeta.imag
+        out[9 + m:11 + m] = 2 * zeta.real
+        out[9 + 2 * m:] = two_sv + 2 * np.dot(zeta.imag, st[9 + m:11 + m])
+        return out
+
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        st = rng.standard_normal(9 + params.dim) * 10.0 ** rng.integers(
+            -3, 4, 9 + params.dim)
+        st[8] = rng.uniform(-20.0, 20.0)
+        row = (complex(0.0, rng.standard_normal()), rng.uniform(0.01, 5.0),
+               rng.standard_normal())
+        assert rhs(row, st).tobytes() == want(row, st).tobytes()
+
+
 def test_phiT_aligned_matches_per_stage_oracle(params22):
     kwargs = dict(thetas=(np.pi / 3, np.pi / 2),
                   k1=lambda t: 0.3 + 0.05 * np.sin(t), epsilon=-1,
