@@ -189,6 +189,27 @@ def test_oracle_truncates_degenerate_trajectories():
     assert sol.blowup_t is not None and sol.blowup_t < 0.1
 
 
+@pytest.mark.parametrize("c2, y0prime, window, blowup_t", [
+    # the first step's second stage evaluates y'' at y = 1 - 5 = -4: its
+    # end value (4554.2) is not a solution value and must not be kept
+    (0.0, -1e4, (0, 2), 0.001),
+    # only the third stage (y = -0.74) or only the fourth (y = -0.39)
+    # crosses; the step would land on y = 0.49 or 0.54
+    (2000.0, 400.0, (0, 2), 0.001),
+    (0.0, -1500.0, (0, 2), 0.001),
+    # a stage exactly on y = 0, where y'' divides by zero
+    (0.0, -2000.0, (0, 2), 0.001),
+    (0.0, 2000.0, (-2, 0), -0.001),
+])
+def test_oracle_truncates_at_a_step_whose_stage_crosses_the_floor(
+        c2, y0prime, window, blowup_t):
+    spec = OdeSolutionSpec(0, 0.0, c2, 1.0, 0.0)
+    sol = numeric_solution_oracle(spec, y0=1.0, y0prime=y0prime, window=window)
+    assert sol.y.tolist() == [1.0]
+    assert sol.truncated
+    assert sol.blowup_t == blowup_t
+
+
 def test_oracle_input_guards():
     spec = spec_iii(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):

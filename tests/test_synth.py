@@ -657,6 +657,67 @@ def test_steering_rhs_matches_numpy_pair_form_bitwise(m, monkeypatch):
         assert rhs(row, st).tobytes() == want(row, st).tobytes()
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_frenet_rhs_matches_numpy_form_bitwise(m, monkeypatch):
+    # the Python-float right-hand side of integrate_frenet_system against
+    # the NumPy form it replaced, stage by stage (a march hides most 1-ulp
+    # differences), for every s and order its rounding contract covers;
+    # states with signed zeros pin the sign of every zero result
+    rng = np.random.default_rng(100 + m)
+    captured = []
+
+    def capture(rhs, *args, **kwargs):
+        captured.append(rhs)
+        raise _Captured
+
+    monkeypatch.setattr(synth, "_rk4_march", capture)
+    for s in range(1, 8):
+        params = ModelParams(m=m, s=s)
+        dim = params.dim
+        for r in range(1, min(5, dim) + 1):
+            spec = synth.SynthesisSpec(params=params, p0=np.zeros(dim),
+                                       frame0=np.eye(r, dim),
+                                       curvatures=[lambda t: 1.0] * (r - 1))
+            with pytest.raises(_Captured):
+                synth.integrate_frenet_system(spec)
+            rhs = captured.pop()
+
+            def want(ks, S):
+                kcol = np.array(ks).reshape(-1, 1)
+                frame, T = S[:r], S[0]
+                dS = np.zeros_like(S)
+                dS[1:r] -= kcol * frame[:-1]
+                dS[:r - 1] += kcol * frame[1:]
+                dS[:r] -= connection_term(params, T, frame)
+                dS[r] = frame_to_coords(params, T, S[r, m:2 * m])
+                return dS
+
+            for i in range(40):
+                S = rng.standard_normal((r + 1, dim)) * 10.0 ** rng.integers(
+                    -3, 4, (r + 1, dim))
+                if i % 2:
+                    zeros = rng.random((r + 1, dim)) < 0.6
+                    S[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+                ks = rng.uniform(0.01, 5.0, r - 1).tolist()
+                assert rhs(ks, S).tobytes() == want(ks, S).tobytes()
+
+
+@pytest.mark.parametrize("m, s", [(2, 2), (1, 3)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_low_order_frenet_march_matches_per_stage_oracle(m, s, order):
+    params = ModelParams(m=m, s=s)
+    rng = np.random.default_rng(10 * order + m)
+    spec = synth.SynthesisSpec(
+        params=params, p0=rng.uniform(-1, 1, params.dim),
+        frame0=orthonormal_frame_seed(params, rng, order),
+        curvatures=[lambda t: 0.8 / (1.0 + 0.25 * t * t)][:order - 1],
+        window=(-0.6, 0.4), step=1e-3)
+    trace, frames = synth.integrate_frenet_system(spec)
+    want_trace, want_frames = oracle_frenet(spec)
+    assert_same_trace(trace, want_trace)
+    assert_same_bits(frames, want_frames)
+
+
 def test_phiT_aligned_matches_per_stage_oracle(params22):
     kwargs = dict(thetas=(np.pi / 3, np.pi / 2),
                   k1=lambda t: 0.3 + 0.05 * np.sin(t), epsilon=-1,
@@ -686,12 +747,15 @@ def test_frenet_march_tabulates_each_curvature_once_per_half_march(r6_config):
 def test_nonpositive_curvature_refused_before_the_first_step(params22,
                                                              monkeypatch, k1):
     calls = []
+    march = synth._rk4_march
 
-    def counted(*args):
-        calls.append(1)
-        return connection_term(*args)
+    def counting_march(rhs, *args, **kwargs):
+        def counted(*rhs_args):
+            calls.append(1)
+            return rhs(*rhs_args)
+        return march(counted, *args, **kwargs)
 
-    monkeypatch.setattr(synth, "connection_term", counted)
+    monkeypatch.setattr(synth, "_rk4_march", counting_march)
     frame0 = np.zeros((2, 6))
     frame0[0, 0] = 1.0
     frame0[1, 1] = 1.0
