@@ -31,6 +31,8 @@ exact ground truth the frame layer is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "frame_to_coords",
     "phi_frame",
     "connection_term",
+    "connection_rows",
+    "frame_row_to_coords",
     "curvature_frame",
 ]
 
@@ -126,6 +130,50 @@ def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> 
     out[..., m:2 * m] = -S * A - Ctot * tau
     out[..., 2 * m:] = np.add.reduce(B * tau - A * sig, axis=-1, keepdims=True)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the same maps on Python floats, for one frame vector per call
+#
+# A marching right-hand side calls these on a few short rows per stage,
+# where NumPy's per-call cost is most of the work.  They perform the
+# operations of `connection_term` and `frame_to_coords`, in the same
+# order, on lists of floats.  Rounding contract: a row sum here is the
+# sequential 0.0 + x_0 + x_1 + ..., which is what `np.add.reduce`
+# computes on fewer than 8 elements (on 8 or more it sums pairwise).  So
+# the results are bit-identical to the NumPy forms for m <= 7 and s <= 7
+# and may differ in the last bit beyond.
+# ---------------------------------------------------------------------------
+
+def connection_rows(params: ModelParams, t_frame: list[float],
+                    rows: list[list[float]]) -> list[list[float]]:
+    """`connection_term(params, T, W)` for each row W of `rows`, with T =
+    `t_frame`, on Python floats (see the rounding contract above)."""
+    m, m2, s = params.m, 2 * params.m, params.s
+    tau, sig = t_frame[:m], t_frame[m:m2]
+    S = reduce(add, t_frame[m2:], 0.0)
+    neg_S = -S
+    out = []
+    for w in rows:
+        A, B = w[:m], w[m:m2]
+        Ctot = reduce(add, w[m2:], 0.0)
+        phi_C = reduce(add, [b * u - a * g for a, b, u, g in zip(A, B, tau, sig)],
+                       0.0)
+        out.append([S * b + Ctot * g for b, g in zip(B, sig)]
+                   + [neg_S * a - Ctot * u for a, u in zip(A, tau)]
+                   + [phi_C] * s)
+    return out
+
+
+def frame_row_to_coords(params: ModelParams, w: list[float],
+                        y: list[float]) -> list[float]:
+    """`frame_to_coords(params, w, y)` for one frame vector on Python
+    floats (see the rounding contract above)."""
+    m, m2 = params.m, 2 * params.m
+    A, B = w[:m], w[m:m2]
+    z_rate = 2.0 * reduce(add, [b * v for b, v in zip(B, y)], 0.0)
+    return [2.0 * b for b in B] + [2.0 * a for a in A] + [2.0 * c + z_rate
+                                                          for c in w[m2:]]
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,8 @@ def numeric_solution_oracle(spec: OdeSolutionSpec, y0: float, y0prime: float,
     errored) on finite-time blowup |y| > blowup or on approaching the
     singular line y <= floor, and the truncation point is reported.  A
     step is refused, and the march truncated at its end time, when any of
-    its stages would evaluate y'' at y <= floor.
+    its stages would evaluate y'' at y <= floor; a y0 that is not above
+    the floor, where the first stage would, is refused with ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
@@ -273,6 +274,8 @@ def numeric_solution_oracle(spec: OdeSolutionSpec, y0: float, y0prime: float,
         raise ValueError("initial data must be finite")
     if y0 <= 0:
         raise ValueError("initial data must have y0 > 0")
+    if y0 <= floor:
+        raise ValueError(f"y0 = {y0!r} is not above the floor {floor!r}")
     t_lo, t_hi = window
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ValueError("window must be finite")

@@ -34,13 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .curve import CurveTrace, fd_derivative, frenet_apparatus
-from .manifold import ModelParams, frame_to_coords
+from .manifold import (ModelParams, connection_rows, frame_row_to_coords,
+                       frame_to_coords)
 
 __all__ = [
     "SynthesisSpec",
@@ -220,7 +219,6 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
     """
     params = spec.params
     r, m = spec.order, params.m
-    m2, s = 2 * m, params.s
 
     def curvature_table(times):
         kmat = np.empty((len(times), r - 1))
@@ -239,37 +237,22 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
 
         Runs on Python floats with the operations of the NumPy form, in its
         order: per entry 0.0 - k_{j-1} V_{j-1}, then + k_j V_{j+1}, then
-        - `connection_term(T, V_j)`; the position row is
-        `frame_to_coords(T, y)`.  The ends are padded with k_0 = k_r = 0
+        - Phi(T, V_j) from `connection_rows`; the position row is
+        `frame_row_to_coords(T, y)`.  The ends are padded with k_0 = k_r = 0
         and zero rows, which leaves their bits alone: 0.0 - 0.0 * 0.0 is
         0.0, and x + 0.0 * 0.0 is x because x = 0.0 - (...) is never -0.0.
-
-        Rounding contract: a row sum is the sequential 0.0 + x_0 + x_1 + ...,
-        which is what `np.add.reduce` computes on fewer than 8 elements; on
-        8 or more it sums pairwise.  So the result is bit-identical to the
-        NumPy form for m <= 7 and s <= 7 (the CLI always runs m = s = 2)
-        and may differ in the last bit beyond.
+        So the result is bit-identical to the NumPy form wherever those two
+        kernels are, i.e. for m <= 7 and s <= 7 (the CLI always runs
+        m = s = 2).
         """
         *frame, pos = S.tolist()
         T = frame[0]
-        tau, sig = T[:m], T[m:m2]
-        tot = reduce(add, T[m2:], 0.0)
-        neg = -tot
         kk = [0.0, *ks, 0.0]
         rows = [zero, *frame, zero]
-        out = []
-        for kp, kn, prev, V, nxt in zip(kk, kk[1:], rows, frame, rows[2:]):
-            A, B = V[:m], V[m:m2]
-            ctot = reduce(add, V[m2:], 0.0)
-            cC = reduce(add, [b * u - a * g for a, b, u, g in zip(A, B, tau, sig)],
-                        0.0)
-            conn = ([tot * b + ctot * g for b, g in zip(B, sig)]
-                    + [neg * a - ctot * u for a, u in zip(A, tau)] + [cC] * s)
-            out.append([0.0 - kp * p + kn * q - c
-                        for p, q, c in zip(prev, nxt, conn)])
-        zrate = 2.0 * reduce(add, [g * y for g, y in zip(sig, pos[m:m2])], 0.0)
-        out.append([2.0 * g for g in sig] + [2.0 * u for u in tau]
-                   + [2.0 * c + zrate for c in T[m2:]])
+        out = [[0.0 - kp * p + kn * q - c for p, q, c in zip(prev, nxt, conn)]
+               for kp, kn, prev, nxt, conn in zip(
+                   kk, kk[1:], rows, rows[2:], connection_rows(params, T, frame))]
+        out.append(frame_row_to_coords(params, T, pos[m:2 * m]))
         return np.array(out)
 
     eye = np.eye(r)

@@ -96,6 +96,31 @@ def test_connection_term_matches_exact_model(m, s):
                np.einsum("ijk,ni,nj->nk", C, T, W))
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_float_kernels_match_numpy_forms_bitwise(m):
+    # connection_rows and frame_row_to_coords against connection_term and
+    # frame_to_coords down to the bit, for every s of their rounding
+    # contract; states with signed zeros pin the sign of every zero result
+    rng = np.random.default_rng(40 + m)
+    for s in range(1, 8):
+        params = ModelParams(m, s)
+        n = params.dim
+        for i in range(40):
+            T, y = (rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+                    for k in (n, m))
+            W = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4, (5, n))
+            if i % 2:
+                for v in (T, y, W):
+                    zeros = rng.random(v.shape) < 0.6
+                    v[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+            got = mf.connection_rows(params, T.tolist(), W.tolist())
+            assert (np.array(got).tobytes()
+                    == mf.connection_term(params, T, W).tobytes())
+            got = mf.frame_row_to_coords(params, T.tolist(), y.tolist())
+            assert (np.array(got).tobytes()
+                    == mf.frame_to_coords(params, T, y).tobytes())
+
+
 @pytest.mark.parametrize("m,s", DIMS)
 def test_curvature_frame_matches_exact_model(m, s):
     params = ModelParams(m, s)

@@ -214,6 +214,10 @@ def test_oracle_input_guards():
     spec = spec_iii(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         numeric_solution_oracle(spec, y0=-1.0, y0prime=0.0)
+    # a y0 in (0, floor] would evaluate the first stage's y'' there
+    for y0, floor in ((1e-13, 1e-12), (1e-12, 1e-12), (0.2, 0.2)):
+        with pytest.raises(ValueError, match="floor"):
+            numeric_solution_oracle(spec, y0=y0, y0prime=1.0, floor=floor)
     with pytest.raises(ValueError):
         numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=(1, 2),
                                 t0=0.0)

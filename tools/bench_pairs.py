@@ -1,12 +1,13 @@
 """Alternating parent/change pairs of `perfbench/run.py`, written to one JSON record.
 
-    python3 tools/bench_pairs.py --parent REV --workload synth --pairs 10 \\
+    python3 tools/bench_pairs.py --parent REV --workload synth \\
         --out BENCH_<n>.json
 
 Run from the root of a sspaceform git checkout.  The parent side is `git
 archive REV` extracted into a temporary directory; the change side is the
 working tree itself, uncommitted edits included.  Each side runs its own
-`perfbench/run.py --trace 0`.  Pair i uses seed `--seed + i` on both sides,
+`perfbench/run.py --trace 0` for the `run_seconds` of BENCHMARK.json.
+There are always 10 pairs: pair i uses seed `--seed + i` on both sides,
 and the side that runs first alternates from pair to pair, so that drift in
 machine speed falls on both sides alike.  After the pairs, each side makes
 one traced run (`--trace 1`, first seed) per workload for the per-layer
@@ -15,11 +16,16 @@ metrics.
 The record holds, per workload and per end-to-end metric of BENCHMARK.json,
 each side's runs, median and quartiles (`statistics.quantiles`, n = 4), the
 pairs the change won, lost and tied (by the metric's `better` direction),
-and two verdicts: `gain` (won at least 9/10 of the pairs and the medians
-differ by more than the parent's interquartile range) and `regression`
-(the change's median is worse than the parent's by more than the metric's
-bound).  It also holds each side's traced per-layer metrics and the
-environment fingerprint that run.py reports.
+and two verdicts.  `gain` is true when the change won at least 9/10 of the
+pairs, its median is better than the parent's by more than the parent's
+interquartile range, and no larger share of its requests failed.
+`regression` is true when the change's median is worse than the parent's
+by more than the metric's bound times the parent's median; otherwise it is
+"unresolved" when either side's interquartile range is wider than that
+bound and not every change run is better than every parent run, and false
+when neither holds.  The record also holds each side's failed share of
+requests, traced per-layer metrics and the environment fingerprint that
+run.py reports.
 
 The temporary checkout is removed at exit, and every process a run starts
 is killed with its process group if the run fails or is interrupted.
@@ -35,6 +41,8 @@ import subprocess
 import sys
 import tempfile
 
+# pairs per workload: the fewest a gain may be judged on
+PAIRS = 10
 # run.py stops itself after --seconds + 140 s of one workload; a side that
 # has not finished by then is hung
 RUN_SLACK_S = 200
@@ -73,8 +81,13 @@ def summary(values: list[float]) -> dict:
             "q1": q1, "q3": q3}
 
 
+def failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
 def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: both sides' summaries, wins and verdicts."""
+    more_failures = failed_share(change) > failed_share(parent)
     out = {}
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -85,13 +98,22 @@ def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
         ps, cs = summary(p), summary(c)
         diff = cs["median"] - ps["median"]
         worse = -diff if higher else diff
+        allowed = spec["bound"] * abs(ps["median"])
+        separated = min(c) > max(p) if higher else max(c) < min(p)
+        if worse > allowed:
+            regression = True
+        elif (max(ps["q3"] - ps["q1"], cs["q3"] - cs["q1"]) > allowed
+              and not separated):
+            regression = "unresolved"
+        else:
+            regression = False
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "bound": spec["bound"], "parent": ps, "change": cs,
             "wins": wins, "losses": len(p) - wins - ties, "ties": ties,
-            "gain": (wins >= 0.9 * len(p)
-                     and -worse > ps["q3"] - ps["q1"]),
-            "regression": worse > spec["bound"] * abs(ps["median"]),
+            "gain": (wins >= 0.9 * len(p) and -worse > ps["q3"] - ps["q1"]
+                     and not more_failures),
+            "regression": regression,
         }
     return out
 
@@ -112,20 +134,15 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workload", action="append", required=True,
                     help="a perfbench workload; repeat for several")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--out", required=True, help="JSON record to write")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("quartiles need at least 2 pairs")
     repo = os.getcwd()
     with open(os.path.join(repo, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    record = {"parent": None, "change": "working tree", "pairs": args.pairs,
-              "seeds": [args.seed + i for i in range(args.pairs)],
+    seconds = bench["run_seconds"]
+    record = {"parent": None, "change": "working tree", "pairs": PAIRS,
+              "seeds": [args.seed + i for i in range(PAIRS)],
               "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         record["parent"] = checkout(repo, args.parent, parent_root)
@@ -137,7 +154,7 @@ def main(argv=None) -> int:
                 for side in order:
                     res = run_bench(roots[side], workload, seed, seconds, 0)
                     runs[side].append(res)
-                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                           + ", ".join(f"{k} {v['value']:.6g}"
                                       for k, v in res["metrics"].items()),
                           file=sys.stderr, flush=True)
@@ -145,8 +162,9 @@ def main(argv=None) -> int:
                                       seconds, 1) for side in roots}
             record["workloads"][workload] = {
                 "first": ["parent" if i % 2 == 0 else "change"
-                          for i in range(args.pairs)],
+                          for i in range(PAIRS)],
                 "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+                "failed_share": {side: failed_share(runs[side]) for side in runs},
                 "attempted": {side: [r["attempted"] for r in runs[side]]
                               for side in runs},
                 "metrics": compare(runs["parent"], runs["change"],
