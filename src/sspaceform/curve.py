@@ -89,29 +89,24 @@ def uniform_step(ts: np.ndarray, who: str) -> float:
 # CSV output
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK_ROWS = 1024
-
-
 def write_csv(path, header, data, formats=None) -> None:
     """Write a header row and the rows of a 2-D array as CSV.
 
     Every cell is printed with "%.16e" unless `formats` gives one format per
     column.  The text equals csv.writer rows of f"{v:.16e}" strings,
-    nan, inf and -0.0 included, with the same "\\r\\n" line endings.
-
-    Rows are formatted a block at a time from one flat list of floats, so
-    memory stays bounded by the block and no per-row list is allocated:
-    floats are not tracked by the cyclic garbage collector, but lists are,
-    and thousands of row lists alive at once set off collections.
+    nan, inf and -0.0 included, with the same "\\r\\n" line endings.  The
+    rows come from `csvformat.write_rows`, a vectorized kernel whose
+    "%.16e" cells are Python's bytes for every float64.
     """
+    # imported here, so that a cold `import sspaceform.cli` does not
+    # compile the kernel
+    from .csvformat import write_rows
+
     data = np.asarray(data, dtype=float)
     formats = formats or ["%.16e"] * data.shape[1]
-    row = ",".join(formats) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        write_rows(fh, data, formats)
 
 
 # ---------------------------------------------------------------------------

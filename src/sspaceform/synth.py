@@ -208,10 +208,10 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
 
     The state is one (order + 1, dim) block: the frame rows V_1..V_r and
     the position.  The curvatures are tabulated on the stage times before
-    the first step, and a curvature that is not positive there refuses
-    the march.  The frame is re-orthonormalized after every step; if a
-    single step's drift exceeds FRAME_DRIFT_TOL the step size is declared
-    too large and a SynthesisError is raised.  Returns the sampled trace
+    the first step, and a curvature that is not positive and finite there
+    refuses the march.  The frame is re-orthonormalized after every step;
+    if a single step's drift exceeds FRAME_DRIFT_TOL (or is NaN) the step
+    size is declared too large and a SynthesisError is raised.  Returns the sampled trace
     (coordinate derivatives to depth 5 for the downstream Frenet
     machinery: velocity exact, higher by 4th-order differencing) and the
     integrated frames V_1..V_r as an (order, n, dim) array of frame
@@ -224,9 +224,10 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
         kmat = np.empty((len(times), r - 1))
         for i, k in enumerate(spec.curvatures):
             kmat[:, i] = k(times)
-            if np.any(kmat[:, i] <= 0):
+            if not np.all(np.isfinite(kmat[:, i]) & (kmat[:, i] > 0)):
                 raise SynthesisError(
-                    f"prescribed curvature k_{i+1} hits zero or below on the window")
+                    f"prescribed curvature k_{i+1} hits zero or below, or is "
+                    "not finite, on the window")
         return kmat.tolist()
 
     zero = [0.0] * params.dim
@@ -260,7 +261,7 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
     def reorthonormalize(S):
         frame = S[:r]
         drift = float(np.abs(frame @ frame.T - eye).max())
-        if drift > FRAME_DRIFT_TOL:
+        if not drift <= FRAME_DRIFT_TOL:
             raise SynthesisError(
                 f"frame drift {drift:.3e} exceeds {FRAME_DRIFT_TOL:g} in a "
                 f"single step: step {spec.step:g} too large")

@@ -652,3 +652,18 @@ def test_cli_import_leaves_logging_unloaded():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_csv_kernel_unloaded():
+    # the CSV kernel's module and its tables are compiled and built on the
+    # first write, not by every cold import
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, sspaceform.cli; "
+            "print('sspaceform.csvformat' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,11 +1,16 @@
 """Curve traces, covariant chains and the Frenet apparatus."""
+import decimal
+import fractions
 import pathlib
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sspaceform import curve, synth
+from sspaceform import csvformat, curve, synth
 from sspaceform.curve import (CurveTrace, _contiguous_windows, fd_derivative,
                               frenet_apparatus, unit_speed_check,
                               covariant_chain, write_csv)
@@ -447,3 +452,147 @@ def test_to_csv_bytes_match_csv_writer(case2_curve, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == csv_writer_bytes(
         tmp_path / "old.csv", header, rows)
     assert b"-0.0000000000000000e+00" in (tmp_path / "new.csv").read_bytes()
+
+
+def assert_python_bytes(path, data):
+    """write_csv of `data` equals csv.writer rows of Python's "%.16e"."""
+    header = [f"c{i}" for i in range(data.shape[1])]
+    write_csv(path / "new.csv", header, data)
+    rows = [[f"{v:.16e}" for v in row] for row in data.tolist()]
+    assert (path / "new.csv").read_bytes() == csv_writer_bytes(
+        path / "old.csv", header, rows)
+
+
+def bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(cols=st.integers(1, 37), blocks=st.integers(1, 2),
+       extra=st.integers(-1, 1), seed=st.integers(0, 2 ** 32 - 1),
+       patterns=st.lists(st.integers(0, 2 ** 64 - 1), max_size=37))
+def test_write_csv_raw_bit_patterns_match_python(tmp_path_factory, cols,
+                                                 blocks, extra, seed,
+                                                 patterns):
+    """Any float64 bits, row counts at and around the formatting block."""
+    rows = blocks * (csvformat._CSV_BLOCK_CELLS // cols) + extra
+    data = np.random.default_rng(seed).integers(
+        0, 2 ** 64, size=rows * cols, dtype=np.uint64).view(np.float64)
+    data[:len(patterns)] = bits(*patterns)
+    assert_python_bytes(tmp_path_factory.mktemp("csv"),
+                        data.reshape(rows, cols))
+
+
+def test_write_csv_powers_of_ten_neighbours_match_python(tmp_path):
+    # a k = floor(log10|x|) off by one must not misprint the digits
+    cells = []
+    for p in range(-323, 309):
+        v = float(f"1e{p}")
+        for direction in (-np.inf, np.inf):
+            w = v
+            for _ in range(3):
+                w = np.nextafter(w, direction)
+                cells.append(w)
+        cells.append(v)
+    cells = np.array(cells)
+    assert_python_bytes(tmp_path,
+                        np.concatenate([cells, -cells]).reshape(-1, 14))
+
+
+def test_write_csv_exact_ties_match_python(tmp_path):
+    """x = m 2^-j with m 5^j an 18-digit odd number is an exact tie at the
+    17th significant digit: Python rounds it half to even."""
+    ties = []
+    for j in range(1, 26):
+        lo = -(-10 ** 17 // 5 ** j) | 1
+        for m in range(lo, min(lo + 40, 2 ** 53), 2):
+            x = m / 2.0 ** j
+            digits = decimal.Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties += [x, -x]
+    assert len(ties) > 400
+    assert_python_bytes(tmp_path,
+                        np.array(ties[:len(ties) // 8 * 8]).reshape(-1, 8))
+
+
+def test_write_csv_near_ties_that_long_double_misrounds(tmp_path):
+    """Cells whose digits rint(|x| 10^(16-k)) in long double gets wrong: the
+    kernel must hand them to Python, and there are some to hand."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-300, 300, 100_000)
+    k = np.floor(np.log10(np.abs(x))).astype(int)
+    p10 = np.array([f"1e{p}" for p in range(-300, 341)], dtype=np.longdouble)
+    naive = np.rint(np.abs(x).astype(np.longdouble)
+                    * p10[16 - k + 300]).astype(np.int64)
+    python = np.array([int(f"{v:.16e}".lstrip("-")[:18].replace(".", ""))
+                       for v in x.tolist()], dtype=np.int64)
+    wrong = x[(naive != python) & (python > 10 ** 16)]
+    assert len(wrong) > 50
+    assert_python_bytes(tmp_path, wrong[:len(wrong) // 4 * 4].reshape(-1, 4))
+
+
+def test_write_csv_special_values_match_python(tmp_path):
+    special = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 9.9999999999999992e+22, 1e22, 1e23,
+         np.finfo(float).max, np.finfo(float).tiny],
+        # NaN with the sign bit, with a payload, signalling; Python prints
+        # every one of them "nan"
+        bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+             0xFFF00000DEADBEEF, 0x7FFFFFFFFFFFFFFF),
+        # subnormals, the smallest and largest included
+        bits(1, 2, 3, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+             0x0000123456789ABC),
+    ])
+    assert_python_bytes(tmp_path, np.tile(special, (3, 1)))
+    assert b"-nan" not in (tmp_path / "new.csv").read_bytes()
+
+
+def test_power_of_ten_table_is_correctly_rounded():
+    p10 = csvformat._format_tables()["p10"]
+    assert len(p10) == 16 - csvformat._EXP_MIN - csvformat._P10_MIN + 1
+    for p, v in enumerate(p10, start=csvformat._P10_MIN):
+        exact = fractions.Fraction(10) ** p
+        err = abs(fractions.Fraction(*v.as_integer_ratio()) - exact)
+        for nb in (np.nextafter(v, v * 2), np.nextafter(v, v / 2)):
+            assert err <= abs(fractions.Fraction(*nb.as_integer_ratio())
+                              - exact), p
+
+
+def test_write_csv_without_extended_precision_is_unchanged(tmp_path,
+                                                           monkeypatch):
+    # where long double is no wider than float64 every "%.16e" cell is
+    # Python's own
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((700, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                                (700, 5))
+    data[::9, 1] = np.nan
+    data[::11, 2] = -0.0
+    data[:, 4] = rng.integers(0, 2, 700)
+    formats = ["%.16e"] * 4 + ["%d"]
+    write_csv(tmp_path / "fast.csv", list("abcde"), data, formats)
+    monkeypatch.setattr(csvformat, "_exact_kernel_available",
+                        lambda: False)
+    write_csv(tmp_path / "python.csv", list("abcde"), data, formats)
+    assert ((tmp_path / "python.csv").read_bytes()
+            == (tmp_path / "fast.csv").read_bytes())
+
+
+def test_write_csv_raises_no_warning(tmp_path):
+    data = np.column_stack([
+        bits(0x7FF0000000000001, 0xFFF8000000000000, 1, 0),
+        [np.inf, -np.inf, -0.0, 1e308], [1.0, 0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(tmp_path / "w.csv", ["a", "b", "c"], data,
+                  formats=["%.16e", "%.16e", "%d"])
+
+
+def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+    data = np.random.default_rng(0).standard_normal((16001, 16))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(16)], data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

@@ -107,6 +107,21 @@ def test_positive_curvature_guard(params22):
         synth.integrate_frenet_system(spec)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_curvature_refused_naming_it(params22, bad):
+    # a NaN k used to run the march on NaN states (the drift guard's
+    # `drift > tol` is false for NaN) and fail in CurveTrace with
+    # "non-finite points in row 1501"
+    frame0 = np.zeros((2, 6))
+    frame0[0, 0] = 1.0
+    frame0[1, 1] = 1.0
+    spec = synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
+                               curvatures=[lambda t: np.where(t > 0.5, bad, 1.0)],
+                               window=(-1.0, 1.0), step=1e-3)
+    with pytest.raises(synth.SynthesisError, match="k_1 .* not finite"):
+        synth.integrate_frenet_system(spec)
+
+
 def test_rk4_march_linear_amplification():
     # y' = y: one RK4 step multiplies by R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24
     # exactly, so the state k steps from t0 is R(+-h)^|k| y0 on either side

@@ -1,0 +1,126 @@
+"""One sha256 per output file of the sspaceform CLI, optionally against a parent.
+
+    python3 tools/output_digests.py [--parent REV]
+
+Run from the root of a sspaceform git checkout.  The tool runs a fixed set
+of CLI commands with the checkout's `src` on PYTHONPATH, each in the same
+temporary directory and with relative paths only, so the files do not
+depend on where the checkout lives:
+
+- `verify --report --csv` for the six builtins (r6-example on -0.5:0.5)
+  and for the `csv:` traces of case2-order3 and r6-steered;
+- `synth --out` and `synth --verify --report` for r6-example (-0.5:0.5),
+  case2-order3 and r6-steered;
+- `ode --out` for case (iii) and for the nowhere-real case (i) and (ii)
+  grids.
+
+It prints one line per file, `<sha256>  <file>`, and one line per
+command, `<exit code>  exit <arguments>`.  With `--parent REV` it runs the same
+commands on a `git archive` of REV extracted into a temporary directory,
+prints the lines that differ and exits 1 if any file or exit code does.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import checkout
+
+BUILTINS = ("catenary", "circle", "geodesic", "case2-order3", "r6-example",
+            "r6-steered")
+# r6-example takes about 2 s per run on -2:2
+WINDOWS = {"r6-example": "-0.5:0.5"}
+CSV_TRACES = ("case2-order3", "r6-steered")
+SYNTH = ("r6-example", "case2-order3", "r6-steered")
+ODE = {
+    "iii": ["--case", "iii", "--c2", "1", "--c3", "4", "--range", "-2:2:1e-3"],
+    "i": ["--case", "i", "--lambda", "1", "--c2", "1", "--c3", "1",
+          "--range", "-1:1:1e-3"],
+    "ii": ["--case", "ii", "--lambda", "1", "--c2", "1", "--c3", "1",
+           "--range", "-1:1:1e-3"],
+}
+# one command must not run longer than this
+TIMEOUT_S = 300
+
+
+def commands() -> list[tuple[list[str], dict[str, str]]]:
+    """(CLI arguments, config files to write first) of every command, in
+    order: the synth runs come first, since they write the `csv:` traces."""
+    out = []
+    for name in SYNTH:
+        window = ["--window", WINDOWS[name]] if name in WINDOWS else []
+        out.append((["synth", "--builtin", name, "--out", f"synth-{name}.csv"]
+                    + window, {}))
+        out.append((["synth", "--builtin", name, "--out",
+                     f"synth-verify-{name}.csv", "--verify", "--report",
+                     f"synth-{name}.json"] + window, {}))
+    sources = ([f"builtin:{name}" for name in BUILTINS]
+               + [f"csv:synth-{name}.csv" for name in CSV_TRACES])
+    for source in sources:
+        stem = "verify-" + source.replace(":", "-").removesuffix(".csv")
+        lines = ["[manifold]", "m = 2", "s = 2", "[curve]", f"source = {source}"]
+        window = WINDOWS.get(source.removeprefix("builtin:"))
+        if window:
+            lines.append(f"window = {window}")
+        out.append((["verify", "--config", f"{stem}.ini", "--report",
+                     f"{stem}.json", "--csv", f"{stem}.csv"],
+                    {f"{stem}.ini": "\n".join(lines) + "\n"}))
+    for case, args in ODE.items():
+        out.append((["ode", *args, "--out", f"ode-{case}.csv"], {}))
+    return out
+
+
+def digests(root: str) -> dict[str, str]:
+    """Run every command with `root`/src first on PYTHONPATH; return one
+    line per output file (its sha256) and per command (its exit code)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    result = {}
+    with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        for argv, configs in commands():
+            for name, text in configs.items():
+                with open(os.path.join(work, name), "w") as fh:
+                    fh.write(text)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sspaceform.cli", *argv], cwd=work,
+                env=env, capture_output=True, timeout=TIMEOUT_S)
+            result[f"exit {' '.join(argv)}"] = str(proc.returncode)
+        for name in sorted(os.listdir(work)):
+            if name.endswith(".ini"):
+                continue
+            with open(os.path.join(work, name), "rb") as fh:
+                result[name] = hashlib.sha256(fh.read()).hexdigest()
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", help="git revision to compare against")
+    args = ap.parse_args(argv)
+    repo = os.getcwd()
+    change = digests(repo)
+    for key, value in change.items():
+        print(f"{value}  {key}")
+    if args.parent is None:
+        return 0
+    with tempfile.TemporaryDirectory(prefix="digests-parent-") as parent_root:
+        commit = checkout(repo, args.parent, parent_root)
+        parent = digests(parent_root)
+    differ = sorted(k for k in parent.keys() | change.keys()
+                    if parent.get(k) != change.get(k))
+    for key in differ:
+        print(f"differs from {commit[:12]}: {key}: "
+              f"{parent.get(key)} -> {change.get(key)}")
+    print(f"{len(change) - len(differ)} of {len(change)} lines identical to "
+          f"{commit[:12]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
