@@ -8,8 +8,9 @@ import numpy as np
 
 from sspaceform import synth
 from sspaceform.curve import frenet_apparatus, unit_speed_check
+from sspaceform.findings import nabla_phiT_check
 from sspaceform.manifold import ModelParams
-from sspaceform.slant import contact_angles, nabla_phiT_check
+from sspaceform.slant import contact_angles
 
 params = ModelParams(m=2, s=2)
 

@@ -12,7 +12,7 @@ Run:  python demos/03_governing_ode.py
 """
 import numpy as np
 
-from sspaceform import odesol
+from sspaceform import findings, odesol
 
 print("=" * 72)
 print("Case (iii): the eps = 0 family is exact")
@@ -31,7 +31,7 @@ print("Cases (i)/(ii): the printed formulas are nowhere real")
 print("=" * 72)
 for eps, c3, label in ((1, 1.0, "i"), (-1, 2.0, "ii")):
     s = odesol.OdeSolutionSpec(epsilon=eps, lam=1.0, c2=1.0, c3=c3, c4=0.0)
-    rep = odesol.real_domain_report(s, window=(-2, 2), n=4001)
+    rep = findings.real_domain_report(s, window=(-2, 2), n=4001)
     print(f"case ({label}): real fraction on [-2,2] = {rep['real_fraction']:.4f}"
           f"  (nowhere real: {rep['nowhere_real']})")
 print("""

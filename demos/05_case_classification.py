@@ -6,9 +6,8 @@ Run:  python demos/05_case_classification.py
 """
 import numpy as np
 
-from sspaceform import synth
-from sspaceform.biharmonic import (case3_grid_scan, case3_obstruction,
-                                   classify_case)
+from sspaceform import findings, synth
+from sspaceform.biharmonic import case3_obstruction, classify_case
 from sspaceform.curve import frenet_apparatus
 from sspaceform.manifold import ModelParams
 from sspaceform.slant import contact_angles, phiT_decomposition
@@ -29,9 +28,9 @@ curves = {
     "order-3 proper f-biharmonic (phiT perp V2)":
         synth.case2_order3_curve(window=(-1.5, 1.5), step=1e-3),
     "phiT-aligned curve (phiT parallel V2)":
-        synth.phiT_aligned_curve(params, (np.pi / 3, np.pi / 2),
-                                 lambda t: 0.3 + 0.05 * np.sin(t),
-                                 window=(-1.5, 1.5)),
+        findings.phiT_aligned_curve(params, (np.pi / 3, np.pi / 2),
+                                    lambda t: 0.3 + 0.05 * np.sin(t),
+                                    window=(-1.5, 1.5)),
     "generic steered slant curve":
         synth.steered_slant_curve(params, (0.4 * np.pi, 0.6 * np.pi),
                                   lambda t: 0.4 / (1 + 0.3 * t * t),
@@ -63,7 +62,7 @@ print(f"\n(a, b) = (1/4, 1/2), c2 = 1: branch = {rep['branch']}")
 print(f"  coefficients (A, B, C) = {tuple(round(x, 4) for x in rep['coefficients'][1.0])}")
 print(f"  constant k1 roots: {[round(r, 4) for r in rep['constant_k1_roots'][1.0]]}")
 
-scan = case3_grid_scan(params)
+scan = findings.case3_grid_scan(params)
 print(f"\n10 x 10 (a, b) grid, both signs of eps: "
       f"{len(scan['cells'])} cells, all obstructed: {scan['all_obstructed']}")
 

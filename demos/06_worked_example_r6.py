@@ -16,23 +16,23 @@ Run:  python demos/06_worked_example_r6.py
 """
 import numpy as np
 
-from sspaceform import synth
+from sspaceform import findings, synth
 from sspaceform.curve import frenet_apparatus
 from sspaceform.slant import contact_angles
 
-cfg = synth.builtin_example_r6()
+cfg = synth.R6ExampleConfig()
 
 print("=" * 72)
 print("1. The scalar algebra is exact")
 print("=" * 72)
-for key, val in cfg.constants_summary().items():
+for key, val in findings.r6_constants_summary().items():
     print(f"  {key:<12} {val:+.15g}")
 
 print()
 print("=" * 72)
 print("2. Hard window bounds")
 print("=" * 72)
-rep = synth.r6_example_realizability(cfg, step=2e-3)
+rep = findings.r6_example_realizability(step=2e-3)
 print(f"""Any slant curve with this data and order >= 3 must carry
 eta_1(V3) = g(phiT,V2)/k2 = (sqrt(6)/12)(2+t^2) -- but |eta_1(V3)| <= 1
 (Cauchy-Schwarz for unit fields), which caps the window at

@@ -12,6 +12,9 @@ biharmonic  bitension fields, master equations, four-case classification
 odesol      the governing autonomous ODE: closed forms vs RK4 oracle
 synth       curve synthesis (prescribed-curvature Frenet flow, steering)
 cli         verify / synth / ode command-line front end
+findings    the paper's analyses: worked-example realizability, case III
+            scan, nabla phiT identity, closed-form real domains (tests and
+            demos only; not imported here)
 oracles     exact sympy model built from g (tests and demos only; not
             imported here)
 """
@@ -20,7 +23,7 @@ from .curve import CurveTrace, FrenetData, frenet_apparatus, unit_speed_check
 from .slant import SlantProfile, contact_angles, phiT_decomposition
 from .biharmonic import BiharmonicReport, WeightFunction, check_conditions
 from .odesol import OdeSolutionSpec, k1_closed_form, numeric_solution_oracle
-from .synth import SynthesisSpec, integrate_frenet_system, builtin_example_r6
+from .synth import R6ExampleConfig, SynthesisSpec, integrate_frenet_system
 
 __version__ = "0.1.0"
 
@@ -30,6 +33,6 @@ __all__ = [
     "SlantProfile", "contact_angles", "phiT_decomposition",
     "BiharmonicReport", "WeightFunction", "check_conditions",
     "OdeSolutionSpec", "k1_closed_form", "numeric_solution_oracle",
-    "SynthesisSpec", "integrate_frenet_system", "builtin_example_r6",
+    "R6ExampleConfig", "SynthesisSpec", "integrate_frenet_system",
     "__version__",
 ]

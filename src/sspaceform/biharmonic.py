@@ -47,7 +47,6 @@ __all__ = [
     "classify_case",
     "case1_case2_checker",
     "case3_obstruction",
-    "case3_grid_scan",
     "case4_mu",
     "case4_checker",
 ]
@@ -503,27 +502,6 @@ def case3_obstruction(profile_or_ab, params, c2: float | None = None,
         "constant_k1_roots": roots_by_c2,
         "note": "nontrivial polynomial in k1: k1 constant, f constant, not proper",
     }
-
-
-def case3_grid_scan(params, a_grid=None, b_grid=None) -> dict:
-    """Obstruction scan over an (a, b) grid for both epsilon signs."""
-    s = _c_s(params)[1]
-    if a_grid is None:
-        a_grid = np.linspace(0.05, 0.95, 10)
-    if b_grid is None:
-        b_grid = np.linspace(-0.9 * s, 0.9 * s, 10)
-    cells = []
-    all_obstructed = True
-    for a in a_grid:
-        for b in b_grid:
-            for eps in (-1, 1):
-                rep = case3_obstruction((float(a), float(b)), params, epsilon=eps)
-                obstructed = rep["branch"] in ("constant-k1", "geodesic")
-                all_obstructed &= obstructed
-                cells.append({"a": float(a), "b": float(b), "epsilon": eps,
-                              "branch": rep["branch"]})
-    return {"cells": cells, "all_obstructed": all_obstructed,
-            "grid_shape": (len(a_grid), len(b_grid), 2)}
 
 
 def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:

@@ -87,8 +87,8 @@ def _tolerances(cp: configparser.ConfigParser | None) -> dict:
             if key not in tol:
                 raise ConfigError(f"unknown tolerance name {key!r}")
             tol[key] = float(cp["tolerances"][key])
-    if any(v <= 0 for v in tol.values()):
-        raise ConfigError("tolerances must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in tol.values()):
+        raise ConfigError("tolerances must be positive and finite")
     return tol
 
 
@@ -140,7 +140,7 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
             raise ConfigError("case2-order3 is defined for m = 2, s = 2")
         return synth.case2_order3_curve(window=window, step=step), \
             lambda t: 1.0 / (2.0 + t ** 2)
-    cfg = synth.builtin_example_r6()
+    cfg = synth.R6ExampleConfig()
     if (params.m, params.s) != (2, 2):
         raise ConfigError("the r6 examples are defined for m = 2, s = 2")
     if name == "r6-example":
@@ -316,7 +316,7 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     try:
         params = ModelParams(m=2, s=2)
         trace, k1_callable = _build_trace(params, cp)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (synth.SynthesisError, FloatingPointError) as exc:
@@ -353,6 +353,10 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         return EXIT_CONFIG
     if tol is None:
         tol = _tolerances(None)["ode"]
+    elif not (math.isfinite(tol) and tol > 0):
+        print(f"config error: --tol must be positive and finite, got {tol!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if eps != 0 and lam <= 0:
             print("config error: cases (i)/(ii) need --lambda > 0",

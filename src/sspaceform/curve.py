@@ -184,9 +184,9 @@ class CurveTrace:
         return self.derivs[0]
 
     @classmethod
-    def from_positions(cls, params: ModelParams, ts, points,
-                       depth: int = 4) -> "CurveTrace":
-        """Build a trace from sampled positions only; derivatives by FD.
+    def from_positions(cls, params: ModelParams, ts, points) -> "CurveTrace":
+        """Build a trace from sampled positions only; gamma' to gamma^(4)
+        by FD.
 
         The grid must be uniform (FD stencils assume constant step).
         """
@@ -194,14 +194,14 @@ class CurveTrace:
         h = uniform_step(ts, "from_positions")
         derivs = []
         cur = np.asarray(points, dtype=float)
-        for _ in range(depth):
+        for _ in range(4):
             cur = fd_derivative(cur, h)
             derivs.append(cur)
         return cls(params, ts, np.asarray(points, dtype=float), derivs,
                    sampled=True)
 
     @classmethod
-    def from_csv(cls, params: ModelParams, path, depth: int = 4) -> "CurveTrace":
+    def from_csv(cls, params: ModelParams, path) -> "CurveTrace":
         """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD."""
         with open(path) as fh:
             header = fh.readline().rstrip("\r\n").split(",")
@@ -211,7 +211,7 @@ class CurveTrace:
                     f"got {len(header)}")
             data = np.loadtxt(fh, delimiter=",", usecols=range(1 + params.dim),
                               ndmin=2)
-        return cls.from_positions(params, data[:, 0], data[:, 1:], depth=depth)
+        return cls.from_positions(params, data[:, 0], data[:, 1:])
 
     def to_csv(self, path, include_derivatives: bool = True) -> None:
         """Write t, coordinates and (optionally) the derivative columns.

@@ -14,8 +14,8 @@ case (i)/(ii) formulas have empty real interior domain:
   case (ii): N = lam^2 sech^2(u) (1+c2^2+c3^2)(sech^2(u) - 1) <= 0 with the
              only zero at u = 0.
 
-`real_domain_report` documents this per parameter set; the fixed-step RK4
-oracle (`numeric_solution_oracle`) and the first integral
+`sspaceform.findings` reports the real domain per parameter set; the
+fixed-step RK4 oracle (`numeric_solution_oracle`) and the first integral
 C = [(y')^2 + 4(1+c2^2) y^4 + 4 eps lam^2 y^2]/y^3 are authoritative there.
 Case (iii) is an exact solution family (residual at rounding level).
 """
@@ -32,7 +32,6 @@ __all__ = [
     "k1_closed_form",
     "case_iii_profile",
     "ode_residual",
-    "real_domain_report",
     "lambda_constants",
     "f_from_k1",
     "numeric_solution_oracle",
@@ -56,7 +55,6 @@ class OdeSolutionSpec:
     c2: float               # >= 0
     c3: float
     c4: float
-    sign_branch: int = +1   # the +- in front of sqrt(N)
 
     def __post_init__(self):
         if self.epsilon not in (-1, 0, 1):
@@ -68,8 +66,6 @@ class OdeSolutionSpec:
             object.__setattr__(self, "lam", 0.0)
         if self.epsilon != 0 and self.lam == 0:
             raise ValueError("epsilon = +-1 requires lambda > 0")
-        if self.sign_branch not in (-1, 1):
-            raise ValueError("sign_branch must be -1 or +1")
 
     @property
     def case(self) -> str:
@@ -81,7 +77,8 @@ class OdeSolutionSpec:
 
 
 def _case_NMD(spec: OdeSolutionSpec, t: np.ndarray):
-    """The literal N, M, D of the solution formula y = (+-sqrt(N) + M)/D."""
+    """The literal N, M, D of the solution formula y = (+-sqrt(N) + M)/D,
+    whose + branch `k1_closed_form` evaluates."""
     c2, c3, c4, lam = spec.c2, spec.c3, spec.c4, spec.lam
     u = 2.0 * lam * t + c4
     if spec.epsilon == 1:
@@ -120,7 +117,7 @@ def k1_closed_form(spec: OdeSolutionSpec, t):
     y = np.full_like(tt, np.nan)
     good = ok
     with np.errstate(invalid="ignore", divide="ignore"):
-        y[good] = (spec.sign_branch * np.sqrt(N[good]) + M[good]) / D[good]
+        y[good] = (np.sqrt(N[good]) + M[good]) / D[good]
     if np.isscalar(t):
         return float(y[0]), bool(ok[0])
     return y, ok
@@ -163,25 +160,6 @@ def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
         "per_sample": res,
         "evaluated": int(np.sum(finite)),
     }
-
-
-def real_domain_report(spec: OdeSolutionSpec, window=(-2.0, 2.0), n: int = 2001) -> dict:
-    """Where, if anywhere, the literal formula is real on the window."""
-    ts = np.linspace(window[0], window[1], n)
-    _, ok = k1_closed_form(spec, ts)
-    frac = float(np.mean(ok))
-    report = {
-        "case": spec.case,
-        "window": (float(window[0]), float(window[1])),
-        "real_fraction": frac,
-        "nowhere_real": bool(frac == 0.0),
-        "samples": n,
-    }
-    if frac > 0:
-        good = np.where(ok)[0]
-        report["first_real_t"] = float(ts[good[0]])
-        report["last_real_t"] = float(ts[good[-1]])
-    return report
 
 
 def lambda_constants(a: float, b: float, params, case: str,

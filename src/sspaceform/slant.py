@@ -1,5 +1,5 @@
-"""Slant diagnostics: contact angles, the constants a and b, the field V,
-and the decomposition of phi T along the Frenet frame.
+"""Slant diagnostics: contact angles, the constants a and b, and the
+decomposition of phi T along the Frenet frame.
 
 For a unit-speed curve with tangent T, the contact angles are defined by
 eta_alpha(T) = cos(theta_alpha) constant.  Derived scalars:
@@ -26,7 +26,6 @@ __all__ = [
     "SlantProfile",
     "PhiTDecomposition",
     "contact_angles",
-    "nabla_phiT_check",
     "phiT_decomposition",
 ]
 
@@ -100,14 +99,6 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
     )
 
 
-def v_frame(profile: SlantProfile) -> np.ndarray:
-    """Frame components of V (xi_alpha slots carry cos theta_alpha)."""
-    params = profile.params
-    out = np.zeros(params.dim)
-    out[2 * params.m:] = profile.cos_thetas
-    return out
-
-
 def _nabla_phiT(trace: CurveTrace):
     """(T, phi T, nabla_T(phi T)) in frame components, exactly.
 
@@ -120,37 +111,6 @@ def _nabla_phiT(trace: CurveTrace):
     tf = tjet[0]
     phiT = phi_frame(params, tf)
     return tf, phiT, phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)
-
-
-def nabla_phiT_check(trace: CurveTrace, fd: FrenetData,
-                     profile: SlantProfile) -> dict:
-    """Residual of nabla_T(phi T) = (1-a) sum xi + b(-T + V) + k1 phi V2.
-
-    The left side is computed exactly from the trace derivatives (phi T in
-    frame components is algebraic in T, so its jet follows from T's jet);
-    the right side uses the measured k1 and V2.  A geodesic input is valid
-    (both sides reduce to the xi/V terms with k1 = 0) but is flagged.
-    """
-    params = trace.params
-    m = params.m
-    if trace.depth < 2:
-        raise ValueError("need gamma'' to differentiate phi T")
-    tf, _, lhs = _nabla_phiT(trace)
-
-    a, b = profile.a, profile.b
-    xibar = np.zeros(params.dim)
-    xibar[2 * m:] = 1.0
-    Vf = v_frame(profile)
-    geodesic = fd.order < 2
-    k1 = fd.padded_curvatures[0]
-    phiV2 = np.zeros_like(tf) if geodesic else phi_frame(params, fd.frames[1])
-    rhs = (1 - a) * xibar + b * (-tf + Vf) + k1[:, None] * phiV2
-    res = np.linalg.norm(lhs - rhs, axis=-1)
-    return {
-        "max_residual": float(np.max(res)),
-        "per_sample": res,
-        "geodesic": geodesic,
-    }
 
 
 # relative size below which a phi T projection counts as zero

@@ -26,14 +26,14 @@ Two constructions are provided.
 
 Builtins: a geodesic, a flat-slice circle, the f-biharmonic Legendre
 catenary, an order-3 proper f-biharmonic curve, and the classical R^6(-6)
-worked-example configuration (`builtin_example_r6`) together with its
-realizability analysis.
+worked-example configuration (`R6ExampleConfig`), whose realizability
+analysis is in `sspaceform.findings`.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,11 @@ __all__ = [
     "SlantSteeringError",
     "integrate_frenet_system",
     "steered_slant_curve",
-    "phiT_aligned_curve",
     "geodesic_trace",
     "flat_circle_trace",
     "legendre_catenary",
     "case2_order3_curve",
     "R6ExampleConfig",
-    "builtin_example_r6",
-    "r6_example_realizability",
 ]
 
 
@@ -400,63 +397,6 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
 # builtin traces
 # ---------------------------------------------------------------------------
 
-def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
-                       window=(-2.0, 2.0), step: float = 1e-3,
-                       p0=None) -> CurveTrace:
-    """Slant curve with phiT parallel V2 (the case III configuration).
-
-    Here the steering space degenerates: zeta' = q i zeta with
-    q = 2b + epsilon k1/sqrt(1-a), a pure phase rotation.  The second
-    curvature of the result obeys the structural identity
-    k2 = sqrt(a d^2 - a s + b^2 + 2 epsilon b d + s), d = k1/sqrt(1-a).
-    """
-    m, s = params.m, params.s
-    sv = np.cos(np.asarray(thetas, dtype=float))
-    if len(sv) != s:
-        raise ValueError(f"need {s} contact angles")
-    a = float(np.sum(sv ** 2))
-    b = float(np.sum(sv))
-    P = 1.0 - a
-    if P < 1e-12:
-        raise SynthesisError("a = 1 is the geodesic case")
-    if epsilon not in (-1, 1):
-        raise ValueError("epsilon must be +-1")
-    if p0 is None:
-        p0 = np.zeros(params.dim)
-    p0 = np.asarray(p0, dtype=float)
-
-    def rotation(times):
-        # q i per stage time; k1 is called on Python floats, as in
-        # `steered_slant_curve`
-        k = np.array([k1(t) for t in times.tolist()], dtype=float)
-        return (2.0 * b + epsilon * k / np.sqrt(P)) * 1j
-
-    two_sv = 2 * sv
-
-    def rhs(qi, st):
-        dz = qi * (st[0] + 1j * st[1])
-        out = np.zeros(2 + params.dim)
-        out[0], out[1] = dz.real, dz.imag
-        out[2] = 2 * st[1]                  # x_1' = 2 B_1
-        out[2 + m] = 2 * st[0]              # y_1' = 2 A_1
-        out[2 + 2 * m:] = two_sv + 2 * st[1] * st[2 + m]
-        return out
-
-    st0 = np.zeros(2 + params.dim)
-    st0[0] = np.sqrt(P)
-    st0[2:] = p0
-
-    ts, recs = _rk4_march(rhs, st0, 0.0, window, step, table=rotation)
-    points = recs[:, 2:]
-    vel_frame = np.zeros((len(ts), params.dim))
-    vel_frame[:, 0] = recs[:, 0]
-    vel_frame[:, params.m] = recs[:, 1]
-    vel_frame[:, 2 * params.m:] = sv
-    vels = frame_to_coords(params, vel_frame, points[:, params.m:2 * params.m])
-    derivs, stride = _derivative_stack(vels, step, 4)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
-
-
 def geodesic_trace(params: ModelParams, thetas=None, window=(-2.0, 2.0),
                    n: int = 1001) -> CurveTrace:
     """Integral curve of V = sum cos(theta_alpha) xi_alpha with a = 1.
@@ -536,19 +476,18 @@ def legendre_catenary(params: ModelParams, window=(-2.0, 2.0),
     return CurveTrace(params, ts, points, [d1, d2, d3, d4])
 
 
-def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3,
-                       c3: float = 4.0, c4: float = 0.0) -> CurveTrace:
+def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3) -> CurveTrace:
     """Order-3 proper f-biharmonic slant curve in R^6(-6), global in t.
 
     Contact angles (pi/3, 2pi/3) give a = 1/2, b = 0; with c2 = 1 =
     sqrt(a/(1-a)) and p2 = 0 the steering radicand vanishes identically and
     the third curvature vanishes, so the master equations hold with
-    f = c1 k1^(-3/2) for any k1 in the eps = 0 closed-form family.  The
-    default k1 = 1/(2+t^2) (c2 = 1, c3 = 4, c4 = 0).
+    f = c1 k1^(-3/2) for any k1 in the eps = 0 closed-form family; here
+    k1 = 4 c3/(c3^2 t^2 + 16 c2^2 + 16) = 1/(2+t^2) with c2 = 1, c3 = 4.
     """
     params = ModelParams(m=2, s=2)
-    denom0 = 16.0 + 16.0  # c2 = 1
-    k1 = lambda t: 4.0 * c3 / (c3 ** 2 * (t + c4) ** 2 + denom0)
+    c3 = 4.0
+    k1 = lambda t: 4.0 * c3 / (c3 ** 2 * t ** 2 + 32.0)
     return steered_slant_curve(params, (np.pi / 3, 2 * np.pi / 3), k1,
                                p2=0.0, c2=1.0, window=window, step=step)
 
@@ -557,24 +496,23 @@ def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3,
 # the classical R^6(-6) worked-example configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
 class R6ExampleConfig:
     """The classical R^6(-6) configuration: m = s = 2, theta = (pi/2, pi/3),
-    k1 = k2 from the eps = 0 closed-form family, k3 fixed by the constant
-    product k2 k3, g(phiT, V2) = sqrt(1-a) cos(beta) with cos^2(beta) = 1/18.
+    k1 = k2 = 4 c3/(c3^2 t^2 + 16 c2^2 + 16) from the eps = 0 closed-form
+    family, k3 fixed by the constant product k2 k3, g(phiT, V2) =
+    sqrt(1-a) cos(beta) with cos^2(beta) = 1/18, weight f = c1 k1^(-3/2).
 
-    The scalar data satisfies the constant-beta characterization exactly
-    (`constants_summary`), but is not realizable by an actual curve: see
-    `r6_example_realizability`.  cos(beta) is pinned to the negative branch,
-    the only one whose steering construction is real anywhere.
+    The scalar data satisfies the constant-beta characterization exactly,
+    but is not realizable by an actual curve: `sspaceform.findings`
+    measures both.  cos(beta) is pinned to the negative branch, the only
+    one whose steering construction is real anywhere.
     """
 
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 4.0
-    c4: float = 0.0
-    params: ModelParams = field(default_factory=lambda: ModelParams(m=2, s=2))
-    thetas: tuple = (np.pi / 2, np.pi / 3)
+    c1 = 1.0
+    c2 = 1.0
+    c3 = 4.0
+    params = ModelParams(m=2, s=2)
+    thetas = (np.pi / 2, np.pi / 3)
 
     @property
     def a(self) -> float:
@@ -593,9 +531,8 @@ class R6ExampleConfig:
         return float(np.sqrt(1.0 - self.a) * self.cos_beta)
 
     def k1(self, t):
-        c2, c3, c4 = self.c2, self.c3, self.c4
-        return 4.0 * c3 / (c3 ** 2 * np.asarray(t) ** 2 + 2 * c3 ** 2 * c4 * np.asarray(t)
-                           + c3 ** 2 * c4 ** 2 + 16 * c2 ** 2 + 16.0)
+        c2, c3 = self.c2, self.c3
+        return 4.0 * c3 / (c3 ** 2 * np.asarray(t) ** 2 + 16 * c2 ** 2 + 16.0)
 
     def k2(self, t):
         return self.c2 * self.k1(t)
@@ -609,28 +546,6 @@ class R6ExampleConfig:
     def k3(self, t):
         return self.k2k3_target / self.k2(t)
 
-    def f(self, t):
-        return self.c1 * self.k1(t) ** -1.5
-
-    def bracket(self) -> float:
-        c, s = self.params.c, self.params.s
-        return float(self.b ** 2
-                     + ((c + 3 * s + 3 * (c - s) * self.cos_beta ** 2) / 4.0)
-                     * (1.0 - self.a))
-
-    def constants_summary(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "one_minus_a": 1.0 - self.a,
-            "cos_beta": self.cos_beta,
-            "cos2_beta": self.cos_beta ** 2,
-            "bracket": self.bracket(),
-            "k2k3": self.k2k3_target,
-            "f_at_0": float(self.f(0.0)),
-            "k1_at_0": float(self.k1(0.0)),
-        }
-
     def feasible_abs_t(self) -> float:
         """Largest |t| where the steering radicand stays nonnegative."""
         P = 1.0 - self.a
@@ -640,9 +555,9 @@ class R6ExampleConfig:
         # radicand is A2 k^2 + B1 k + C0 with k = k1(t) decreasing in |t|
         disc = B1 ** 2 - 4 * A2 * C0
         kmin = (-B1 + np.sqrt(disc)) / (2 * A2)
-        # invert k1(t) = kmin (c4 = 0 default family)
+        # invert k1(t) = kmin
         val = 4 * self.c3 / kmin - 16 * self.c2 ** 2 - 16.0
-        return float(np.sqrt(max(val, 0.0)) / self.c3) if self.c4 == 0 else np.nan
+        return float(np.sqrt(max(val, 0.0)) / self.c3)
 
     def steering_trace(self, window=None, step: float = 1e-3,
                        branch: int = +1) -> CurveTrace:
@@ -676,60 +591,3 @@ class R6ExampleConfig:
         _orthonormalize(frame)
         return frame, small.points[i0]
 
-
-def builtin_example_r6(c1: float = 1.0, c2: float = 1.0, c3: float = 4.0,
-                       c4: float = 0.0) -> R6ExampleConfig:
-    """The classical worked-example configuration in R^6(-6)."""
-    return R6ExampleConfig(c1=c1, c2=c2, c3=c3, c4=c4)
-
-
-def r6_example_realizability(config: R6ExampleConfig | None = None,
-                             step: float = 1e-3) -> dict:
-    """Measured realizability analysis of the worked-example data.
-
-    Constructs the best-possible curves (both steering branches) on the
-    maximal window and reports: the feasible |t| bound, the measured k3
-    against the configured target, the g(phiT,V4) drift, and the slant
-    drift of the order-4 truncated Frenet run on [-2, 2].  The configured
-    scalar data is *not* the Frenet data of any actual curve: eta_1(V3) =
-    g(phiT,V2)/k2 exceeds the Cauchy-Schwarz bound for |t| > ~1.70, the
-    steering radicand is negative for |t| > ~1.54, and inside the window
-    the measured k3 disagrees with the target pointwise.
-    """
-    from .biharmonic import WeightFunction, check_conditions
-    from .slant import contact_angles
-
-    cfg = config or builtin_example_r6()
-    out = {"feasible_abs_t": cfg.feasible_abs_t(),
-           "k3_target_at_0": float(cfg.k3(0.0))}
-    # Cauchy-Schwarz bound: |eta_1(V3)| = |p2|/k2(t) <= 1  =>  k1 >= |p2|/c2
-    kbound = abs(cfg.p2) / cfg.c2
-    val = 4 * cfg.c3 / kbound - 16 * cfg.c2 ** 2 - 16.0
-    out["cauchy_schwarz_abs_t"] = float(np.sqrt(max(val, 0.0)) / cfg.c3)
-    branches = {}
-    for branch in (+1, -1):
-        trace = cfg.steering_trace(step=step, branch=branch)
-        fd = frenet_apparatus(trace, max_order=5)
-        prof = contact_angles(trace)
-        k1, k2, k3 = fd.padded_curvatures
-        sl = slice(10, trace.n - 10)
-        tgt = cfg.k3(trace.ts)
-        f = WeightFunction(ts=trace.ts, f=cfg.f(trace.ts),
-                           fp=np.gradient(cfg.f(trace.ts), trace.ts),
-                           fpp=np.gradient(np.gradient(cfg.f(trace.ts), trace.ts), trace.ts),
-                           c1=cfg.c1)
-        rep = check_conditions(trace, fd, prof, f)
-        branches[branch] = {
-            "k3_measured_at_0": float(k3[trace.n // 2]),
-            "k3_target_at_0": float(cfg.k3(0.0)),
-            "k3_max_relative_mismatch": float(np.max(np.abs(k3[sl] - tgt[sl]) / tgt[sl])),
-            "k2_over_k1_deviation": float(np.max(np.abs(k2[sl] / k1[sl] - cfg.c2))),
-            "slant_deviation": prof.constancy_deviation,
-            "eq4_residual": rep.residuals["eq4"],
-            "verdict": rep.verdict,
-        }
-    out["steering_branches"] = branches
-    out["conclusion"] = (
-        "no curve realizes the configured scalar data; the configuration "
-        "satisfies the constant-beta algebra but fails realizability")
-    return out

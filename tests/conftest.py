@@ -59,7 +59,7 @@ def case2_profile(case2_curve):
 
 @pytest.fixture(scope="session")
 def r6_config():
-    return synth.builtin_example_r6()
+    return synth.R6ExampleConfig()
 
 
 @pytest.fixture(scope="session")

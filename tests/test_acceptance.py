@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from sspaceform import cli, odesol, synth
-from sspaceform.biharmonic import (WeightFunction, case3_grid_scan,
-                                   check_conditions, tau2, tau3)
+from sspaceform import cli, findings, odesol, synth
+from sspaceform.biharmonic import WeightFunction, check_conditions, tau2, tau3
 from sspaceform.curve import fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams, curvature_frame, phi_frame
 from sspaceform.oracles import exact_model, nabla, structure_identities
@@ -132,9 +131,9 @@ def test_criterion_05_ode_cases_i_ii_and_oracle():
     """Literal (i)/(ii) formulas evaluated with real-domain status; RK4
     oracle 4th-order convergent (ratio 16 +- 3) and reproduces the
     constant solution for eps = +1 to < 1e-8."""
-    rep_i = odesol.real_domain_report(
+    rep_i = findings.real_domain_report(
         odesol.OdeSolutionSpec(1, 1.0, 1.0, 1.0, 0.0), window=(-2, 2), n=4001)
-    rep_ii = odesol.real_domain_report(
+    rep_ii = findings.real_domain_report(
         odesol.OdeSolutionSpec(-1, 1.0, 1.0, 2.0, 0.0), window=(-2, 2), n=4001)
     domains_reported = rep_i["nowhere_real"] and rep_ii["real_fraction"] < 1e-3
 
@@ -159,10 +158,9 @@ def test_criterion_05_ode_cases_i_ii_and_oracle():
 
 def test_criterion_06_example_constants():
     """Exact arithmetic of the worked-example constants, tolerance 1e-12."""
-    cfg = synth.builtin_example_r6()
-    s = cfg.constants_summary()
+    s = findings.r6_constants_summary()
     ts = np.linspace(-2, 2, 401)
-    f_dev = np.max(np.abs(cfg.f(ts) - (2 + ts ** 2) ** 1.5))
+    f_dev = np.max(np.abs(findings.r6_f(ts) - (2 + ts ** 2) ** 1.5))
     checks = {
         "a": abs(s["a"] - 0.25),
         "b": abs(s["b"] - 0.5),
@@ -193,7 +191,7 @@ def test_criterion_07_example_end_to_end():
     constancy < 1e-5, re-measured k1 rel err < 1e-3, all five master
     residuals < 1e-3, verdict proper-f-biharmonic, < 60 s."""
     t0 = time.time()
-    cfg = synth.builtin_example_r6()
+    cfg = synth.R6ExampleConfig()
     spec = cfg.synthesis_spec(window=(-2.0, 2.0), step=1e-3)
     trace, _ = synth.integrate_frenet_system(spec)
     fd = frenet_apparatus(trace, max_order=4)
@@ -244,7 +242,7 @@ def test_criterion_07_feasible_window_counterpart():
 def test_criterion_08_case3_nonexistence_grid():
     """10 x 10 grid of (a, b) with 0 < a < 1, both eps signs: every cell
     returns a contradiction branch."""
-    scan = case3_grid_scan(ModelParams(2, 2))
+    scan = findings.case3_grid_scan(ModelParams(2, 2))
     branches = {c["branch"] for c in scan["cells"]}
     report(8, scan["all_obstructed"] and scan["grid_shape"] == (10, 10, 2),
            f"cells={len(scan['cells'])}, branches seen={sorted(branches)}")

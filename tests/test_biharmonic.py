@@ -4,12 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sspaceform import odesol, synth
+from sspaceform import findings, odesol, synth
 from sspaceform.biharmonic import (WeightFunction, case1_case2_checker,
-                                   case3_grid_scan, case3_obstruction,
-                                   case4_checker, case4_mu, check_conditions,
-                                   classify_case, mainprop_residuals, tau2,
-                                   tau3)
+                                   case3_obstruction, case4_checker, case4_mu,
+                                   check_conditions, classify_case,
+                                   mainprop_residuals, tau2, tau3)
 from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
@@ -224,9 +223,9 @@ def test_classify_case_II(case2_curve, case2_fd, case2_profile):
 
 
 def test_classify_case_III(params22):
-    tr = synth.phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
-                                  lambda t: 0.3 + 0.05 * np.sin(t),
-                                  window=(-1, 1))
+    tr = findings.phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
+                                     lambda t: 0.3 + 0.05 * np.sin(t),
+                                     window=(-1, 1))
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
     label, detail = classify_case(phiT_decomposition(tr, fd, prof), prof,
@@ -354,7 +353,7 @@ def test_case3_obstruction_epsilon_guard():
 
 
 def test_case3_grid_scan_all_obstructed():
-    scan = case3_grid_scan(ModelParams(2, 2))
+    scan = findings.case3_grid_scan(ModelParams(2, 2))
     assert scan["all_obstructed"]
     assert scan["grid_shape"] == (10, 10, 2)
 
@@ -364,9 +363,9 @@ def test_case3_structural_k2_identity(params22):
     # k2 = sqrt(a d^2 - a s + b^2 + 2 eps b d + s) with d = k1/sqrt(1-a)
     thetas = (np.pi / 3, np.pi / 2)
     eps = +1
-    tr = synth.phiT_aligned_curve(params22, thetas,
-                                  lambda t: 0.3 + 0.1 * np.sin(t),
-                                  epsilon=eps, window=(-1.5, 1.5))
+    tr = findings.phiT_aligned_curve(params22, thetas,
+                                     lambda t: 0.3 + 0.1 * np.sin(t),
+                                     epsilon=eps, window=(-1.5, 1.5))
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
     a, b, s = prof.a, prof.b, params22.s

@@ -337,6 +337,54 @@ def test_ode_nonfinite_range_exit_2(rng, capsys):
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+@pytest.mark.parametrize("builtin, window", [
+    ("catenary", "a:b"), ("r6-example", "1:2"), ("case2-order3", "1:2"),
+], ids=["unparsable", "r6-example-without-0", "case2-order3-without-0"])
+def test_synth_bad_window_exit_2(builtin, window, tmp_path, capsys):
+    # each used to end in a ValueError traceback with exit 1, the
+    # verdict-mismatch code
+    out = tmp_path / "x.csv"
+    assert cli.main(["synth", "--builtin", builtin, "--out", str(out),
+                     f"--window={window}"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_nonfinite_or_nonpositive_tolerance_exit_2(value, tmp_path,
+                                                          capsys):
+    # nan used to reach the report as "eq_tol": NaN (not JSON) with exit 0
+    cfg = write_config(tmp_path / "c.ini", f"""
+[manifold]
+m = 2
+s = 2
+
+[curve]
+source = builtin:catenary
+window = -1:1
+
+[tolerances]
+eq = {value}
+""")
+    rep = tmp_path / "r.json"
+    assert cli.main(["verify", "--config", cfg, "--report", str(rep)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_ode_nonfinite_or_nonpositive_tol_exit_2(value, capsys):
+    # these used to be compared with the residual: exit 3 for nan, 0 and
+    # -1 on a residual of 8.7e-18, and any residual passed inf
+    assert cli.main(["ode", "--case", "iii", "--c2", "1", "--c3", "4",
+                     "--range=-2:2:0.01", f"--tol={value}"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
 # ---------------------------------------------------------------------------
 # additional source/weight paths
 # ---------------------------------------------------------------------------
@@ -625,8 +673,9 @@ def test_ode_csv_bytes_match_csv_writer(case, eps, lam, c3, tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate is most of the import time of a cold CLI run; only
-    # case4_mu needs it and imports it itself.  sympy and the exact model
-    # in sspaceform.oracles are for tests and demos only.
+    # case4_mu needs it and imports it itself.  sympy, the exact model in
+    # sspaceform.oracles and the analyses in sspaceform.findings are for
+    # tests and demos only.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -634,7 +683,7 @@ def test_cli_import_leaves_scipy_unloaded():
     for module in ("sspaceform", "sspaceform.cli"):
         code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('scipy', 'sympy') "
-                "or m == 'sspaceform.oracles'))")
+                "or m in ('sspaceform.oracles', 'sspaceform.findings')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)

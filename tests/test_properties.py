@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sspaceform import synth
+from sspaceform import findings, synth
 from sspaceform.biharmonic import check_conditions, classify_case
 from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams, connection_term
@@ -109,9 +109,9 @@ def test_xz_translated_start_point_synthesizes_the_same_curve(dx, dz):
 @pytest.fixture(scope="module")
 def classified(catenary, catenary_fd, case2_curve, case2_fd, r6_steered,
                r6_steered_fd, params22):
-    aligned = synth.phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
-                                       lambda t: 0.3 + 0.05 * np.sin(t),
-                                       window=(-1, 1))
+    aligned = findings.phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
+                                          lambda t: 0.3 + 0.05 * np.sin(t),
+                                          window=(-1, 1))
     cases = [(catenary, catenary_fd), (case2_curve, case2_fd),
              (r6_steered, r6_steered_fd), (aligned, frenet_apparatus(aligned))]
     out = []

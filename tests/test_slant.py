@@ -7,9 +7,10 @@ import pytest
 
 from sspaceform import synth
 from sspaceform.curve import CurveTrace, frenet_apparatus
+from sspaceform.findings import (nabla_phiT_check, phiT_aligned_curve,
+                                 v_frame)
 from sspaceform.manifold import ModelParams, frame_to_coords
-from sspaceform.slant import (contact_angles, nabla_phiT_check,
-                              phiT_decomposition, v_frame)
+from sspaceform.slant import contact_angles, phiT_decomposition
 
 
 def slant_field_V(profile, y):
@@ -51,7 +52,7 @@ def test_r6_steered_angles(r6_steered):
 def test_non_slant_flagged(params22):
     # order-4 truncated run of the r6 data drifts off slant and must be
     # flagged at the default analytic tolerance
-    cfg = synth.builtin_example_r6()
+    cfg = synth.R6ExampleConfig()
     trace, _ = synth.integrate_frenet_system(
         cfg.synthesis_spec(window=(-1.5, 1.5), step=2e-3))
     prof = contact_angles(trace, tolerance=1e-5)
@@ -136,9 +137,9 @@ def test_phiT_decomposition_r6(r6_steered, r6_steered_fd):
 
 def test_phiT_decomposition_case3_alignment(params22):
     # phiT parallel V2: g(phiT, V2) = eps sqrt(1-a), beta in {0, pi}
-    tr = synth.phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
-                                  lambda t: 0.25 + 0.05 * np.sin(t),
-                                  epsilon=+1, window=(-1.5, 1.5))
+    tr = phiT_aligned_curve(params22, (np.pi / 3, np.pi / 2),
+                            lambda t: 0.25 + 0.05 * np.sin(t),
+                            epsilon=+1, window=(-1.5, 1.5))
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
     assert prof.is_slant

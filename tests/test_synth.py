@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sspaceform import synth
+from sspaceform import findings, synth
 from sspaceform.curve import CurveTrace, frenet_apparatus, unit_speed_check
 from sspaceform.manifold import (ModelParams, connection_term, frame_to_coords,
                                  phi_frame)
@@ -180,7 +180,7 @@ def test_steering_calls_k1_once_per_stage_time(params22):
 
 
 def test_steering_window_guard():
-    cfg = synth.builtin_example_r6()
+    cfg = synth.R6ExampleConfig()
     with pytest.raises(synth.SlantSteeringError) as err:
         cfg.steering_trace(window=(-2.0, 2.0))
     assert err.value.feasible_abs_t == pytest.approx(1.539, abs=2e-3)
@@ -232,14 +232,14 @@ def test_case2_curve_is_global():
 
 def test_r6_constants_exact(r6_config):
     cfg = r6_config
-    summary = cfg.constants_summary()
+    summary = findings.r6_constants_summary()
     assert summary["a"] == pytest.approx(0.25, abs=1e-12)
     assert summary["b"] == pytest.approx(0.5, abs=1e-12)
     assert summary["cos2_beta"] == pytest.approx(1.0 / 18.0, abs=1e-12)
     assert abs(summary["bracket"]) < 1e-12
     assert summary["k2k3"] == pytest.approx(np.sqrt(17) / 4.0, abs=1e-12)
     ts = np.linspace(-2, 2, 101)
-    assert np.max(np.abs(cfg.f(ts) - (2 + ts ** 2) ** 1.5)) < 1e-12
+    assert np.max(np.abs(findings.r6_f(ts) - (2 + ts ** 2) ** 1.5)) < 1e-12
     assert np.max(np.abs(cfg.k1(ts) - 1.0 / (2 + ts ** 2))) < 1e-14
     assert np.max(np.abs(cfg.k3(ts) - np.sqrt(17) / 4 * (2 + ts ** 2))) < 1e-12
 
@@ -298,8 +298,8 @@ def test_r6_truncated_order4_k4_vanishes_by_construction(r6_config):
     assert np.max(k4) < 1e-3
 
 
-def test_r6_realizability_report(r6_config):
-    rep = synth.r6_example_realizability(r6_config, step=2e-3)
+def test_r6_realizability_report():
+    rep = findings.r6_example_realizability(step=2e-3)
     assert rep["feasible_abs_t"] == pytest.approx(1.5391, abs=1e-3)
     assert rep["cauchy_schwarz_abs_t"] == pytest.approx(1.7026, abs=1e-3)
     for branch in (1, -1):
@@ -738,7 +738,7 @@ def test_phiT_aligned_matches_per_stage_oracle(params22):
                   k1=lambda t: 0.3 + 0.05 * np.sin(t), epsilon=-1,
                   window=(-1.0, 1.5), step=1e-3,
                   p0=[0.1, 0.0, -0.7, 0.2, 0.0, 0.3])
-    got = synth.phiT_aligned_curve(params22, **kwargs)
+    got = findings.phiT_aligned_curve(params22, **kwargs)
     assert_same_trace(got, oracle_phiT_aligned(params22, **kwargs))
 
 

@@ -1,4 +1,5 @@
-"""One sha256 per output file of the sspaceform CLI, optionally against a parent.
+"""One sha256 per output file of the sspaceform CLI and per demo stdout,
+optionally against a parent.
 
     python3 tools/output_digests.py [--parent REV]
 
@@ -14,10 +15,15 @@ depend on where the checkout lives:
 - `ode --out` for case (iii) and for the nowhere-real case (i) and (ii)
   grids.
 
-It prints one line per file, `<sha256>  <file>`, and one line per
-command, `<exit code>  exit <arguments>`.  With `--parent REV` it runs the same
-commands on a `git archive` of REV extracted into a temporary directory,
-prints the lines that differ and exits 1 if any file or exit code does.
+Then it runs each `demos/*.py` of the checkout in the same directory and
+with the same PYTHONPATH.
+
+It prints one line per file, `<sha256>  <file>`, one line per demo,
+`<sha256>  <demo> stdout`, and one line per command or demo,
+`<exit code>  exit <arguments>` or `<exit code>  exit <demo>`.  With
+`--parent REV` it runs the same commands, and the demos of REV, on a
+`git archive` of REV extracted into a temporary directory, prints the
+lines that differ and exits 1 if any file, demo stdout or exit code does.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ ODE = {
     "ii": ["--case", "ii", "--lambda", "1", "--c2", "1", "--c3", "1",
            "--range", "-1:1:1e-3"],
 }
-# one command must not run longer than this
+# one command or demo must not run longer than this
 TIMEOUT_S = 300
 
 
@@ -75,8 +81,9 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
 
 
 def digests(root: str) -> dict[str, str]:
-    """Run every command with `root`/src first on PYTHONPATH; return one
-    line per output file (its sha256) and per command (its exit code)."""
+    """Run every command and every demo of `root` with `root`/src first on
+    PYTHONPATH; return one line per output file and demo stdout (its
+    sha256) and per command and demo (its exit code)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")]
@@ -91,6 +98,15 @@ def digests(root: str) -> dict[str, str]:
                 [sys.executable, "-m", "sspaceform.cli", *argv], cwd=work,
                 env=env, capture_output=True, timeout=TIMEOUT_S)
             result[f"exit {' '.join(argv)}"] = str(proc.returncode)
+        demos = os.path.join(root, "demos")
+        for name in sorted(os.listdir(demos)):
+            if not name.endswith(".py"):
+                continue
+            proc = subprocess.run(
+                [sys.executable, os.path.join(demos, name)], cwd=work,
+                env=env, capture_output=True, timeout=TIMEOUT_S)
+            result[f"{name} stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+            result[f"exit {name}"] = str(proc.returncode)
         for name in sorted(os.listdir(work)):
             if name.endswith(".ini"):
                 continue
