@@ -7,8 +7,12 @@ ode: evaluate a closed-form candidate of the governing ODE and emit
 (t, y, residual, domain_flag) CSV.
 
 Exit codes: 0 success (and verdict matches the expectation, if one is
-configured); 1 verdict mismatch; 2 configuration error; 3 numerical
-failure (degeneracy, pole, integrator failure, nowhere-real closed form).
+configured); 1 verdict mismatch; 2 configuration error (including a config
+file that does not parse, an output path that cannot be written and an
+unknown expected verdict); 3 numerical failure (degeneracy, pole,
+integrator failure, nowhere-real closed form).  Each subcommand only
+raises; `_exit_policy` alone maps what it raises to exit 2 or 3 with one
+stderr line.
 
 Config files are flat INI (configparser); see the README for the schema.
 Reports are deterministic: fixed float formatting, sorted keys, no
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -51,9 +57,39 @@ TOL_PROFILES = {
 BUILTIN_CURVES = ("catenary", "circle", "geodesic", "case2-order3",
                   "r6-example", "r6-steered")
 
+# the values of --expect and [expect] verdict: "any" or a report verdict
+VERDICTS = ("any", "proper-f-biharmonic", "biharmonic", "harmonic/geodesic",
+            "none")
+
 
 class ConfigError(Exception):
     pass
+
+
+def _exit_policy(entry):
+    """Run a subcommand, mapping the errors it raises to exit 2 or 3.
+
+    This is the one place that turns an exception into an exit code, with
+    one stderr line.  Any other exception is a programming error and keeps
+    its traceback.
+    """
+    @functools.wraps(entry)
+    def run(*args, **kwargs) -> int:
+        try:
+            return entry(*args, **kwargs)
+        except (ConfigError, ValueError, OSError, configparser.Error) as exc:
+            print(f"config error: {_one_line(exc)}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (synth.SynthesisError, FloatingPointError) as exc:
+            print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    return run
+
+
+def _one_line(exc: Exception) -> str:
+    # configparser's parse errors quote the offending line on lines of
+    # their own
+    return " ".join(str(exc).splitlines())
 
 
 def _json_default(obj):
@@ -193,28 +229,23 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
                               fpp=spline(ts, 2))
 
 
+@_exit_policy
 def run_verify(config_path: str, report_path=None, csv_path=None,
                expect=None) -> int:
     cp = configparser.ConfigParser()
-    read = cp.read(config_path)
-    if not read:
-        print(f"error: cannot read config {config_path!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        m = cp.getint("manifold", "m", fallback=2)
-        s = cp.getint("manifold", "s", fallback=2)
-        if m < 1 or s < 1:
-            raise ConfigError(f"invalid manifold dimensions m={m}, s={s}")
-        params = ModelParams(m=m, s=s)
-        tol = _tolerances(cp)
-        trace, k1_callable = _build_trace(params, cp)
-        expected = expect or cp.get("expect", "verdict", fallback="any")
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if not cp.read(config_path):
+        raise ConfigError(f"cannot read config {config_path!r}")
+    m = cp.getint("manifold", "m", fallback=2)
+    s = cp.getint("manifold", "s", fallback=2)
+    if m < 1 or s < 1:
+        raise ConfigError(f"invalid manifold dimensions m={m}, s={s}")
+    params = ModelParams(m=m, s=s)
+    tol = _tolerances(cp)
+    expected = expect or cp.get("expect", "verdict", fallback="any")
+    if expected not in VERDICTS:
+        raise ConfigError(f"unknown expected verdict {expected!r} "
+                          f"(choose from {VERDICTS})")
+    trace, k1_callable = _build_trace(params, cp)
     return _verify_trace(cp, params, tol, trace, k1_callable, expected,
                          report_path, csv_path)
 
@@ -222,20 +253,12 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
 def _verify_trace(cp, params, tol, trace, k1_callable, expected,
                   report_path=None, csv_path=None) -> int:
     """Run the pipeline on a built trace; write the report (and CSV)."""
-    try:
-        seed = cp.getint("curve", "seed", fallback=0)
-        fd = frenet_apparatus(trace)
-        profile = contact_angles(trace, tolerance=tol["slant"])
-        weight = _build_weight(trace, fd, k1_callable, cp)
-        report = bih.check_conditions(trace, fd, profile, weight,
-                                      eq_tol=tol["eq"])
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (synth.SynthesisError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    seed = cp.getint("curve", "seed", fallback=0)
+    fd = frenet_apparatus(trace)
+    profile = contact_angles(trace, tolerance=tol["slant"])
+    weight = _build_weight(trace, fd, k1_callable, cp)
+    report = bih.check_conditions(trace, fd, profile, weight,
+                                  eq_tol=tol["eq"])
     payload = {
         "tool": "sspaceform",
         "version": __version__,
@@ -298,12 +321,9 @@ def _write_verify_csv(path, trace, fd, profile, report) -> None:
     write_csv(path, header, np.column_stack(columns))
 
 
+@_exit_policy
 def run_synth(builtin: str, out_path: str, window: str | None, step: float,
               verify: bool, report_path=None) -> int:
-    if builtin not in BUILTIN_CURVES:
-        print(f"config error: unknown builtin {builtin!r} "
-              f"(choose from {BUILTIN_CURVES})", file=sys.stderr)
-        return EXIT_CONFIG
     cp = configparser.ConfigParser()
     cp.add_section("manifold")
     cp.set("manifold", "m", "2")
@@ -313,66 +333,42 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     if window:
         cp.set("curve", "window", window)
     cp.set("curve", "step", repr(step))
-    try:
-        params = ModelParams(m=2, s=2)
-        trace, k1_callable = _build_trace(params, cp)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (synth.SynthesisError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    params = ModelParams(m=2, s=2)
+    trace, k1_callable = _build_trace(params, cp)
     trace.to_csv(out_path)
     print(f"wrote {trace.n} samples to {out_path}")
     if not verify:
         return EXIT_OK
-    try:
-        tol = _tolerances(cp)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    tol = _tolerances(cp)
     return _verify_trace(cp, params, tol, trace, k1_callable, "any",
                          report_path)
 
 
+@_exit_policy
 def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
             rng: str, out_path=None, tol: float | None = None) -> int:
-    try:
-        parts = [float(x) for x in rng.split(":")]
-        if (len(parts) != 3 or not all(map(math.isfinite, parts))
-                or parts[1] <= parts[0] or parts[2] <= 0):
-            raise ValueError
-    except ValueError:
-        print(f"config error: --range must be 'lo:hi:step' with finite "
-              f"lo < hi and step > 0, got {rng!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    lo, hi, h = parts
+    lo = hi = h = math.nan      # a range that does not parse is refused below
+    with contextlib.suppress(ValueError):
+        lo, hi, h = map(float, rng.split(":"))
+    if not (all(map(math.isfinite, (lo, hi, h))) and hi > lo and h > 0):
+        raise ConfigError(f"--range must be 'lo:hi:step' with finite "
+                          f"lo < hi and step > 0, got {rng!r}")
     eps = {"i": 1, "ii": -1, "iii": 0}.get(case)
     if eps is None:
-        print(f"config error: --case must be i, ii or iii", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--case must be i, ii or iii")
     if tol is None:
         tol = _tolerances(None)["ode"]
     elif not (math.isfinite(tol) and tol > 0):
-        print(f"config error: --tol must be positive and finite, got {tol!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if eps != 0 and lam <= 0:
-            print("config error: cases (i)/(ii) need --lambda > 0",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam if eps else 0.0,
-                                      c2=c2, c3=c3, c4=c4)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--tol must be positive and finite, got {tol!r}")
+    if eps != 0 and lam <= 0:
+        raise ConfigError("cases (i)/(ii) need --lambda > 0")
+    spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam if eps else 0.0,
+                                  c2=c2, c3=c3, c4=c4)
     ts = np.arange(lo, hi + h / 2, h)
     y, ok = odesol.k1_closed_form(spec, ts)
     if spec.case == "iii" and abs(c3) < 1e-14:
-        print("numerical failure: case (iii) with c3 = 0 degenerates to "
-              "y = 0 (not a positive curvature)", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise FloatingPointError("case (iii) with c3 = 0 degenerates to "
+                                 "y = 0 (not a positive curvature)")
     # cases (i)/(ii) are real at isolated samples at most (N <= 0), where
     # no residual can be differenced: their residual column stays NaN
     residual = np.full_like(ts, np.nan)
@@ -389,11 +385,10 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         print(f"wrote {len(ts)} samples to {out_path}")
     frac = float(np.mean(ok))
     if frac == 0.0:
-        print(f"numerical failure: the literal case ({case}) formula is "
-              "nowhere real on the range (its N term is nonpositive for all "
-              "real arguments; use the RK4 oracle for this regime)",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise FloatingPointError(
+            f"the literal case ({case}) formula is nowhere real on the range "
+            "(its N term is nonpositive for all real arguments; use the RK4 "
+            "oracle for this regime)")
     finite = np.isfinite(residual)
     max_res = float(np.max(residual[finite])) if np.any(finite) else np.inf
     print(f"real fraction {frac:.3f}, max residual on real subdomain "

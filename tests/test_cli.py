@@ -1,4 +1,5 @@
 """CLI subcommands: exit codes, determinism, report and CSV schemas."""
+import configparser
 import csv
 import json
 import os
@@ -200,11 +201,19 @@ def test_synth_coarse_step_exit_3(tmp_path):
     assert code == cli.EXIT_NUMERICAL
 
 
-def test_synth_steering_window_exit_3(tmp_path):
-    # r6-steered on a window beyond the feasibility bound
-    code = cli.main(["synth", "--builtin", "case2-order3",
-                     "--out", str(tmp_path / "x.csv"), "--window", "0:1"])
-    assert code == cli.EXIT_CONFIG or code == cli.EXIT_OK  # window contains 0
+def test_synth_window_is_kept_except_by_r6_steered(tmp_path):
+    out = tmp_path / "c2.csv"
+    assert cli.main(["synth", "--builtin", "case2-order3", "--out", str(out),
+                     "--window", "0:1"]) == cli.EXIT_OK
+    ts = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+    assert (len(ts), ts[0], ts[-1]) == (1001, 0.0, 1.0)
+    # r6-steered always builds on +-0.95 of its feasible bound, whatever
+    # window it is given
+    out = tmp_path / "steered.csv"
+    assert cli.main(["synth", "--builtin", "r6-steered", "--out", str(out),
+                     "--window=5:9"]) == cli.EXIT_OK
+    ts = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+    assert (len(ts), ts[0], ts[-1]) == (2925, -1.462, 1.462)
     code = cli.main(["synth", "--builtin", "geodesic",
                      "--out", str(tmp_path / "g.csv"), "--verify"])
     assert code == cli.EXIT_OK
@@ -383,6 +392,96 @@ def test_ode_nonfinite_or_nonpositive_tol_exit_2(value, capsys):
                      "--range=-2:2:0.01", f"--tol={value}"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("body, code, prefix", [
+    ("[manifold]\nm = 2\ns = 2\n\n[curve]\nsource = builtin:r6-example\n"
+     "step = 0.2\n", cli.EXIT_NUMERICAL, "numerical failure:"),
+    ("m = 2\ns = 2\n", cli.EXIT_CONFIG, "config error:"),
+    ("[manifold]\nm = 2\nm = 3\n", cli.EXIT_CONFIG, "config error:"),
+], ids=["r6-example-drift-guard", "no-section-header", "duplicate-option"])
+def test_verify_config_failure_exit_2_or_3(body, code, prefix, tmp_path,
+                                           capsys):
+    # each used to end in a traceback with exit 1, the verdict-mismatch code
+    # (SynthesisError, MissingSectionHeaderError, DuplicateOptionError)
+    cfg = write_config(tmp_path / "c.ini", body)
+    assert cli.main(["verify", "--config", cfg]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "{cfg}", "--report", "{bad}"],
+    ["verify", "--config", "{cfg}", "--report", "{ok}", "--csv", "{bad}"],
+    ["synth", "--builtin", "catenary", "--window=-1:1", "--out", "{bad}"],
+    ["ode", "--case", "iii", "--c3", "4", "--range=-1:1:0.01", "--out",
+     "{bad}"],
+], ids=["verify-report", "verify-csv", "synth-out", "ode-out"])
+def test_unwritable_output_path_exit_2(argv, tmp_path, capsys):
+    # each used to end in a FileNotFoundError traceback with exit 1
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    paths = {"cfg": cfg, "bad": str(tmp_path / "no-such-dir" / "out"),
+             "ok": str(tmp_path / "r.json")}
+    assert cli.main([a.format(**paths) for a in argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_verify_unknown_expected_verdict_exit_2(where, tmp_path, capsys,
+                                                monkeypatch):
+    # a typo used to run the whole pipeline, then exit 1 "verdict mismatch"
+    builds = _count_calls(monkeypatch, synth, "legendre_catenary")
+    expect = "\n[expect]\nverdict = proper-f-biharmonc\n"
+    cfg = write_config(tmp_path / "c.ini", CATENARY_CFG.split("[expect]")[0]
+                       + (expect if where == "config" else ""))
+    argv = ["verify", "--config", cfg]
+    if where == "flag":
+        argv += ["--expect", "proper-f-biharmonc"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert builds == []
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (cli.ConfigError, cli.EXIT_CONFIG, "config error:"),
+    (ValueError, cli.EXIT_CONFIG, "config error:"),
+    (OSError, cli.EXIT_CONFIG, "config error:"),
+    (configparser.Error, cli.EXIT_CONFIG, "config error:"),
+    (synth.SynthesisError, cli.EXIT_NUMERICAL, "numerical failure:"),
+    (FloatingPointError, cli.EXIT_NUMERICAL, "numerical failure:"),
+], ids=["ConfigError", "ValueError", "OSError", "configparser.Error",
+        "SynthesisError", "FloatingPointError"])
+@pytest.mark.parametrize("entry", ["verify", "synth", "ode"])
+def test_exit_policy_maps_each_error_class(entry, exc, code, prefix,
+                                           catenary_cfg, tmp_path,
+                                           monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc("first line\nsecond line")
+
+    if entry == "ode":
+        monkeypatch.setattr(odesol, "k1_closed_form", fail)
+        rc = cli.run_ode("iii", 1.0, 4.0, 0.0, 0.0, "-1:1:0.1")
+    else:
+        monkeypatch.setattr(cli, "_build_trace", fail)
+        rc = (cli.run_verify(catenary_cfg) if entry == "verify" else
+              cli.run_synth("catenary", str(tmp_path / "x.csv"), None, 1e-3,
+                            False))
+    assert rc == code
+    assert capsys.readouterr().err.splitlines() == [
+        f"{prefix} first line second line"]
+
+
+def test_exit_policy_keeps_the_traceback_of_a_programming_error(
+        catenary_cfg, monkeypatch):
+    def fail(*args, **kwargs):
+        raise TypeError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli, "_build_trace", fail)
+    with pytest.raises(TypeError):
+        cli.run_verify(catenary_cfg)
 
 
 # ---------------------------------------------------------------------------

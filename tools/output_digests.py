@@ -13,7 +13,12 @@ depend on where the checkout lives:
 - `synth --out` and `synth --verify --report` for r6-example (-0.5:0.5),
   case2-order3 and r6-steered;
 - `ode --out` for case (iii) and for the nowhere-real case (i) and (ii)
-  grids.
+  grids;
+- inputs the CLI must refuse with exit 2 or 3: a verify config whose
+  r6-example march trips the drift guard, one without a section header,
+  one that repeats an option, an unknown `--expect` verdict, and an output
+  path in a directory that does not exist for `verify --report`,
+  `verify --csv`, `synth --out` and `ode --out`.
 
 Then it runs each `demos/*.py` of the checkout in the same directory and
 with the same PYTHONPATH.
@@ -49,6 +54,13 @@ ODE = {
     "ii": ["--case", "ii", "--lambda", "1", "--c2", "1", "--c3", "1",
            "--range", "-1:1:1e-3"],
 }
+REFUSED_CONFIGS = {
+    "refuse-drift-guard.ini": "[manifold]\nm = 2\ns = 2\n[curve]\n"
+                              "source = builtin:r6-example\nstep = 0.2\n",
+    "refuse-no-section-header.ini": "m = 2\n",
+    "refuse-duplicate-option.ini": "[manifold]\nm = 2\nm = 3\n",
+}
+UNWRITABLE = "no-such-dir/out"
 # one command or demo must not run longer than this
 TIMEOUT_S = 300
 
@@ -77,6 +89,15 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
                     {f"{stem}.ini": "\n".join(lines) + "\n"}))
     for case, args in ODE.items():
         out.append((["ode", *args, "--out", f"ode-{case}.csv"], {}))
+    for name, text in REFUSED_CONFIGS.items():
+        out.append((["verify", "--config", name], {name: text}))
+    catenary = ["verify", "--config", "verify-builtin-catenary.ini"]
+    out += [(argv, {}) for argv in (
+        catenary + ["--expect", "proper-f-biharmonc"],
+        catenary + ["--report", UNWRITABLE],
+        catenary + ["--report", "refuse-csv.json", "--csv", UNWRITABLE],
+        ["synth", "--builtin", "catenary", "--out", UNWRITABLE],
+        ["ode", *ODE["iii"], "--out", UNWRITABLE])]
     return out
 
 
