@@ -255,13 +255,6 @@ GEODESIC_K1 = 1e-9
 EQUATIONS = ("eq1", "eq2", "eq3", "eq4", "gphiT")   # the five master equations
 
 
-def _interior(trace: CurveTrace) -> slice:
-    """Rows kept after dropping 2 + 3 * fd_stride at each end, where the
-    measured curvatures carry the one-sided stencils of `fd_derivative`."""
-    trim = 2 + 3 * trace.fd_stride
-    return slice(trim, trace.n - trim) if trace.n > 2 * trim else slice(None)
-
-
 def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                      f: WeightFunction, eq_tol: float = 1e-3) -> BiharmonicReport:
     """Evaluate the five master-equation residuals and classify the verdict.
@@ -270,9 +263,9 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     f-biharmonic for this f; 'proper-f-biharmonic' additionally requires f
     non-constant (relative variation > 1e-8), constant f gives 'biharmonic'.
     A geodesic (k1 below threshold everywhere) is 'harmonic/geodesic'.
-    Residuals are maxed over the window with 2 + 3 * trace.fd_stride
-    samples dropped at each end (finite-difference edge effects of the
-    measured curvatures).  tau3_norm is reported only when the chain
+    Residuals are maxed over `trace.interior`, which drops the
+    finite-difference edge band of the measured curvatures at each end
+    (`CurveTrace.interior`).  tau3_norm is reported only when the chain
     reaches TAU2_CHAIN_LEVELS.
     """
     params = trace.params
@@ -299,7 +292,7 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                                 details={"reason": "k1 below geodesic threshold"},
                                 per_sample=per_sample, decomposition=dec)
 
-    sl = _interior(trace)
+    sl = trace.interior
     residuals = {k: float(np.max(np.abs(per_sample[k][sl]))) for k in EQUATIONS}
     case = classify_case(dec, profile, params)
     details = {"case_detail": case[1], "slant": profile.is_slant,
@@ -545,7 +538,7 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     params = trace.params
     c, s = params.c, params.s
     one_minus_a = 1.0 - profile.a
-    sl = _interior(trace)
+    sl = trace.interior
     ts = trace.ts[sl]
     k1, k2, k3 = (arr[sl] for arr in fd.padded_curvatures)
     k1p, k1pp, _ = (arr[sl] for arr in fd.curvature_jet)

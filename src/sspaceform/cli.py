@@ -92,16 +92,8 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).splitlines())
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _config_hash(cp: configparser.ConfigParser) -> str:
@@ -205,7 +197,7 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
             k1 = np.asarray(k1_callable(ts), dtype=float)
             k1p = fd_derivative(k1, trace.step)
             k1pp = fd_derivative(k1p, trace.step)
-        if np.all(k1 < 1e-9):
+        if np.all(k1 < bih.GEODESIC_K1):
             # geodesic: f = c1 k1^(-3/2) is undefined and irrelevant
             # (every tension term carries k1); use a constant weight
             return bih.WeightFunction.constant(ts, c1)
@@ -217,6 +209,10 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(section["csv"], delimiter=",", skiprows=1,
                           usecols=(0, 1), ndmin=2)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise FloatingPointError(
+            f"non-finite t or f in data row {bad[0]} of the [weight] csv")
     if len(data) < 2:
         raise ConfigError("[weight] csv needs at least two rows of t,f")
     if data[0, 0] > ts[0] or data[-1, 0] < ts[-1]:
@@ -334,12 +330,12 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
         cp.set("curve", "window", window)
     cp.set("curve", "step", repr(step))
     params = ModelParams(m=2, s=2)
+    tol = _tolerances(cp) if verify else None
     trace, k1_callable = _build_trace(params, cp)
     trace.to_csv(out_path)
     print(f"wrote {trace.n} samples to {out_path}")
     if not verify:
         return EXIT_OK
-    tol = _tolerances(cp)
     return _verify_trace(cp, params, tol, trace, k1_callable, "any",
                          report_path)
 
@@ -393,7 +389,10 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
     max_res = float(np.max(residual[finite])) if np.any(finite) else np.inf
     print(f"real fraction {frac:.3f}, max residual on real subdomain "
           f"{max_res:.3e} (tolerance {tol:g})")
-    return EXIT_OK if max_res < tol else EXIT_NUMERICAL
+    if not max_res < tol:
+        raise FloatingPointError(f"max residual {max_res:.3e} is not below "
+                                 f"the tolerance {tol:g}")
+    return EXIT_OK
 
 
 _RANGE_FLAGS = ("--range", "--window")

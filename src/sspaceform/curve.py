@@ -74,6 +74,14 @@ def fd_derivative(arr: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
     return out
 
 
+def _chained_derivatives(arr, h: float, count: int, stride: int = 1) -> list:
+    """[arr, arr', ..., arr^(count)] by chained `fd_derivative`."""
+    out = [arr]
+    for _ in range(count):
+        out.append(fd_derivative(out[-1], h, stride=stride))
+    return out
+
+
 def uniform_step(ts: np.ndarray, who: str) -> float:
     """The step of a uniform grid, its first difference exactly; ValueError
     naming `who` if the grid is not uniform or has fewer than two samples."""
@@ -121,13 +129,14 @@ class CurveTrace:
     The grid must be uniform, as every 4th-order stencil downstream
     assumes: `step` is derived once from ts with `uniform_step` when the
     trace is built, and a non-uniform grid or one with fewer than two
-    samples raises ValueError.  `fd_stride` is the differencing stride the
-    deep derivatives were taken with (synthesized traces difference the
-    velocity at an effective step near 0.005); the residual edge trim of
-    `check_conditions` follows it.  `sampled` marks traces whose
-    derivatives were all differenced from positions (`from_positions`);
-    they get the looser unit-speed and slant tolerances.  A non-finite
-    value raises FloatingPointError naming its row.
+    samples raises ValueError.  The deep derivatives come from one of two
+    builders: `from_velocity` differences an exact velocity with a stride
+    it picks and records in `fd_stride`, and `from_positions` differences
+    sampled positions with stride 1.  `interior` is the residual edge band
+    that the stride sets.  `sampled` marks traces whose derivatives were
+    all differenced from positions; they get the looser unit-speed and
+    slant tolerances.  A non-finite value raises FloatingPointError naming
+    its row.
     """
 
     params: ModelParams
@@ -183,6 +192,23 @@ class CurveTrace:
     def velocity(self) -> np.ndarray:
         return self.derivs[0]
 
+    @property
+    def interior(self) -> slice:
+        """Rows that residual maxima read: 2 + 3 * fd_stride one-sided
+        stencil rows dropped at each end, none on a grid of at most twice."""
+        trim = 2 + 3 * self.fd_stride
+        return slice(trim, self.n - trim) if self.n > 2 * trim else slice(None)
+
+    @classmethod
+    def from_velocity(cls, params: ModelParams, ts, points, velocity,
+                      step: float, depth: int) -> "CurveTrace":
+        """Trace of `points` and their exact `velocity`, differenced to
+        gamma^(depth) at the marched `step` with the stride for an effective
+        step near 0.005, which keeps deep derivatives above roundoff."""
+        stride = max(1, int(round(0.005 / step)))
+        derivs = _chained_derivatives(velocity, step, depth - 1, stride)
+        return cls(params, ts, points, derivs, fd_stride=stride)
+
     @classmethod
     def from_positions(cls, params: ModelParams, ts, points) -> "CurveTrace":
         """Build a trace from sampled positions only; gamma' to gamma^(4)
@@ -192,12 +218,8 @@ class CurveTrace:
         """
         ts = np.asarray(ts, dtype=float)
         h = uniform_step(ts, "from_positions")
-        derivs = []
-        cur = np.asarray(points, dtype=float)
-        for _ in range(4):
-            cur = fd_derivative(cur, h)
-            derivs.append(cur)
-        return cls(params, ts, np.asarray(points, dtype=float), derivs,
+        points = np.asarray(points, dtype=float)
+        return cls(params, ts, points, _chained_derivatives(points, h, 4)[1:],
                    sampled=True)
 
     @classmethod
@@ -263,14 +285,14 @@ def _frame_jet(trace: CurveTrace) -> list[np.ndarray]:
         A = gamma'_y/2, B = gamma'_x/2,
         C_alpha = (gamma'_z_alpha - <y, gamma'_x>)/2.
     Differentiating j times uses gamma^(j+1) and the Leibniz rule on
-    <y, gamma'_x>.  Returns [W, W', W'', ...] up to order depth-1.
+    <y, gamma'_x>.  Returns [W, W', ...] to order depth-1; W = tangent_frame.
     """
     params = trace.params
     m = params.m
     d = trace.depth
     g = [trace.points] + trace.derivs  # g[k] = gamma^(k)
-    jets = []
-    for j in range(d):
+    jets = [trace.tangent_frame()]
+    for j in range(1, d):
         W = np.empty_like(trace.points)
         W[:, :m] = g[j + 1][:, m:2 * m] / 2.0
         W[:, m:2 * m] = g[j + 1][:, :m] / 2.0

@@ -23,8 +23,7 @@ from .curve import CurveTrace, FrenetData, frenet_apparatus
 from .manifold import ModelParams, frame_to_coords, phi_frame
 from .odesol import OdeSolutionSpec, _c_s, k1_closed_form
 from .slant import SlantProfile, _nabla_phiT, contact_angles
-from .synth import (R6ExampleConfig, SynthesisError, _derivative_stack,
-                    _rk4_march)
+from .synth import R6ExampleConfig, SynthesisError, _rk4_march
 
 __all__ = [
     "r6_f",
@@ -201,8 +200,7 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     vel_frame[:, params.m] = recs[:, 1]
     vel_frame[:, 2 * params.m:] = sv
     vels = frame_to_coords(params, vel_frame, points[:, params.m:2 * params.m])
-    derivs, stride = _derivative_stack(vels, step, 4)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,9 @@ def curvature_frame(params: ModelParams, X: np.ndarray, Y: np.ndarray,
 
     The closed form only involves phi, eta_alpha, xi_alpha and g, all of
     which are frame-algebraic: eta_alpha(W) = C_alpha, g = dot product,
-    phi = (A,B,C) -> (-B,A,0).  Vectorized over leading axes.
+    phi = (A,B,C) -> (-B,A,0).  The term ((c+3s)/4)(g(phiX,phiZ) phi^2 Y
+    - g(phiY,phiZ) phi^2 X) is left out: c = -3s makes it exactly 0.
+    Vectorized over leading axes.
     """
     m, s = params.m, params.s
     c = params.c
@@ -205,9 +207,6 @@ def curvature_frame(params: ModelParams, X: np.ndarray, Y: np.ndarray,
     eX, eY, eZ = ebar(X), ebar(Y), ebar(Z)
     out = (eX * eZ) * phi2(Y) - (eY * eZ) * phi2(X)
     out += (-dot(phX, phZ) * eY + dot(phY, phZ) * eX) * xibar
-    coef1 = (c + 3 * s) / 4.0
-    if coef1 != 0.0:
-        out += coef1 * (-dot(phY, phZ) * phi2(X) + dot(phX, phZ) * phi2(Y))
     coef2 = (c - s) / 4.0
     out += coef2 * (dot(X, phZ) * phY - dot(Y, phZ) * phX + 2.0 * dot(X, phY) * phZ)
     return out

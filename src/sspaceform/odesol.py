@@ -109,17 +109,14 @@ def k1_closed_form(spec: OdeSolutionSpec, t):
     """Evaluate the literal case formula; returns (y, domain_ok).
 
     domain_ok is False where N < 0 (complex branch), near a pole of D, or
-    near a sec singularity; y is nan there.  Scalar t gives scalar output.
+    near a sec singularity; y is nan there.  t is an array of samples.
     """
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     N, M, D, pole = _case_NMD(spec, tt)
     ok = (N >= 0.0) & ~pole & np.isfinite(N) & np.isfinite(M) & np.isfinite(D)
     y = np.full_like(tt, np.nan)
-    good = ok
     with np.errstate(invalid="ignore", divide="ignore"):
-        y[good] = (np.sqrt(N[good]) + M[good]) / D[good]
-    if np.isscalar(t):
-        return float(y[0]), bool(ok[0])
+        y[ok] = (np.sqrt(N[ok]) + M[ok]) / D[ok]
     return y, ok
 
 

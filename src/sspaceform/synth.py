@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveTrace, fd_derivative, frenet_apparatus
+from .curve import CurveTrace, frenet_apparatus
 from .manifold import (ModelParams, connection_rows, frame_row_to_coords,
                        frame_to_coords)
 
@@ -181,17 +181,6 @@ def _rk4_march(rhs, y0, t0, window, step, after=None, table=None):
     return t0 + step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
 
 
-def _derivative_stack(vels: np.ndarray, step: float, depth: int):
-    """[gamma', gamma'', ...] (depth entries) by chained differencing of the
-    velocity, and the stride used: an effective step near 0.005 keeps
-    the deep derivatives above the roundoff floor."""
-    stride = max(1, int(round(0.005 / step)))
-    derivs = [vels]
-    for _ in range(depth - 1):
-        derivs.append(fd_derivative(derivs[-1], step, stride=stride))
-    return derivs, stride
-
-
 def _orthonormalize(frame: np.ndarray) -> None:
     """Modified Gram-Schmidt on the rows of `frame`, in place."""
     for j, v in enumerate(frame):
@@ -208,11 +197,11 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
     the first step, and a curvature that is not positive and finite there
     refuses the march.  The frame is re-orthonormalized after every step;
     if a single step's drift exceeds FRAME_DRIFT_TOL (or is NaN) the step
-    size is declared too large and a SynthesisError is raised.  Returns the sampled trace
-    (coordinate derivatives to depth 5 for the downstream Frenet
-    machinery: velocity exact, higher by 4th-order differencing) and the
-    integrated frames V_1..V_r as an (order, n, dim) array of frame
-    components.  What the trace measures is left to `frenet_apparatus`.
+    size is declared too large and a SynthesisError is raised.  Returns the
+    sampled trace (`CurveTrace.from_velocity` of the exact velocity, to
+    depth 5 for the downstream Frenet machinery) and the integrated frames
+    V_1..V_r as an (order, n, dim) array of frame components.  What the
+    trace measures is left to `frenet_apparatus`.
     """
     params = spec.params
     r, m = spec.order, params.m
@@ -271,8 +260,7 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
     frames, points = states[:, :r], states[:, r]
     vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
 
-    derivs, stride = _derivative_stack(vels, spec.step, 5)
-    trace = CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    trace = CurveTrace.from_velocity(params, ts, points, vels, spec.step, 5)
     return trace, frames.transpose(1, 0, 2)
 
 
@@ -389,8 +377,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     vel_frame[:, 2 * m:] = sv
     vels = frame_to_coords(params, vel_frame,
                            points[:, params.m:2 * params.m])
-    derivs, stride = _derivative_stack(vels, step, 5)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return CurveTrace.from_velocity(params, ts, points, vels, step, 5)
 
 
 # ---------------------------------------------------------------------------

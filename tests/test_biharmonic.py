@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from sspaceform import findings, odesol, synth
-from sspaceform.biharmonic import (WeightFunction, case1_case2_checker,
-                                   case3_obstruction, case4_checker, case4_mu,
-                                   check_conditions, classify_case,
-                                   mainprop_residuals, tau2, tau3)
+from sspaceform.biharmonic import (EQUATIONS, WeightFunction,
+                                   case1_case2_checker, case3_obstruction,
+                                   case4_checker, case4_mu, check_conditions,
+                                   classify_case, mainprop_residuals, tau2,
+                                   tau3)
 from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
@@ -152,6 +153,24 @@ def test_check_conditions_wrong_f_fails(case2_curve, case2_fd, case2_profile):
     assert rep.residuals["eq1"] > 1e-2
 
 
+def test_check_conditions_constant_weight_is_biharmonic(circle):
+    # every residual of the flat-slice circle (0, 1, 0, 0, 0) is below a
+    # loose eq_tol: a constant weight makes it biharmonic, a varying one
+    # proper f-biharmonic
+    fd = frenet_apparatus(circle)
+    prof = contact_angles(circle)
+    rep = check_conditions(circle, fd, prof,
+                           WeightFunction.constant(circle.ts, 1.0), eq_tol=1e3)
+    assert rep.verdict == "biharmonic"
+    assert [rep.residuals[k] for k in EQUATIONS] == pytest.approx(
+        [0.0, 1.0, 0.0, 0.0, 0.0], abs=1e-9)
+    ts = circle.ts
+    varying = WeightFunction(ts=ts, f=2.0 + np.sin(ts), fp=np.cos(ts),
+                             fpp=-np.sin(ts))
+    rep = check_conditions(circle, fd, prof, varying, eq_tol=1e3)
+    assert rep.verdict == "proper-f-biharmonic"
+
+
 def test_check_conditions_geodesic(geodesic):
     fd = frenet_apparatus(geodesic)
     prof = contact_angles(geodesic)
@@ -237,7 +256,14 @@ def test_classify_case_IV(r6_steered, r6_steered_fd):
     prof = contact_angles(r6_steered)
     dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
     label, detail = classify_case(dec, prof, r6_steered.params)
-    assert label == "IV"
+    assert label == "IV" and "ambiguous" not in detail
+    # |p2| just above the case II threshold 1e-6 sqrt(1-a) but within 10x
+    # of it: still IV, with II named as the near candidate
+    scale = np.sqrt(1.0 - prof.a)
+    near = dataclasses.replace(
+        dec, p2=dec.p2 * (5e-6 * scale / np.max(np.abs(dec.p2))))
+    label, detail = classify_case(near, prof, r6_steered.params)
+    assert (label, detail["ambiguous"]) == ("IV", ["II", "IV"])
 
 
 def test_classify_case_I_hypothetical(case2_curve, case2_fd, case2_profile):
@@ -489,8 +515,7 @@ def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):
     vf[:, m:m + 2] = zeta.imag
     vf[:, 2 * m:] = sv
     vels = frame_to_coords(params, vf, points[:, m:2 * m])
-    derivs, stride = synth._derivative_stack(vels, step, 4)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
 def test_case4_mu_quadrature_solves_linear_ode():

@@ -219,6 +219,22 @@ def test_synth_window_is_kept_except_by_r6_steered(tmp_path):
     assert code == cli.EXIT_OK
 
 
+def test_synth_verify_checks_tolerances_before_writing(tmp_path,
+                                                      monkeypatch, capsys):
+    # the trace used to be written before an unknown profile was refused
+    monkeypatch.setenv("SSPACEFORM_TOLERANCES", "bogus")
+    out = tmp_path / "syn.csv"
+    argv = ["synth", "--builtin", "catenary", "--window=-1:1", "--out",
+            str(out)]
+    assert cli.main(argv + ["--verify"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists()
+    # without --verify no tolerance is read
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.exists()
+
+
 def test_synth_unknown_builtin(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["synth", "--builtin", "moebius",
@@ -277,6 +293,21 @@ def test_ode_isolated_real_sample_has_no_residual(tmp_path):
     assert np.all(np.isnan(data[:, 2]))
 
 
+@pytest.mark.parametrize("args", [
+    ["--case", "ii", "--c2", "1", "--c3", "2", "--lambda", "1",
+     "--range=-1:1:0.5"],
+    ["--case", "iii", "--c2", "1", "--c3", "4", "--range=-2:2:1e-3",
+     "--tol", "1e-30"],
+], ids=["no-residual", "residual-above-tol"])
+def test_ode_residual_not_below_tol_exit_3_with_one_line(args, capsys):
+    # these used to exit 3 with an empty stderr; the summary line stays
+    assert cli.main(["ode", *args]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out.startswith("real fraction ")
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
 def test_ode_bad_range_exit_2():
     assert cli.main(["ode", "--case", "iii", "--c3", "4",
                      "--range", "2:-2:0.01"]) == cli.EXIT_CONFIG
@@ -321,6 +352,58 @@ source = {source}
     assert cli.main(["verify", "--config", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+MANIFOLD_22 = "[manifold]\nm = 2\ns = 2\n"
+CATENARY_CURVE = "[curve]\nsource = builtin:catenary\nwindow = -1:1\n"
+REFUSED_CONFIGS = {
+    "unknown-tolerance-name": MANIFOLD_22 + CATENARY_CURVE
+    + "[tolerances]\nbogus = 1\n",
+    "window-not-lo-hi": MANIFOLD_22
+    + "[curve]\nsource = builtin:catenary\nwindow = -1:0:1\n",
+    "window-hi-not-above-lo": MANIFOLD_22
+    + "[curve]\nsource = builtin:catenary\nwindow = 1:1\n",
+    "step-zero": MANIFOLD_22 + CATENARY_CURVE + "step = 0\n",
+    "step-nan": MANIFOLD_22 + CATENARY_CURVE + "step = nan\n",
+    "csv-without-path": MANIFOLD_22 + "[curve]\nsource = csv:\n",
+    "unknown-source-kind": MANIFOLD_22 + "[curve]\nsource = file:x.csv\n",
+    "case2-order3-not-22": "[manifold]\nm = 3\ns = 2\n"
+    "[curve]\nsource = builtin:case2-order3\n",
+    "r6-example-not-22": "[manifold]\nm = 2\ns = 1\n"
+    "[curve]\nsource = builtin:r6-example\n",
+    "weight-csv-short-of-window": MANIFOLD_22 + CATENARY_CURVE
+    + "[weight]\ncsv = {weight}\n",
+}
+
+
+@pytest.mark.parametrize("case", [*REFUSED_CONFIGS, "ode-unknown-case"])
+def test_refusal_exit_2_with_one_line(case, tmp_path, capsys):
+    if case == "ode-unknown-case":
+        code = cli.run_ode("iv", 0.0, 1.0, 0.0, 1.0, "-1:1:0.1")
+    else:
+        weight = tmp_path / "w.csv"
+        weight.write_text("t,f\n-0.5,1\n0.5,1\n")
+        cfg = write_config(tmp_path / "c.ini",
+                           REFUSED_CONFIGS[case].format(weight=weight))
+        code = cli.run_verify(cfg)
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("table", ["t,f\n-2,1\n0,nan\n2,1\n",
+                                   "t,f\n-2,1\ninf,1\n2,1\n"],
+                         ids=["nan-f", "inf-t"])
+def test_verify_nonfinite_weight_csv_exit_3(table, tmp_path, capsys):
+    # a nan used to reach CubicSpline and exit 2 as a config error
+    weight = tmp_path / "w.csv"
+    weight.write_text(table)
+    cfg = write_config(tmp_path / "c.ini", MANIFOLD_22 + CATENARY_CURVE
+                       + f"[weight]\ncsv = {weight}\n")
+    assert cli.run_verify(cfg) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert "data row 1" in err[0]
 
 
 @pytest.mark.parametrize("curve", [

@@ -70,7 +70,8 @@ def test_trace_validation(params22):
         CurveTrace(params22, [0.0], np.zeros((1, 6)), [np.zeros((1, 6))])
 
 
-def test_trace_owns_step_stride_and_tangent_frame(catenary, case2_curve):
+def test_trace_owns_step_stride_and_tangent_frame(catenary, catenary_fd,
+                                                  case2_curve):
     assert catenary.step == catenary.ts[1] - catenary.ts[0]
     with pytest.raises(AttributeError):
         catenary.step = 0.5
@@ -78,6 +79,31 @@ def test_trace_owns_step_stride_and_tangent_frame(catenary, case2_curve):
     assert (catenary.fd_stride, case2_curve.fd_stride) == (1, 5)
     tf = catenary.tangent_frame()
     assert catenary.tangent_frame() is tf and not tf.flags.writeable
+    # the covariant chain starts from the cached frame, not a second build
+    assert catenary_fd.chain[0] is tf
+
+    # from_velocity picks the stride and differences the velocity with it
+    params = catenary.params
+    for step, stride in ((1e-3, 5), (2e-3, 2), (5e-3, 1), (1e-2, 1)):
+        ts = step * np.arange(101)
+        vel = np.sin(ts)[:, None] * np.arange(1.0, 7.0)
+        tr = CurveTrace.from_velocity(params, ts, np.zeros((101, 6)), vel,
+                                      step, 3)
+        assert (tr.fd_stride, tr.depth) == (stride, 3)
+        assert np.array_equal(tr.velocity, vel)
+        d2 = fd_derivative(vel, step, stride=stride)
+        assert np.array_equal(tr.derivs[1], d2)
+        assert np.array_equal(tr.derivs[2], fd_derivative(d2, step,
+                                                          stride=stride))
+        trim = 2 + 3 * stride
+        assert tr.interior == slice(trim, 101 - trim)
+
+    # the residual band is the whole grid once it would leave no row
+    for n, interior in ((34, slice(None)), (35, slice(17, 18))):
+        ts = 1e-3 * np.arange(n)
+        tr = CurveTrace.from_velocity(params, ts, np.zeros((n, 6)),
+                                      np.ones((n, 6)), 1e-3, 2)
+        assert tr.interior == interior
 
 
 def test_package_reads_no_untyped_grid():

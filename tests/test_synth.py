@@ -430,8 +430,7 @@ def oracle_frenet(spec):
     frames = states[:, :r * dim].reshape(-1, r, dim)
     points = states[:, r * dim:]
     vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
-    derivs, stride = synth._derivative_stack(vels, spec.step, 5)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride), \
+    return CurveTrace.from_velocity(params, ts, points, vels, spec.step, 5), \
         frames.transpose(1, 0, 2)
 
 
@@ -502,8 +501,7 @@ def oracle_steered(params, thetas, k1, p2, c2, window=(-1.0, 1.0),
     vel_frame[:, m:m + 2] = zeta.imag
     vel_frame[:, 2 * m:] = sv
     vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
-    derivs, stride = synth._derivative_stack(vels, step, 5)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return CurveTrace.from_velocity(params, ts, points, vels, step, 5)
 
 
 def oracle_phiT_aligned(params, thetas, k1, epsilon=+1, window=(-2.0, 2.0),
@@ -539,8 +537,7 @@ def oracle_phiT_aligned(params, thetas, k1, epsilon=+1, window=(-2.0, 2.0),
     vel_frame[:, m] = recs[:, 1]
     vel_frame[:, 2 * m:] = sv
     vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
-    derivs, stride = synth._derivative_stack(vels, step, 4)
-    return CurveTrace(params, ts, points, derivs, fd_stride=stride)
+    return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
 def assert_same_bits(got, want):

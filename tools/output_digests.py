@@ -16,9 +16,11 @@ depend on where the checkout lives:
   grids;
 - inputs the CLI must refuse with exit 2 or 3: a verify config whose
   r6-example march trips the drift guard, one without a section header,
-  one that repeats an option, an unknown `--expect` verdict, and an output
-  path in a directory that does not exist for `verify --report`,
-  `verify --csv`, `synth --out` and `ode --out`.
+  one that repeats an option, one whose `[weight] csv` holds a nan, an
+  unknown `--expect` verdict, an output path in a directory that does not
+  exist for `verify --report`, `verify --csv`, `synth --out` and
+  `ode --out`, and two `ode` runs whose residual is not below the
+  tolerance.
 
 Then it runs each `demos/*.py` of the checkout in the same directory and
 with the same PYTHONPATH.
@@ -60,6 +62,20 @@ REFUSED_CONFIGS = {
     "refuse-no-section-header.ini": "m = 2\n",
     "refuse-duplicate-option.ini": "[manifold]\nm = 2\nm = 3\n",
 }
+NAN_WEIGHT = {
+    "refuse-nan-weight.ini": "[manifold]\nm = 2\ns = 2\n[curve]\n"
+                             "source = builtin:catenary\nwindow = -1:1\n"
+                             "[weight]\ncsv = refuse-nan-weight.csv\n",
+    "refuse-nan-weight.csv": "t,f\n-1,1\n0,nan\n1,1\n",
+}
+# the largest residual is inf (no residual on the isolated real sample)
+# and 2.8e-16, neither below the tolerance
+ODE_REFUSED = (
+    ["--case", "ii", "--c2", "1", "--c3", "2", "--lambda", "1",
+     "--range=-1:1:0.5"],
+    ["--case", "iii", "--c2", "1", "--c3", "4", "--range=-2:2:1e-3",
+     "--tol", "1e-30"],
+)
 UNWRITABLE = "no-such-dir/out"
 # one command or demo must not run longer than this
 TIMEOUT_S = 300
@@ -91,6 +107,8 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
         out.append((["ode", *args, "--out", f"ode-{case}.csv"], {}))
     for name, text in REFUSED_CONFIGS.items():
         out.append((["verify", "--config", name], {name: text}))
+    out.append((["verify", "--config", "refuse-nan-weight.ini"], NAN_WEIGHT))
+    out += [(["ode", *args], {}) for args in ODE_REFUSED]
     catenary = ["verify", "--config", "verify-builtin-catenary.ini"]
     out += [(argv, {}) for argv in (
         catenary + ["--expect", "proper-f-biharmonc"],
