@@ -7,8 +7,9 @@ Run:  python demos/05_case_classification.py
 import numpy as np
 
 from sspaceform import findings, synth
-from sspaceform.biharmonic import case3_obstruction, classify_case
+from sspaceform.biharmonic import classify_case
 from sspaceform.curve import frenet_apparatus
+from sspaceform.findings import case3_obstruction
 from sspaceform.manifold import ModelParams
 from sspaceform.slant import contact_angles, phiT_decomposition
 
@@ -57,7 +58,7 @@ Its constant term a s - b^2 - s = s(a-1) - b^2 is strictly negative for
 constant root, f = c1 k1^(-3/2) becomes constant, and the curve cannot be
 proper f-biharmonic.""")
 
-rep = case3_obstruction((0.25, 0.5), params, c2=1.0)
+rep = case3_obstruction(0.25, 0.5, params, c2=1.0)
 print(f"\n(a, b) = (1/4, 1/2), c2 = 1: branch = {rep['branch']}")
 print(f"  coefficients (A, B, C) = {tuple(round(x, 4) for x in rep['coefficients'][1.0])}")
 print(f"  constant k1 roots: {[round(r, 4) for r in rep['constant_k1_roots'][1.0]]}")
@@ -66,7 +67,7 @@ scan = findings.case3_grid_scan(params)
 print(f"\n10 x 10 (a, b) grid, both signs of eps: "
       f"{len(scan['cells'])} cells, all obstructed: {scan['all_obstructed']}")
 
-rep = case3_obstruction((1.0, 0.0), params)
+rep = case3_obstruction(1.0, 0.0, params)
 print(f"formal terminal cell a = 1, b = 0: branch = {rep['branch']}")
 
 print()

@@ -8,13 +8,13 @@ curve       curve traces, exact covariant chains, Frenet apparatus
 csvformat   Python's "%.16e" bytes from a vectorized kernel (imported by
             curve.write_csv on its first call)
 slant       contact angles, slant constants, phi T decomposition
-biharmonic  bitension fields, master equations, four-case classification
+biharmonic  bitension fields, master equations, verdict, case label I-IV
 odesol      the governing autonomous ODE: closed forms vs RK4 oracle
 synth       curve synthesis (prescribed-curvature Frenet flow, steering)
 cli         verify / synth / ode command-line front end
-findings    the paper's analyses: worked-example realizability, case III
-            scan, nabla phiT identity, closed-form real domains (tests and
-            demos only; not imported here)
+findings    the paper's analyses: worked-example realizability, the case
+            checkers I-IV, nabla phiT identity, closed-form real domains
+            (tests and demos only; not imported here)
 oracles     exact sympy model built from g (tests and demos only; not
             imported here)
 """

@@ -15,6 +15,10 @@ and tau3 = 0 is equivalent to the five scalar conditions
     (4) k2 k3 + (3(c-s)/4) g(phiT,V2) g(phiT,V4) = 0
     (5) g(tau3, phiT) = 0.
 
+The verdict comes from these five residuals; `classify_case` labels the
+case I-IV.  The checkers of each case's characterization are analyses
+on top of them, in `sspaceform.findings`.
+
 tau2 is computed two ways: the direct covariant route (exact chain +
 closed-form curvature tensor, in frame components) and the
 Frenet-expansion route from measured scalars; the cross residual is part
@@ -30,12 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import odesol
-from .odesol import _c_s
 from .curve import CurveTrace, FrenetData, fd_derivative, uniform_step
 from .manifold import ModelParams, curvature_frame
-from .slant import (PhiTDecomposition, SlantProfile, _nabla_phiT,
-                    phiT_decomposition)
+from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
 __all__ = [
     "WeightFunction",
@@ -45,21 +46,15 @@ __all__ = [
     "tau3",
     "check_conditions",
     "classify_case",
-    "case1_case2_checker",
-    "case3_obstruction",
-    "case4_mu",
-    "case4_checker",
 ]
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
 TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
 
 
-def _a_b(profile_or_ab) -> tuple:
-    """(a, b) of a SlantProfile or of an (a, b) pair."""
-    if hasattr(profile_or_ab, "a"):
-        return profile_or_ab.a, profile_or_ab.b
-    return tuple(profile_or_ab)
+def _c_s(params) -> tuple:
+    """(c, s) of a ModelParams or of a hypothetical (c, s) pair."""
+    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
 
 
 @dataclass
@@ -362,242 +357,3 @@ def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
     if near:
         detail["ambiguous"] = near + ["IV"]
     return "IV", detail
-
-
-# ---------------------------------------------------------------------------
-# case checkers
-# ---------------------------------------------------------------------------
-
-def _fit_constant(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    """Least-deviation constant ratio num/den and its max deviation."""
-    ratio = num / den
-    cst = float(np.median(ratio))
-    return cst, float(np.max(np.abs(ratio - cst)))
-
-
-def case1_case2_checker(profile_or_ab, params, k1, k1p, k1pp, k2,
-                        f: WeightFunction, trace: CurveTrace | None = None,
-                        fd: FrenetData | None = None) -> dict:
-    """Verify the case I / case II characterization on given data.
-
-    Checks: f = c1 k1^(-3/2) (fits c1, reports deviation), k2/k1 = c2
-    constant, and that k1 solves the case ODE with
-    eps lam^2 = b^2 + s(1-a) (case I, requires c = s via a (c,s) params
-    pair) or b^2 + ((c+3s)/4)(1-a) (case II).  When a trace and FrenetData
-    of order 3 are supplied, also checks linear independence of
-    {T, V2, V3, phiT, nabla_T phiT, xi_1..xi_s} via the Gram determinant.
-
-    k1, its derivatives k1p, k1pp and k2 are arrays on f's grid (on a
-    measured trace: fd.padded_curvatures and fd.curvature_jet).  k1 must
-    be strictly positive on the window.
-    """
-    a, b = _a_b(profile_or_ab)
-    c, s = _c_s(params)
-    case = "I" if abs(c - s) < 1e-14 else "II"
-    lam, eps = odesol.lambda_constants(a, b, (c, s), case)
-    k1, k1p, k1pp, k2 = (np.asarray(v, dtype=float) for v in (k1, k1p, k1pp, k2))
-    if np.any(k1 <= 0):
-        raise ValueError("k1 has zeros on the window")
-
-    c1_fit, c1_dev = _fit_constant(f.f, k1 ** -1.5)
-    c2_fit, c2_dev = _fit_constant(k2, k1)
-    spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam, c2=max(c2_fit, 0.0),
-                                  c3=1.0, c4=0.0)
-    ode_res = odesol.ode_residual(k1, spec, yp=k1p, ypp=k1pp)
-    report = {
-        "case": case,
-        "lambda": lam,
-        "epsilon": eps,
-        "c1": c1_fit,
-        "c1_deviation": c1_dev,
-        "c2": c2_fit,
-        "c2_deviation": c2_dev,
-        "ode_residual": ode_res["max_residual"],
-        "proper_possible": not f.is_constant,
-    }
-    if abs(c2_fit) < 1e-12:
-        report["sub_case"] = "r=2 (c2 = 0)"
-    if trace is not None and fd is not None and fd.order >= 3:
-        report["independence"] = _independence_gram(trace, fd)
-    return report
-
-
-def _independence_gram(trace: CurveTrace, fd: FrenetData) -> dict:
-    """Gram-determinant check of {T, V2, V3, phiT, nabla_T phiT, xi_alpha}."""
-    params = trace.params
-    tf, phiT, nabla_phiT = _nabla_phiT(trace)
-    n = trace.n
-    mids = [n // 4, n // 2, 3 * n // 4]
-    dets = []
-    for i in mids:
-        vecs = [tf[i], fd.frames[1][i], fd.frames[2][i], phiT[i],
-                nabla_phiT[i]]
-        for alpha in range(params.s):
-            xi = np.zeros(params.dim)
-            xi[2 * params.m + alpha] = 1.0
-            vecs.append(xi)
-        V = np.array(vecs)
-        gram = V @ V.T
-        dets.append(float(np.linalg.det(gram)))
-    return {
-        "gram_determinants": dets,
-        "independent": bool(min(abs(d) for d in dets) > 1e-10),
-        "vector_count": 5 + params.s,
-        "dim": params.dim,
-    }
-
-
-def case3_obstruction(profile_or_ab, params, c2: float | None = None,
-                      epsilon: int = 1) -> dict:
-    """Reproduce the case III contradiction chain for given (a, b).
-
-    With phiT = eps sqrt(1-a) V2 and k2/k1 = c2, the structural identity
-    k2 = sqrt(a d^2 - a s + b^2 + 2 eps b d + s), d = k1/sqrt(1-a), turns
-    k2 = c2 k1 into the polynomial
-
-        (c2^2 + a/(a-1)) k1^2 + (2 eps b/(a-1)) k1 + (a s - b^2 - s) = 0.
-
-    If any coefficient is nonzero the polynomial pins k1 to a constant root
-    ('constant-k1' branch: not proper f-biharmonic); all three vanish only
-    for b = 0 and then a = 1, the geodesic terminal case.  Returns the
-    branch that fired, the coefficients, and the candidate constant roots.
-    """
-    a, b = _a_b(profile_or_ab)
-    s = _c_s(params)[1]
-    if epsilon not in (-1, 1):
-        raise ValueError("epsilon must be +-1 (sign of g(phiT, V2))")
-    if abs(a - 1.0) < 1e-14:
-        if abs(b) < 1e-14:
-            return {"branch": "geodesic", "a": a, "b": b,
-                    "note": "a = 1 forces T = V: integral curve of V, geodesic"}
-        return {"branch": "inconsistent-input", "a": a, "b": b,
-                "note": "a = 1 with b != 0 is not a slant configuration"}
-    coeffs = {}
-    c2_vals = [c2] if c2 is not None else [0.5, 1.0, 2.0]
-    roots_by_c2 = {}
-    for cc in c2_vals:
-        A = cc ** 2 + a / (a - 1.0)
-        B = 2.0 * epsilon * b / (a - 1.0)
-        C = a * s - b * b - s
-        coeffs[cc] = (A, B, C)
-        roots = np.roots([A, B, C]) if abs(A) > 1e-14 else (
-            np.array([-C / B]) if abs(B) > 1e-14 else np.array([]))
-        roots_by_c2[cc] = [float(r.real) for r in np.atleast_1d(roots)
-                           if abs(r.imag) < 1e-12]
-    # C = s(a-1) - b^2 < 0 strictly for 0 < a < 1: some coefficient is
-    # always nonzero, so k1 is a root of a nontrivial polynomial.
-    return {
-        "branch": "constant-k1",
-        "a": a,
-        "b": b,
-        "epsilon": epsilon,
-        "coefficients": coeffs,
-        "constant_k1_roots": roots_by_c2,
-        "note": "nontrivial polynomial in k1: k1 constant, f constant, not proper",
-    }
-
-
-def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
-    """Antiderivative factor mu(t) of the non-constant-beta branch.
-
-    mu(t) = -(3(c-s)/2)(1-a) * integral of cos^2(beta) k1'/k1^3 dt by
-    composite Simpson on the grid, with the free constant set to zero
-    (callers shift it to match the k2^2 relation at a reference sample).
-    """
-    # imported here: scipy.integrate is most of the package's import time
-    from scipy.integrate import cumulative_simpson
-
-    c, s = _c_s(params)
-    ts = np.asarray(ts, dtype=float)
-    integrand = np.cos(np.asarray(beta)) ** 2 * np.asarray(k1p) / np.asarray(k1) ** 3
-    prim = cumulative_simpson(integrand, x=ts, initial=0.0)
-    return -(3.0 * (c - s) / 2.0) * (1.0 - a) * prim
-
-
-def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
-                  dec: PhiTDecomposition, f: WeightFunction,
-                  beta_const_tol: float = 1e-5) -> dict:
-    """Verify the case IV characterization on a measured trace.
-
-    dec is the trace's `phiT_decomposition` (the one `check_conditions`
-    reports), and k1', k1'' are fd.curvature_jet.
-
-    beta constant branch: k2/k1 = c2, the case ODE with bracket
-    b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a), and
-    |k2 k3| = |3(c-s) sin(2 beta)/8| (1-a); the +- sign is not pinned to an
-    orientation of V4, so magnitudes and measured signs are reported
-    separately.  Non-constant beta branch: mu(t) by composite-Simpson
-    quadrature of -(3(c-s)/2)(1-a) cos^2(beta) k1'/k1^3, integration
-    constant fixed by matching k2^2 = -(3(c-s)/4)(1-a)cos^2 beta + mu k1^2
-    at the window midpoint, then that relation, the mu-modified ODE and the
-    k2 k3 relation with sin(w), cos(w) = -+ beta'/k2, are all checked.
-    Rows are trimmed at both ends as in `check_conditions`.
-    """
-    if fd.order < 3:
-        raise ValueError("case IV analysis needs osculating order >= 3")
-    params = trace.params
-    c, s = params.c, params.s
-    one_minus_a = 1.0 - profile.a
-    sl = trace.interior
-    ts = trace.ts[sl]
-    k1, k2, k3 = (arr[sl] for arr in fd.padded_curvatures)
-    k1p, k1pp, _ = (arr[sl] for arr in fd.curvature_jet)
-    if np.min(np.abs(np.cos(dec.beta[sl]))) < 1e-12 or np.max(np.abs(dec.p2[sl])) < 1e-12:
-        raise ValueError("g(phiT,V2) = 0 on the window: this is case II, not IV")
-    beta = dec.beta[sl]
-    beta_p = fd_derivative(dec.beta, trace.step)[sl]
-    beta_variation = float(np.max(beta) - np.min(beta))
-    beta_is_const = beta_variation <= beta_const_tol
-    cf38 = 3.0 * (c - s) / 8.0
-    report = {"beta_constant": beta_is_const, "beta_variation": beta_variation}
-
-    c2_fit, c2_dev = _fit_constant(k2, k1)
-    report["c2"] = c2_fit
-    report["c2_deviation"] = c2_dev
-
-    if beta_is_const:
-        beta0 = float(np.mean(beta))
-        lam, eps = odesol.lambda_constants(profile.a, profile.b, params, "IV",
-                                           beta=beta0)
-        spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam, c2=max(c2_fit, 0.0),
-                                      c3=1.0, c4=0.0)
-        report["lambda"] = lam
-        report["epsilon"] = eps
-        report["ode_residual"] = odesol.ode_residual(
-            k1, spec, yp=k1p, ypp=k1pp)["max_residual"]
-        target = abs(cf38 * np.sin(2 * beta0)) * one_minus_a
-        report["k2k3_measured_max_abs"] = float(np.max(np.abs(k2 * k3)))
-        report["k2k3_target_abs"] = float(target)
-        report["k2k3_abs_residual"] = float(np.max(np.abs(np.abs(k2 * k3) - target)))
-        report["k2k3_measured_sign"] = float(np.sign(np.median(k2 * k3)))
-        return report
-
-    # non-constant beta branch
-    mu_raw = case4_mu(ts, beta, k1, k1p, params, profile.a)
-    mid = len(ts) // 2
-    # integration constant from (bb1) at the midpoint
-    target_mid = (k2[mid] ** 2 + (3.0 * (c - s) / 4.0) * one_minus_a
-                  * np.cos(beta[mid]) ** 2) / k1[mid] ** 2
-    mu = mu_raw + (target_mid - mu_raw[mid])
-    bb1 = k2 ** 2 - (-(3.0 * (c - s) / 4.0) * one_minus_a * np.cos(beta) ** 2
-                     + mu * k1 ** 2)
-    report["bb1_residual"] = float(np.max(np.abs(bb1)))
-    bracket = (profile.b ** 2
-               + ((c + 3 * s + 3 * (c - s) * np.cos(beta) ** 2) / 4.0) * one_minus_a)
-    ode = (3 * k1p ** 2 - 2 * k1 * k1pp
-           - 4 * k1 ** 2 * ((1 + mu) * k1 ** 2 - bracket))
-    report["mu_ode_residual"] = float(np.max(np.abs(ode)))
-    # cos w = -+ beta'/k2 where defined
-    usable = k2 > max(1e-8, 10 * fd.threshold)
-    if np.any(usable & (np.abs(np.sin(beta)) > 1e-8)):
-        cosw = np.cos(dec.w[sl])
-        mask = usable & np.isfinite(cosw)
-        resid = np.minimum(np.abs(cosw[mask] - beta_p[mask] / k2[mask]),
-                           np.abs(cosw[mask] + beta_p[mask] / k2[mask]))
-        report["cos_w_relation_residual"] = float(np.max(resid)) if np.any(mask) else np.nan
-    sinw = np.sin(dec.w[sl])
-    target = np.abs(cf38 * np.sin(2 * beta) * sinw) * one_minus_a
-    mask = np.isfinite(target)
-    report["k2k3_sinw_abs_residual"] = float(
-        np.max(np.abs(np.abs(k2 * k3)[mask] - target[mask]))) if np.any(mask) else np.nan
-    return report

@@ -25,11 +25,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import errno
 import functools
 import hashlib
 import json
 import math
 import os
+import pathlib
+import stat
 import sys
 import warnings
 
@@ -242,13 +245,23 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
         raise ConfigError(f"unknown expected verdict {expected!r} "
                           f"(choose from {VERDICTS})")
     trace, k1_callable = _build_trace(params, cp)
-    return _verify_trace(cp, params, tol, trace, k1_callable, expected,
-                         report_path, csv_path)
+    text, verdict, outputs = _verify_trace(cp, params, tol, trace,
+                                           k1_callable, expected,
+                                           report_path, csv_path)
+    _write_all(outputs)
+    if not report_path:
+        print(text)
+    if expected not in ("any", verdict):
+        print(f"verdict mismatch: expected {expected!r}, "
+              f"got {verdict!r}", file=sys.stderr)
+        return EXIT_VERDICT_MISMATCH
+    return EXIT_OK
 
 
 def _verify_trace(cp, params, tol, trace, k1_callable, expected,
-                  report_path=None, csv_path=None) -> int:
-    """Run the pipeline on a built trace; write the report (and CSV)."""
+                  report_path=None, csv_path=None):
+    """Run the pipeline on a built trace: the JSON report text, the verdict
+    and the (path, write) outputs of the report and CSV files."""
     seed = cp.getint("curve", "seed", fallback=0)
     fd = frenet_apparatus(trace)
     profile = contact_angles(trace, tolerance=tol["slant"])
@@ -284,18 +297,60 @@ def _verify_trace(cp, params, tol, trace, k1_callable, expected,
         "expected_verdict": expected,
     }
     text = _canonical_json(payload)
+    outputs = []
     if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        outputs.append((report_path, lambda path: pathlib.Path(
+            path).write_text(text + "\n")))
     if csv_path:
-        _write_verify_csv(csv_path, trace, fd, profile, report)
-    if expected not in ("any", report.verdict):
-        print(f"verdict mismatch: expected {expected!r}, "
-              f"got {report.verdict!r}", file=sys.stderr)
-        return EXIT_VERDICT_MISMATCH
-    return EXIT_OK
+        outputs.append((csv_path, lambda path: _write_verify_csv(
+            path, trace, fd, profile, report)))
+    return text, report.verdict, outputs
+
+
+def _target_mode(path):
+    """st_mode of the file path names, or None; refuses a directory."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return None
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    return mode
+
+
+def _write_all(outputs) -> None:
+    """Write every output of (path, write) pairs, or none of them.
+
+    write(p) writes its output to the file p.  A missing or regular target
+    is written to a temporary sibling of its resolved path (so a symlink
+    is written through), which replaces it with the old file's mode once
+    every output is written.  Any other target (/dev/null, a FIFO) is
+    written directly; a directory is refused before anything is written.
+    On a failure the temporaries are removed and the error names the path.
+    """
+    staged, modes = [], []
+    try:
+        for path, _ in outputs:
+            modes.append(_target_mode(path))
+        for i, ((path, write), mode) in enumerate(zip(outputs, modes)):
+            if mode is not None and not stat.S_ISREG(mode):
+                write(path)     # a device or FIFO: no file to replace
+                continue
+            target = os.path.realpath(path)
+            staged.append((f"{target}.{os.getpid()}-{i}.tmp", target, path))
+            write(staged[-1][0])
+            if mode is not None:
+                os.chmod(staged[-1][0], stat.S_IMODE(mode))
+        for dest, target, path in staged:
+            os.replace(dest, target)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        for dest, _, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(dest)
 
 
 def _write_verify_csv(path, trace, fd, profile, report) -> None:
@@ -332,12 +387,16 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     params = ModelParams(m=2, s=2)
     tol = _tolerances(cp) if verify else None
     trace, k1_callable = _build_trace(params, cp)
-    trace.to_csv(out_path)
+    outputs = [(out_path, trace.to_csv)]
+    if verify:
+        text, _, report = _verify_trace(cp, params, tol, trace, k1_callable,
+                                        "any", report_path)
+        outputs += report
+    _write_all(outputs)
     print(f"wrote {trace.n} samples to {out_path}")
-    if not verify:
-        return EXIT_OK
-    return _verify_trace(cp, params, tol, trace, k1_callable, "any",
-                         report_path)
+    if verify and not report_path:
+        print(text)
+    return EXIT_OK
 
 
 @_exit_policy
@@ -373,11 +432,12 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         residual[ok] = odesol.ode_residual(yy[ok], spec, yp[ok],
                                            ypp[ok])["per_sample"]
     if out_path:
-        write_csv(out_path, ["t", "y", "residual", "domain_ok"],
-                  np.column_stack([ts, np.where(ok, y, np.nan),
-                                   np.where(np.isfinite(residual), residual,
-                                            np.nan), ok]),
-                  formats=["%.16e"] * 3 + ["%d"])
+        data = np.column_stack([ts, np.where(ok, y, np.nan),
+                                np.where(np.isfinite(residual), residual,
+                                         np.nan), ok])
+        _write_all([(out_path, lambda path: write_csv(
+            path, ["t", "y", "residual", "domain_ok"], data,
+            formats=["%.16e"] * 3 + ["%d"]))])
         print(f"wrote {len(ts)} samples to {out_path}")
     frac = float(np.mean(ok))
     if frac == 0.0:

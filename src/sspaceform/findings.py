@@ -8,7 +8,11 @@ equations) is the one the CLI runs.
 - `r6_example_realizability`, with `r6_constants_summary`, `r6_bracket` and
   `r6_f`: the classical R^6(-6) worked example satisfies the constant-beta
   algebra exactly, but no curve realizes it (README finding 1);
-- `case3_grid_scan`: the case III obstruction over an (a, b) grid;
+- the case theorem's checkers, which test each case's characterization
+  on top of the master equations: `case1_case2_checker`, `case4_checker`
+  with `case4_mu`, and the brackets `lambda_constants`;
+- `case3_obstruction` and `case3_grid_scan`: the case III obstruction, for
+  one (a, b) and over a grid;
 - `phiT_aligned_curve`: the case III configuration phiT parallel V2;
 - `nabla_phiT_check`, with `v_frame`: the identity for nabla_T(phi T);
 - `real_domain_report`: where a printed closed form of the governing ODE
@@ -18,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biharmonic import WeightFunction, case3_obstruction, check_conditions
-from .curve import CurveTrace, FrenetData, frenet_apparatus
-from .manifold import ModelParams, frame_to_coords, phi_frame
-from .odesol import OdeSolutionSpec, _c_s, k1_closed_form
-from .slant import SlantProfile, _nabla_phiT, contact_angles
+from .biharmonic import WeightFunction, _c_s, check_conditions
+from .curve import (CurveTrace, FrenetData, _frame_jet, fd_derivative,
+                    frenet_apparatus)
+from .manifold import ModelParams, connection_term, frame_to_coords, phi_frame
+from .odesol import OdeSolutionSpec, k1_closed_form, ode_residual
+from .slant import PhiTDecomposition, SlantProfile, contact_angles
 from .synth import R6ExampleConfig, SynthesisError, _rk4_march
 
 __all__ = [
@@ -30,6 +35,11 @@ __all__ = [
     "r6_bracket",
     "r6_constants_summary",
     "r6_example_realizability",
+    "lambda_constants",
+    "case1_case2_checker",
+    "case4_mu",
+    "case4_checker",
+    "case3_obstruction",
     "case3_grid_scan",
     "phiT_aligned_curve",
     "v_frame",
@@ -123,8 +133,275 @@ def r6_example_realizability(step: float = 1e-3) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the case theorem: cases I, II and IV
+# ---------------------------------------------------------------------------
+
+def lambda_constants(a: float, b: float, params, case: str,
+                     beta: float | None = None) -> tuple[float, int]:
+    """(lambda, epsilon) of the case bracket.
+
+    case 'I'  : b^2 + s (1-a)                       (requires c = s)
+    case 'II' : b^2 + ((c+3s)/4)(1-a)
+    case 'IV' : b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a)
+
+    params may be a ModelParams (c = -3s) or a (c, s) pair for
+    hypothetical configurations such as case I, which the coordinate model
+    cannot reach.
+    """
+    a, b = float(a), float(b)
+    c, s = _c_s(params)
+    case = case.upper().strip()
+    one_minus_a = 1.0 - a
+    if case == "I":
+        bracket = b * b + s * one_minus_a
+    elif case == "II":
+        bracket = b * b + ((c + 3 * s) / 4.0) * one_minus_a
+    elif case == "IV":
+        if beta is None:
+            raise ValueError("case IV requires beta")
+        bracket = b * b + ((c + 3 * s + 3 * (c - s) * np.cos(beta) ** 2) / 4.0) * one_minus_a
+    else:
+        raise ValueError(f"unknown case label {case!r} (expected I, II or IV)")
+    # measured inputs carry O(1e-7) noise in cos^2(beta) etc.; a bracket
+    # below 1e-9 is numerically indistinguishable from the eps = 0 family
+    eps = int(np.sign(bracket)) if abs(bracket) > 1e-9 else 0
+    return float(np.sqrt(abs(bracket))), eps
+
+
+def _fit_constant(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
+    """Least-deviation constant ratio num/den and its max deviation."""
+    ratio = num / den
+    cst = float(np.median(ratio))
+    return cst, float(np.max(np.abs(ratio - cst)))
+
+
+def _case_ode(k1, k1p, k1pp, c2: float, a: float, b: float, params,
+              case: str, beta: float | None = None) -> dict:
+    """lambda, epsilon and the max residual of the case ODE on k1, with
+    the fitted c2 = k2/k1 (clipped at 0)."""
+    lam, eps = lambda_constants(a, b, params, case, beta=beta)
+    spec = OdeSolutionSpec(epsilon=eps, lam=lam, c2=max(c2, 0.0), c3=1.0, c4=0.0)
+    return {"lambda": lam, "epsilon": eps,
+            "ode_residual": ode_residual(k1, spec, yp=k1p, ypp=k1pp)["max_residual"]}
+
+
+def case1_case2_checker(a: float, b: float, params, k1, k1p, k1pp, k2,
+                        f: WeightFunction, trace: CurveTrace | None = None,
+                        fd: FrenetData | None = None) -> dict:
+    """Verify the case I / case II characterization on given data.
+
+    Checks: f = c1 k1^(-3/2) (fits c1, reports deviation), k2/k1 = c2
+    constant, and that k1 solves the case ODE with
+    eps lam^2 = b^2 + s(1-a) (case I, requires c = s via a (c,s) params
+    pair) or b^2 + ((c+3s)/4)(1-a) (case II).  When a trace and FrenetData
+    of order 3 are supplied, also checks linear independence of
+    {T, V2, V3, phiT, nabla_T phiT, xi_1..xi_s} via the Gram determinant.
+
+    k1, its derivatives k1p, k1pp and k2 are arrays on f's grid (on a
+    measured trace: fd.padded_curvatures and fd.curvature_jet).  k1 must
+    be strictly positive on the window.
+    """
+    c, s = _c_s(params)
+    case = "I" if abs(c - s) < 1e-14 else "II"
+    k1, k1p, k1pp, k2 = (np.asarray(v, dtype=float) for v in (k1, k1p, k1pp, k2))
+    if np.any(k1 <= 0):
+        raise ValueError("k1 has zeros on the window")
+
+    c1_fit, c1_dev = _fit_constant(f.f, k1 ** -1.5)
+    c2_fit, c2_dev = _fit_constant(k2, k1)
+    report = {
+        "case": case,
+        **_case_ode(k1, k1p, k1pp, c2_fit, a, b, (c, s), case),
+        "c1": c1_fit,
+        "c1_deviation": c1_dev,
+        "c2": c2_fit,
+        "c2_deviation": c2_dev,
+        "proper_possible": not f.is_constant,
+    }
+    if abs(c2_fit) < 1e-12:
+        report["sub_case"] = "r=2 (c2 = 0)"
+    if trace is not None and fd is not None and fd.order >= 3:
+        report["independence"] = _independence_gram(trace, fd)
+    return report
+
+
+def _independence_gram(trace: CurveTrace, fd: FrenetData) -> dict:
+    """Gram-determinant check of {T, V2, V3, phiT, nabla_T phiT, xi_alpha}."""
+    params = trace.params
+    tf, phiT, nabla_phiT = _nabla_phiT(trace)
+    n = trace.n
+    mids = [n // 4, n // 2, 3 * n // 4]
+    dets = []
+    for i in mids:
+        vecs = [tf[i], fd.frames[1][i], fd.frames[2][i], phiT[i],
+                nabla_phiT[i]]
+        for alpha in range(params.s):
+            xi = np.zeros(params.dim)
+            xi[2 * params.m + alpha] = 1.0
+            vecs.append(xi)
+        V = np.array(vecs)
+        gram = V @ V.T
+        dets.append(float(np.linalg.det(gram)))
+    return {
+        "gram_determinants": dets,
+        "independent": bool(min(abs(d) for d in dets) > 1e-10),
+        "vector_count": 5 + params.s,
+        "dim": params.dim,
+    }
+
+
+def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
+    """Antiderivative factor mu(t) of the non-constant-beta branch.
+
+    mu(t) = -(3(c-s)/2)(1-a) * integral of cos^2(beta) k1'/k1^3 dt by
+    composite Simpson on the grid, with the free constant set to zero
+    (callers shift it to match the k2^2 relation at a reference sample).
+    """
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import cumulative_simpson
+
+    c, s = _c_s(params)
+    ts = np.asarray(ts, dtype=float)
+    integrand = np.cos(np.asarray(beta)) ** 2 * np.asarray(k1p) / np.asarray(k1) ** 3
+    prim = cumulative_simpson(integrand, x=ts, initial=0.0)
+    return -(3.0 * (c - s) / 2.0) * (1.0 - a) * prim
+
+
+def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
+                  dec: PhiTDecomposition, f: WeightFunction,
+                  beta_const_tol: float = 1e-5) -> dict:
+    """Verify the case IV characterization on a measured trace.
+
+    dec is the trace's `phiT_decomposition` (the one `check_conditions`
+    reports), and k1', k1'' are fd.curvature_jet.
+
+    beta constant branch: k2/k1 = c2, the case ODE with bracket
+    b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a), and
+    |k2 k3| = |3(c-s) sin(2 beta)/8| (1-a); the +- sign is not pinned to an
+    orientation of V4, so magnitudes and measured signs are reported
+    separately.  Non-constant beta branch: mu(t) by composite-Simpson
+    quadrature of -(3(c-s)/2)(1-a) cos^2(beta) k1'/k1^3, integration
+    constant fixed by matching k2^2 = -(3(c-s)/4)(1-a)cos^2 beta + mu k1^2
+    at the window midpoint, then that relation, the mu-modified ODE and the
+    k2 k3 relation with sin(w), cos(w) = -+ beta'/k2, are all checked.
+    Rows are trimmed at both ends as in `check_conditions`.
+    """
+    if fd.order < 3:
+        raise ValueError("case IV analysis needs osculating order >= 3")
+    params = trace.params
+    c, s = params.c, params.s
+    one_minus_a = 1.0 - profile.a
+    sl = trace.interior
+    ts = trace.ts[sl]
+    k1, k2, k3 = (arr[sl] for arr in fd.padded_curvatures)
+    k1p, k1pp, _ = (arr[sl] for arr in fd.curvature_jet)
+    if np.min(np.abs(np.cos(dec.beta[sl]))) < 1e-12 or np.max(np.abs(dec.p2[sl])) < 1e-12:
+        raise ValueError("g(phiT,V2) = 0 on the window: this is case II, not IV")
+    beta = dec.beta[sl]
+    beta_p = fd_derivative(dec.beta, trace.step)[sl]
+    beta_variation = float(np.max(beta) - np.min(beta))
+    beta_is_const = beta_variation <= beta_const_tol
+    cf38 = 3.0 * (c - s) / 8.0
+    report = {"beta_constant": beta_is_const, "beta_variation": beta_variation}
+
+    c2_fit, c2_dev = _fit_constant(k2, k1)
+    report["c2"] = c2_fit
+    report["c2_deviation"] = c2_dev
+
+    if beta_is_const:
+        beta0 = float(np.mean(beta))
+        report.update(_case_ode(k1, k1p, k1pp, c2_fit, profile.a, profile.b,
+                                params, "IV", beta=beta0))
+        target = abs(cf38 * np.sin(2 * beta0)) * one_minus_a
+        report["k2k3_measured_max_abs"] = float(np.max(np.abs(k2 * k3)))
+        report["k2k3_target_abs"] = float(target)
+        report["k2k3_abs_residual"] = float(np.max(np.abs(np.abs(k2 * k3) - target)))
+        report["k2k3_measured_sign"] = float(np.sign(np.median(k2 * k3)))
+        return report
+
+    # non-constant beta branch
+    mu_raw = case4_mu(ts, beta, k1, k1p, params, profile.a)
+    mid = len(ts) // 2
+    # integration constant from (bb1) at the midpoint
+    target_mid = (k2[mid] ** 2 + (3.0 * (c - s) / 4.0) * one_minus_a
+                  * np.cos(beta[mid]) ** 2) / k1[mid] ** 2
+    mu = mu_raw + (target_mid - mu_raw[mid])
+    bb1 = k2 ** 2 - (-(3.0 * (c - s) / 4.0) * one_minus_a * np.cos(beta) ** 2
+                     + mu * k1 ** 2)
+    report["bb1_residual"] = float(np.max(np.abs(bb1)))
+    bracket = (profile.b ** 2
+               + ((c + 3 * s + 3 * (c - s) * np.cos(beta) ** 2) / 4.0) * one_minus_a)
+    ode = (3 * k1p ** 2 - 2 * k1 * k1pp
+           - 4 * k1 ** 2 * ((1 + mu) * k1 ** 2 - bracket))
+    report["mu_ode_residual"] = float(np.max(np.abs(ode)))
+    # cos w = -+ beta'/k2 where defined
+    usable = k2 > max(1e-8, 10 * fd.threshold)
+    if np.any(usable & (np.abs(np.sin(beta)) > 1e-8)):
+        cosw = np.cos(dec.w[sl])
+        mask = usable & np.isfinite(cosw)
+        resid = np.minimum(np.abs(cosw[mask] - beta_p[mask] / k2[mask]),
+                           np.abs(cosw[mask] + beta_p[mask] / k2[mask]))
+        report["cos_w_relation_residual"] = float(np.max(resid)) if np.any(mask) else np.nan
+    sinw = np.sin(dec.w[sl])
+    target = np.abs(cf38 * np.sin(2 * beta) * sinw) * one_minus_a
+    mask = np.isfinite(target)
+    report["k2k3_sinw_abs_residual"] = float(
+        np.max(np.abs(np.abs(k2 * k3)[mask] - target[mask]))) if np.any(mask) else np.nan
+    return report
+
+
+# ---------------------------------------------------------------------------
 # case III: phiT parallel V2
 # ---------------------------------------------------------------------------
+
+def case3_obstruction(a: float, b: float, params, c2: float | None = None,
+                      epsilon: int = 1) -> dict:
+    """Reproduce the case III contradiction chain for given (a, b).
+
+    With phiT = eps sqrt(1-a) V2 and k2/k1 = c2, the structural identity
+    k2 = sqrt(a d^2 - a s + b^2 + 2 eps b d + s), d = k1/sqrt(1-a), turns
+    k2 = c2 k1 into the polynomial
+
+        (c2^2 + a/(a-1)) k1^2 + (2 eps b/(a-1)) k1 + (a s - b^2 - s) = 0.
+
+    If any coefficient is nonzero the polynomial pins k1 to a constant root
+    ('constant-k1' branch: not proper f-biharmonic); all three vanish only
+    for b = 0 and then a = 1, the geodesic terminal case.  Returns the
+    branch that fired, the coefficients, and the candidate constant roots.
+    """
+    s = _c_s(params)[1]
+    if epsilon not in (-1, 1):
+        raise ValueError("epsilon must be +-1 (sign of g(phiT, V2))")
+    if abs(a - 1.0) < 1e-14:
+        if abs(b) < 1e-14:
+            return {"branch": "geodesic", "a": a, "b": b,
+                    "note": "a = 1 forces T = V: integral curve of V, geodesic"}
+        return {"branch": "inconsistent-input", "a": a, "b": b,
+                "note": "a = 1 with b != 0 is not a slant configuration"}
+    coeffs = {}
+    c2_vals = [c2] if c2 is not None else [0.5, 1.0, 2.0]
+    roots_by_c2 = {}
+    for cc in c2_vals:
+        A = cc ** 2 + a / (a - 1.0)
+        B = 2.0 * epsilon * b / (a - 1.0)
+        C = a * s - b * b - s
+        coeffs[cc] = (A, B, C)
+        roots = np.roots([A, B, C]) if abs(A) > 1e-14 else (
+            np.array([-C / B]) if abs(B) > 1e-14 else np.array([]))
+        roots_by_c2[cc] = [float(r.real) for r in np.atleast_1d(roots)
+                           if abs(r.imag) < 1e-12]
+    # C = s(a-1) - b^2 < 0 strictly for 0 < a < 1: some coefficient is
+    # always nonzero, so k1 is a root of a nontrivial polynomial.
+    return {
+        "branch": "constant-k1",
+        "a": a,
+        "b": b,
+        "epsilon": epsilon,
+        "coefficients": coeffs,
+        "constant_k1_roots": roots_by_c2,
+        "note": "nontrivial polynomial in k1: k1 constant, f constant, not proper",
+    }
+
 
 def case3_grid_scan(params, a_grid=None, b_grid=None) -> dict:
     """Obstruction scan over an (a, b) grid for both epsilon signs."""
@@ -138,7 +415,7 @@ def case3_grid_scan(params, a_grid=None, b_grid=None) -> dict:
     for a in a_grid:
         for b in b_grid:
             for eps in (-1, 1):
-                rep = case3_obstruction((float(a), float(b)), params, epsilon=eps)
+                rep = case3_obstruction(float(a), float(b), params, epsilon=eps)
                 obstructed = rep["branch"] in ("constant-k1", "geodesic")
                 all_obstructed &= obstructed
                 cells.append({"a": float(a), "b": float(b), "epsilon": eps,
@@ -206,6 +483,20 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
 # ---------------------------------------------------------------------------
 # the nabla_T(phi T) identity
 # ---------------------------------------------------------------------------
+
+def _nabla_phiT(trace: CurveTrace):
+    """(T, phi T, nabla_T(phi T)) in frame components, exactly.
+
+    phi is constant-coefficient on frames, so d/dt of phi T's components
+    is phi of T's and nabla_T(phi T) = phi(T') + Phi(T, phi T), from the
+    jet of T's frame components.
+    """
+    params = trace.params
+    tjet = _frame_jet(trace)
+    tf = tjet[0]
+    phiT = phi_frame(params, tf)
+    return tf, phiT, phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)
+
 
 def v_frame(profile: SlantProfile) -> np.ndarray:
     """Frame components of V (xi_alpha slots carry cos theta_alpha)."""

@@ -26,24 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .biharmonic import WeightFunction
+
 __all__ = [
     "OdeSolutionSpec",
     "OracleSolution",
     "k1_closed_form",
     "case_iii_profile",
     "ode_residual",
-    "lambda_constants",
     "f_from_k1",
     "numeric_solution_oracle",
     "first_integral",
 ]
 
 POLE_GUARD = 1e-3   # closeness to a root of D or of cos(u) counted as a pole
-
-
-def _c_s(params) -> tuple:
-    """(c, s) of a ModelParams or of a hypothetical (c, s) pair."""
-    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
 
 
 @dataclass(frozen=True)
@@ -159,38 +155,6 @@ def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
     }
 
 
-def lambda_constants(a: float, b: float, params, case: str,
-                     beta: float | None = None) -> tuple[float, int]:
-    """(lambda, epsilon) of the case bracket.
-
-    case 'I'  : b^2 + s (1-a)                       (requires c = s)
-    case 'II' : b^2 + ((c+3s)/4)(1-a)
-    case 'IV' : b^2 + ((c+3s+3(c-s)cos^2 beta)/4)(1-a)
-
-    params may be a ModelParams (c = -3s) or a (c, s) pair for
-    hypothetical configurations such as case I, which the coordinate model
-    cannot reach.
-    """
-    a, b = float(a), float(b)
-    c, s = _c_s(params)
-    case = case.upper().strip()
-    one_minus_a = 1.0 - a
-    if case == "I":
-        bracket = b * b + s * one_minus_a
-    elif case == "II":
-        bracket = b * b + ((c + 3 * s) / 4.0) * one_minus_a
-    elif case == "IV":
-        if beta is None:
-            raise ValueError("case IV requires beta")
-        bracket = b * b + ((c + 3 * s + 3 * (c - s) * np.cos(beta) ** 2) / 4.0) * one_minus_a
-    else:
-        raise ValueError(f"unknown case label {case!r} (expected I, II or IV)")
-    # measured inputs carry O(1e-7) noise in cos^2(beta) etc.; a bracket
-    # below 1e-9 is numerically indistinguishable from the eps = 0 family
-    eps = int(np.sign(bracket)) if abs(bracket) > 1e-9 else 0
-    return float(np.sqrt(abs(bracket))), eps
-
-
 def f_from_k1(ts, k1, k1p=None, k1pp=None, c1: float = 1.0):
     """WeightFunction f = c1 k1^(-3/2) with chain-rule derivatives.
 
@@ -198,7 +162,6 @@ def f_from_k1(ts, k1, k1p=None, k1pp=None, c1: float = 1.0):
     k1p/k1pp arrays (finite differences of the caller's choosing).
     Requires k1 > 0 on the window and c1 > 0.
     """
-    from .biharmonic import WeightFunction
     ts = np.asarray(ts, dtype=float)
     if callable(k1):
         k1, k1p, k1pp = (np.asarray(v, dtype=float) for v in k1(ts))

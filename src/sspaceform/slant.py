@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveTrace, FrenetData, _frame_jet, fd_derivative
-from .manifold import ModelParams, connection_term, phi_frame
+from .curve import CurveTrace, FrenetData, fd_derivative
+from .manifold import ModelParams, phi_frame
 
 __all__ = [
     "SlantProfile",
@@ -97,20 +97,6 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
         tolerance=float(tolerance),
         eta_samples=etas,
     )
-
-
-def _nabla_phiT(trace: CurveTrace):
-    """(T, phi T, nabla_T(phi T)) in frame components, exactly.
-
-    phi is constant-coefficient on frames, so d/dt of phi T's components
-    is phi of T's and nabla_T(phi T) = phi(T') + Phi(T, phi T), from the
-    jet of T's frame components.
-    """
-    params = trace.params
-    tjet = _frame_jet(trace)
-    tf = tjet[0]
-    phiT = phi_frame(params, tf)
-    return tf, phiT, phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)
 
 
 # relative size below which a phi T projection counts as zero

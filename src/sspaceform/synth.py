@@ -268,6 +268,14 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
 # steering construction for slant curves
 # ---------------------------------------------------------------------------
 
+def _radicand_coefficients(a: float, b: float, s: int, p2: float,
+                           c2: float) -> tuple[float, float, float]:
+    """(A2, B1, C0) of the steering radicand A2 k^2 + B1 k + C0, k = k1."""
+    P = 1.0 - a
+    return (c2 * c2 + a / (a - 1.0), -2.0 * b * p2 / P,
+            -p2 * p2 * (b * b + s * P) / P)
+
+
 def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
                         c2: float, window=(-1.0, 1.0), step: float = 1e-3,
                         branch: int = +1, psi0: float = 0.0,
@@ -299,9 +307,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
             "phiT parallel V2 (|p2| = sqrt(1-a)): degenerate steering; "
             "use the closed-form zeta' = q i zeta construction instead")
     W0 = np.sqrt(W0sq)
-    A2 = c2 * c2 + a / (a - 1.0)
-    B1 = -2.0 * b * p2 / P
-    C0 = -p2 * p2 * (b * b + s * P) / P
+    A2, B1, C0 = _radicand_coefficients(a, b, s, p2, c2)
 
     def coefficients(times):
         # per stage time: q i, k1 W0 and psi'.  k1 is called once per
@@ -535,10 +541,8 @@ class R6ExampleConfig:
 
     def feasible_abs_t(self) -> float:
         """Largest |t| where the steering radicand stays nonnegative."""
-        P = 1.0 - self.a
-        A2 = self.c2 ** 2 + self.a / (self.a - 1.0)
-        B1 = -2.0 * self.b * self.p2 / P
-        C0 = -self.p2 ** 2 * (self.b ** 2 + self.params.s * P) / P
+        A2, B1, C0 = _radicand_coefficients(self.a, self.b, self.params.s,
+                                            self.p2, self.c2)
         # radicand is A2 k^2 + B1 k + C0 with k = k1(t) decreasing in |t|
         disc = B1 ** 2 - 4 * A2 * C0
         kmin = (-B1 + np.sqrt(disc)) / (2 * A2)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from sspaceform import findings, odesol, synth
-from sspaceform.biharmonic import (EQUATIONS, WeightFunction,
-                                   case1_case2_checker, case3_obstruction,
-                                   case4_checker, case4_mu, check_conditions,
+from sspaceform.biharmonic import (EQUATIONS, WeightFunction, check_conditions,
                                    classify_case, mainprop_residuals, tau2,
                                    tau3)
 from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
+from sspaceform.findings import (case1_case2_checker, case3_obstruction,
+                                 case4_checker, case4_mu)
 from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
 
@@ -290,8 +290,9 @@ def test_case2_checker_on_case2_curve(case2_curve, case2_fd, case2_profile):
     f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
     k1, k2, _ = case2_fd.padded_curvatures
     k1p, k1pp, _ = case2_fd.curvature_jet
-    rep = case1_case2_checker(case2_profile, case2_curve.params, k1, k1p,
-                              k1pp, k2, f, trace=case2_curve, fd=case2_fd)
+    rep = case1_case2_checker(case2_profile.a, case2_profile.b,
+                              case2_curve.params, k1, k1p, k1pp, k2, f,
+                              trace=case2_curve, fd=case2_fd)
     assert rep["case"] == "II"
     assert rep["epsilon"] == 0                       # bracket b^2 = 0
     assert abs(rep["c1"] - 1.0) < 1e-8
@@ -314,7 +315,7 @@ def test_case1_checker_hypothetical():
 
     f = odesol.f_from_k1(ts, k1, c1=2.0)
     k1v, k1p, k1pp = k1(ts)
-    rep = case1_case2_checker((0.5, np.sqrt(2) / 2), (1.0, 1), k1v, k1p,
+    rep = case1_case2_checker(0.5, np.sqrt(2) / 2, (1.0, 1), k1v, k1p,
                               k1pp, 2.0 * k1v, f)
     assert rep["case"] == "I"
     assert rep["lambda"] == pytest.approx(1.0)
@@ -333,7 +334,7 @@ def test_case2_checker_constant_k2_means_not_proper():
     f = WeightFunction.constant(ts, 1.0)
     h = ts[1] - ts[0]
     k1p = fd_derivative(k1, h)
-    rep = case1_case2_checker((0.25, 0.5), ModelParams(2, 2), k1, k1p,
+    rep = case1_case2_checker(0.25, 0.5, ModelParams(2, 2), k1, k1p,
                               fd_derivative(k1p, h), 0.5 * k1, f)
     assert not rep["proper_possible"]
 
@@ -342,8 +343,9 @@ def test_case2_checker_r2_subcase(catenary, catenary_fd):
     prof = contact_angles(catenary)
     f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
     k1p, k1pp, _ = catenary_fd.curvature_jet
-    rep = case1_case2_checker(prof, catenary.params, catenary_fd.curvatures[0],
-                              k1p, k1pp, np.zeros(catenary.n), f)
+    rep = case1_case2_checker(prof.a, prof.b, catenary.params,
+                              catenary_fd.curvatures[0], k1p, k1pp,
+                              np.zeros(catenary.n), f)
     assert rep["sub_case"] == "r=2 (c2 = 0)"
     assert rep["ode_residual"] < 1e-8   # differenced-k1 roundoff floor
 
@@ -352,7 +354,7 @@ def test_case_checker_k1_zero_guard():
     ts = np.linspace(0, 1, 101)
     f = WeightFunction.constant(ts, 1.0)
     with pytest.raises(ValueError, match="zeros"):
-        case1_case2_checker((0.25, 0.5), ModelParams(2, 2), np.zeros(101),
+        case1_case2_checker(0.25, 0.5, ModelParams(2, 2), np.zeros(101),
                             np.zeros(101), np.zeros(101), np.zeros(101), f)
 
 
@@ -361,7 +363,7 @@ def test_case_checker_k1_zero_guard():
 # ---------------------------------------------------------------------------
 
 def test_case3_obstruction_reference_cell():
-    rep = case3_obstruction((0.25, 0.5), ModelParams(2, 2), c2=1.0)
+    rep = case3_obstruction(0.25, 0.5, ModelParams(2, 2), c2=1.0)
     assert rep["branch"] == "constant-k1"
     A, B, C = rep["coefficients"][1.0]
     assert C == pytest.approx(0.25 * 2 - 0.25 - 2)   # as - b^2 - s < 0
@@ -369,13 +371,13 @@ def test_case3_obstruction_reference_cell():
 
 
 def test_case3_obstruction_geodesic_branch():
-    rep = case3_obstruction((1.0, 0.0), ModelParams(2, 2))
+    rep = case3_obstruction(1.0, 0.0, ModelParams(2, 2))
     assert rep["branch"] == "geodesic"
 
 
 def test_case3_obstruction_epsilon_guard():
     with pytest.raises(ValueError):
-        case3_obstruction((0.25, 0.5), ModelParams(2, 2), epsilon=0)
+        case3_obstruction(0.25, 0.5, ModelParams(2, 2), epsilon=0)
 
 
 def test_case3_grid_scan_all_obstructed():

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -511,6 +512,126 @@ def test_unwritable_output_path_exit_2(argv, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+@pytest.mark.parametrize("report", ["file", "stdout"])
+@pytest.mark.parametrize("csv_target", ["missing-dir", "directory"])
+def test_refused_verify_leaves_no_partial_output(report, csv_target, tmp_path,
+                                                 capsys):
+    # the report used to be written before the CSV path was refused; a
+    # directory target is refused before anything is written
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    if csv_target == "directory":
+        bad = tmp_path / "d"
+        bad.mkdir()
+        reason, left = "[Errno 21] Is a directory", ["c.ini", "d"]
+    else:
+        bad = tmp_path / "no-such-dir" / "s.csv"
+        reason, left = "[Errno 2] No such file or directory", ["c.ini"]
+    argv = ["verify", "--config", cfg, "--csv", str(bad)]
+    if report == "file":
+        argv += ["--report", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+    assert not any((tmp_path / "d").glob("*"))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"config error: {reason}: {str(bad)!r}"]
+
+
+def test_refused_synth_verify_leaves_no_trace(tmp_path, capsys):
+    # the trace used to be written before the report path was refused
+    out = tmp_path / "syn.csv"
+    bad = tmp_path / "no-such-dir" / "r.json"
+    assert cli.main(["synth", "--builtin", "catenary", "--window=-1:1",
+                     "--out", str(out), "--verify", "--report", str(bad)]
+                    ) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_writes_through_symlink_and_device(tmp_path):
+    # a symlinked report is written through, keeping the link and the
+    # file's mode; a device such as os.devnull is written directly
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old report")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    assert cli.main(["verify", "--config", cfg, "--report", str(link),
+                     "--csv", os.devnull]) == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.ini", "link.json", "real.json"]
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["command"] == "verify"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_failed_verify_write_keeps_old_outputs(tmp_path, monkeypatch):
+    # a write that fails midway leaves every target as it was and no
+    # temporary file behind
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    report, samples = tmp_path / "r.json", tmp_path / "s.csv"
+    report.write_text("old report")
+    samples.write_text("old samples")
+
+    def fail_midway(path, *args):
+        with open(path, "w") as fh:
+            fh.write("t,k1\r\n")
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_verify_csv", fail_midway)
+    assert cli.main(["verify", "--config", cfg, "--report", str(report),
+                     "--csv", str(samples)]) == cli.EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.ini", "r.json", "s.csv"]
+    assert report.read_text() == "old report"
+    assert samples.read_text() == "old samples"
+
+
+def test_verify_report_to_a_pipe(tmp_path):
+    # --report /dev/stdout on a pipe names a FIFO, which is written
+    # directly: there is no file next to it to rename
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-m", "sspaceform.cli", "verify",
+                          "--config", cfg, "--report", "/dev/stdout"],
+                         env=env, cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == cli.EXIT_OK, out.stderr
+    assert json.loads(out.stdout)["command"] == "verify"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+# the case-theorem layer: only tests and demos call it
+MOVED_TO_FINDINGS = {
+    "biharmonic": ("_fit_constant", "case1_case2_checker",
+                   "_independence_gram", "case3_obstruction", "case4_mu",
+                   "case4_checker"),
+    "odesol": ("lambda_constants",),
+    "slant": ("_nabla_phiT",),
+}
+
+
+def test_case_checkers_live_in_findings_only():
+    # the modules the CLI imports do not ship the case checkers or the
+    # helpers only they use; sspaceform.findings provides all of them
+    from sspaceform import biharmonic, findings, slant
+    modules = {"biharmonic": biharmonic, "odesol": odesol, "slant": slant}
+    shipped = [f"{module}.{name}" for module, names in MOVED_TO_FINDINGS.items()
+               for name in names if hasattr(modules[module], name)]
+    assert shipped == []
+    missing = [name for names in MOVED_TO_FINDINGS.values() for name in names
+               if not callable(getattr(findings, name, None))]
+    assert missing == []
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_verify_unknown_expected_verdict_exit_2(where, tmp_path, capsys,
                                                 monkeypatch):
@@ -855,9 +976,9 @@ def test_ode_csv_bytes_match_csv_writer(case, eps, lam, c3, tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate is most of the import time of a cold CLI run; only
-    # case4_mu needs it and imports it itself.  sympy, the exact model in
-    # sspaceform.oracles and the analyses in sspaceform.findings are for
-    # tests and demos only.
+    # findings.case4_mu needs it and imports it itself.  sympy, the exact
+    # model in sspaceform.oracles and the analyses in sspaceform.findings
+    # (the case checkers among them) are for tests and demos only.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

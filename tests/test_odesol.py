@@ -4,12 +4,11 @@ import pytest
 import sympy as sp
 
 from sspaceform import odesol
-from sspaceform.findings import real_domain_report
+from sspaceform.findings import lambda_constants, real_domain_report
 from sspaceform.manifold import ModelParams
 from sspaceform.odesol import (OdeSolutionSpec, case_iii_profile,
                                f_from_k1, first_integral, k1_closed_form,
-                               lambda_constants, numeric_solution_oracle,
-                               ode_residual)
+                               numeric_solution_oracle, ode_residual)
 
 
 def spec_iii(c2, c3, c4):
