@@ -66,7 +66,7 @@ spec = cfg.synthesis_spec(window=(-2.0, 2.0), step=1e-3)
 trace, _ = synth.integrate_frenet_system(spec)
 fd = frenet_apparatus(trace, max_order=4)
 prof = contact_angles(trace, tolerance=1e-5)
-etas = trace.tangent_frame()[:, 4:]
+etas = trace.tangent_frame()[4:].T
 k1_rel = np.max(np.abs(fd.curvatures[0] - cfg.k1(trace.ts)) / cfg.k1(trace.ts))
 print(f"""Integrating gamma' = V1 with the prescribed (k1, k2, k3) and the
 admissible initial frame reproduces the curvatures (k1 relative error

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CurveTrace, FrenetData, fd_derivative, uniform_step
-from .manifold import ModelParams, curvature_frame
+from .manifold import ModelParams, component_sum, curvature_frame
 from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
 __all__ = [
@@ -168,9 +168,9 @@ def tau2(fd: FrenetData) -> dict:
     frenet: (-3 k1 k1') T + (k1'' - k1^3 - k1 k2^2) V2
             + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term,
     where the R-term uses the same closed form and the scalars are
-    fd.padded_curvatures and fd.curvature_jet.  Returns both fields and
-    their cross residual.  A chain shorter than TAU2_CHAIN_LEVELS raises
-    ValueError.
+    fd.padded_curvatures and fd.curvature_jet.  Returns both fields,
+    component-major like the chain, and their cross residual.  A chain
+    shorter than TAU2_CHAIN_LEVELS raises ValueError.
     """
     chain = fd.chain
     if len(chain) < TAU2_CHAIN_LEVELS:
@@ -183,17 +183,15 @@ def tau2(fd: FrenetData) -> dict:
 
     k1, k2, k3 = fd.padded_curvatures
     k1p, k1pp, k2p = fd.curvature_jet
-    n, dim = len(fd.ts), params.dim
-    frames = np.zeros((4, n, dim))
-    frames[0] = tf
-    for j in range(1, min(4, fd.order)):
-        frames[j] = fd.frames[j]
-    frenet = ((-3 * k1 * k1p)[:, None] * frames[0]
-              + (k1pp - k1 ** 3 - k1 * k2 ** 2)[:, None] * frames[1]
-              + (2 * k1p * k2 + k1 * k2p)[:, None] * frames[2]
-              + (k1 * k2 * k3)[:, None] * frames[3]
+    zeros = np.zeros(tf.shape)
+    V = [tf] + [fd.frames[j].T if j < fd.order else zeros for j in (1, 2, 3)]
+    frenet = ((-3 * k1 * k1p) * V[0]
+              + (k1pp - k1 ** 3 - k1 * k2 ** 2) * V[1]
+              + (2 * k1p * k2 + k1 * k2p) * V[2]
+              + (k1 * k2 * k3) * V[3]
               - R_term)
-    cross = float(np.max(np.linalg.norm(direct - frenet, axis=-1)))
+    gap = direct - frenet
+    cross = float(np.max(np.sqrt(component_sum(gap * gap))))
     return {"direct": direct, "frenet": frenet, "cross_residual": cross}
 
 
@@ -202,10 +200,10 @@ def tau3(fd: FrenetData, f: WeightFunction) -> dict:
     by the direct route; the cross residual is tau2's."""
     t2 = tau2(fd)
     chain = fd.chain
-    w1 = (f.fp / f.f)[:, None]
-    w2 = (f.fpp / f.f)[:, None]
+    w1 = f.fp / f.f
+    w2 = f.fpp / f.f
     direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
-    norm = np.linalg.norm(direct, axis=-1)
+    norm = np.sqrt(component_sum(direct * direct))
     return {
         "direct": direct,
         "cross_residual": t2["cross_residual"],

@@ -42,7 +42,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import CurveTrace, fd_derivative, frenet_apparatus, write_csv
+from .curve import (CurveTrace, fd_derivative, frenet_apparatus, grid_samples,
+                    write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -155,7 +156,8 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     if name not in BUILTIN_CURVES:
         raise ConfigError(f"unknown builtin curve {name!r} "
                           f"(choose from {BUILTIN_CURVES})")
-    n = int(round((window[1] - window[0]) / step)) + 1
+    if name in ("catenary", "circle", "geodesic"):   # the others march
+        n = grid_samples(window[1] - window[0], step)
     if name == "catenary":
         return synth.legendre_catenary(params, window=window, n=n), \
             lambda t: 1.0 / (1.0 + t ** 2)
@@ -419,6 +421,7 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         raise ConfigError("cases (i)/(ii) need --lambda > 0")
     spec = odesol.OdeSolutionSpec(epsilon=eps, lam=lam if eps else 0.0,
                                   c2=c2, c3=c3, c4=c4)
+    grid_samples(hi - lo, h)
     ts = np.arange(lo, hi + h / 2, h)
     y, ok = odesol.k1_closed_form(spec, ts)
     if spec.case == "iii" and abs(c3) < 1e-14:

@@ -19,13 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .manifold import ModelParams, connection_term, coords_to_frame
+from .manifold import ModelParams, component_sum, connection_term, coords_to_frame
 
 __all__ = [
     "CurveTrace",
     "FrenetData",
     "write_csv",
     "fd_derivative",
+    "grid_samples",
     "uniform_step",
     "unit_speed_check",
     "covariant_chain",
@@ -80,6 +81,19 @@ def _chained_derivatives(arr, h: float, count: int, stride: int = 1) -> list:
     for _ in range(count):
         out.append(fd_derivative(out[-1], h, stride=stride))
     return out
+
+
+# verify peaks near 1.5 kB of resident memory per sample, 1.5 GB at the cap
+MAX_SAMPLES = 1_000_000
+
+
+def grid_samples(span: float, step: float) -> int:
+    """Samples of a grid of `step` over `span`, both ends included;
+    ValueError above MAX_SAMPLES (or for a nan), before any allocation."""
+    if not span / step < MAX_SAMPLES - 0.5:
+        raise ValueError(f"step {step:g} over a span of {span:g} asks for more "
+                         f"than the {MAX_SAMPLES} samples a grid may have")
+    return int(round(span / step)) + 1
 
 
 def uniform_step(ts: np.ndarray, who: str) -> float:
@@ -253,12 +267,12 @@ class CurveTrace:
         write_csv(path, header, np.column_stack([self.ts] + blocks))
 
     def tangent_frame(self) -> np.ndarray:
-        """Frame components of the velocity, per sample.
+        """Frame components of the velocity, component-major: (2m+s, n).
 
         Built on the first call and kept, read-only, for the later ones.
         """
         if self._tangent is None:
-            self._tangent = coords_to_frame(self.params, self.velocity, self.y)
+            self._tangent = coords_to_frame(self.params, self.velocity.T, self.y.T)
             self._tangent.setflags(write=False)
         return self._tangent
 
@@ -270,7 +284,7 @@ class CurveTrace:
 def unit_speed_check(trace: CurveTrace) -> dict:
     """Max over samples of |g(T,T) - 1| (frame components make g the dot)."""
     tf = trace.tangent_frame()
-    dev = np.abs(np.sum(tf * tf, axis=-1) - 1.0)
+    dev = np.abs(component_sum(tf * tf) - 1.0)
     return {"max_deviation": float(np.max(dev)), "per_sample": dev}
 
 
@@ -285,23 +299,23 @@ def _frame_jet(trace: CurveTrace) -> list[np.ndarray]:
         A = gamma'_y/2, B = gamma'_x/2,
         C_alpha = (gamma'_z_alpha - <y, gamma'_x>)/2.
     Differentiating j times uses gamma^(j+1) and the Leibniz rule on
-    <y, gamma'_x>.  Returns [W, W', ...] to order depth-1; W = tangent_frame.
+    <y, gamma'_x>.  Returns [W, W', ...] to order depth-1, component-major;
+    W = tangent_frame.
     """
-    params = trace.params
-    m = params.m
-    d = trace.depth
-    g = [trace.points] + trace.derivs  # g[k] = gamma^(k)
+    m = trace.params.m
+    # g[k] = gamma^(k) as (dim, n) views; their strided rows are read one at
+    # a time, since NumPy loops a strided (k, n) block over its k components
+    g = [a.T for a in [trace.points] + trace.derivs]
     jets = [trace.tangent_frame()]
-    for j in range(1, d):
-        W = np.empty_like(trace.points)
-        W[:, :m] = g[j + 1][:, m:2 * m] / 2.0
-        W[:, m:2 * m] = g[j + 1][:, :m] / 2.0
+    for j in range(1, trace.depth):
+        v = g[j + 1]
         # d^j/dt^j <y, gamma'_x> = sum_i C(j,i) <y^(i), gamma^(1+j-i)_x>
-        acc = np.zeros(len(trace.ts))
+        acc = np.zeros(trace.n)
         for i in range(j + 1):
-            acc += comb(j, i) * np.sum(g[i][:, m:2 * m] * g[j + 1 - i][:, :m], axis=-1)
-        W[:, 2 * m:] = (g[j + 1][:, 2 * m:] - acc[:, None]) / 2.0
-        jets.append(W)
+            acc += comb(j, i) * component_sum(
+                [y * x for y, x in zip(g[i][m:2 * m], g[j + 1 - i][:m])])
+        jets.append(np.array([row / 2.0 for row in (*v[m:2 * m], *v[:m])]
+                             + [(row - acc) / 2.0 for row in v[2 * m:]]))
     return jets
 
 
@@ -311,26 +325,25 @@ def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
     Depth: with derivatives up to gamma^(d), the chain has d entries.
     Uses nabla_T W = W' + Phi(T, W) and the Leibniz rule
         (nabla_T W)^(j) = W^(j+1) + sum_i C(j,i) Phi(T^(i), W^(j-i)).
-    The levels are read-only: FrenetData keeps them for tau2/tau3.
+    The levels are (2m+s, n) and read-only; FrenetData keeps them for tau2/tau3.
     """
     params = trace.params
     tjet = _frame_jet(trace)           # derivatives of T's frame components
-    d = len(tjet)
-    levels = [list(tjet)]              # jets of chain level 0
-    for lvl in range(1, d):
-        prev = levels[-1]
-        avail = len(prev) - 1          # can produce this many derivatives
-        cur = []
-        for j in range(avail):
-            W = prev[j + 1].copy()
+    t_sums = [component_sum(t[2 * params.m:]) for t in tjet[:-1]]   # S of T^(i)
+    chain, jet = [tjet[0]], tjet       # jet: derivatives of the last level
+    while len(jet) > 1:                # the next level's jet is one shorter
+        nxt = []
+        for j in range(len(jet) - 1):
+            W = jet[j + 1].copy()
             for i in range(j + 1):
-                W += comb(j, i) * connection_term(params, tjet[i], prev[j - i])
-            cur.append(W)
-        levels.append(cur)
-    chain = tuple(lv[0] for lv in levels)
+                W += comb(j, i) * connection_term(params, tjet[i], jet[j - i],
+                                                  t_sum=t_sums[i])
+            nxt.append(W)
+        jet = nxt
+        chain.append(jet[0])
     for level in chain:
         level.setflags(write=False)
-    return chain
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +368,7 @@ class FrenetData:
     curvatures: np.ndarray      # (order-1, n), k_1..k_{r-1}
     threshold: float
     raw_curvatures: np.ndarray  # (max_order-1, n) including sub-threshold ones
-    chain: tuple                # covariant_chain(trace), read-only levels
+    chain: tuple                # covariant_chain(trace): (dim, n) read-only levels
     unit_speed_deviation: float  # max |g(T,T) - 1| over the trace
     degeneracy: list = field(default_factory=list)
 
@@ -416,7 +429,7 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     resid = np.zeros((max(max_order - 1, 0), n))
     live = np.ones(n, dtype=bool)
     for j in range(max_order):
-        v = chain[j].copy()
+        v = chain[j].T.copy()
         for b in frames[:j]:
             v -= np.vecdot(v, b)[:, None] * b
         nv = np.sqrt(np.vecdot(v, v))
@@ -475,15 +488,7 @@ def _align_signs(frame: np.ndarray) -> None:
 
 
 def _contiguous_windows(ts: np.ndarray, mask: np.ndarray) -> list:
-    windows = []
-    start = None
-    for i, good in enumerate(mask):
-        if good and start is None:
-            start = i
-        elif not good and start is not None:
-            windows.append((float(ts[start]), float(ts[i - 1])))
-            start = None
-    if start is not None:
-        windows.append((float(ts[start]), float(ts[-1])))
-    return windows
+    """(first t, last t) of every run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return [(float(ts[a]), float(ts[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 

@@ -476,7 +476,8 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     vel_frame[:, 0] = recs[:, 0]
     vel_frame[:, params.m] = recs[:, 1]
     vel_frame[:, 2 * params.m:] = sv
-    vels = frame_to_coords(params, vel_frame, points[:, params.m:2 * params.m])
+    vels = frame_to_coords(params, vel_frame.T,
+                           points[:, params.m:2 * params.m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
@@ -489,13 +490,14 @@ def _nabla_phiT(trace: CurveTrace):
 
     phi is constant-coefficient on frames, so d/dt of phi T's components
     is phi of T's and nabla_T(phi T) = phi(T') + Phi(T, phi T), from the
-    jet of T's frame components.
+    jet of T's frame components.  The three come one sample per row.
     """
     params = trace.params
     tjet = _frame_jet(trace)
     tf = tjet[0]
     phiT = phi_frame(params, tf)
-    return tf, phiT, phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)
+    return (tf.T, phiT.T,
+            (phi_frame(params, tjet[1]) + connection_term(params, tf, phiT)).T)
 
 
 def v_frame(profile: SlantProfile) -> np.ndarray:
@@ -527,7 +529,7 @@ def nabla_phiT_check(trace: CurveTrace, fd: FrenetData,
     Vf = v_frame(profile)
     geodesic = fd.order < 2
     k1 = fd.padded_curvatures[0]
-    phiV2 = np.zeros_like(tf) if geodesic else phi_frame(params, fd.frames[1])
+    phiV2 = np.zeros_like(tf) if geodesic else phi_frame(params, fd.frames[1].T).T
     rhs = (1 - a) * xibar + b * (-tf + Vf) + k1[:, None] * phiV2
     res = np.linalg.norm(lhs - rhs, axis=-1)
     return {

@@ -38,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
+    "component_sum",
     "coords_to_frame",
     "frame_to_coords",
     "phi_frame",
@@ -70,44 +71,59 @@ class ModelParams:
 
 # ---------------------------------------------------------------------------
 # frame components and the exact connection along curves
+#
+# The NumPy maps are component-major: an array of shape (2m+s, ...) holds
+# one row per component, and a caller with (n, 2m+s) samples passes `.T`.
 # ---------------------------------------------------------------------------
+
+def component_sum(rows):
+    """0.0 + rows[0] + rows[1] + ..., in that order: every sum over
+    components of the frame layer.  It is what `np.add.reduce` computes on
+    fewer than 8 elements, signed zeros included (on more it sums
+    pairwise)."""
+    total = 0.0 + rows[0]
+    for row in rows[1:]:
+        total += row
+    return total
+
 
 def coords_to_frame(params: ModelParams, v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coordinate components -> frame components (A | B | C) at y-coords y.
 
     A_i = v_{y_i}/2 (on X_i), B_i = v_{x_i}/2 (on X_{m+i}),
-    C_alpha = eta_alpha(v) (on xi_alpha).  Vectorized over leading axes.
+    C_alpha = eta_alpha(v) (on xi_alpha).  Vectorized over trailing axes.
     """
     m = params.m
-    out = np.empty_like(v)
-    out[..., :m] = v[..., m:2 * m] / 2.0
-    out[..., m:2 * m] = v[..., :m] / 2.0
-    out[..., 2 * m:] = (v[..., 2 * m:] - np.sum(y * v[..., :m], axis=-1, keepdims=True)) / 2.0
+    out = np.empty(v.shape)
+    out[:m] = v[m:2 * m] / 2.0
+    out[m:2 * m] = v[:m] / 2.0
+    out[2 * m:] = (v[2 * m:] - component_sum(y * v[:m])) / 2.0
     return out
 
 
 def frame_to_coords(params: ModelParams, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Frame components (A | B | C) -> coordinate components at y-coords y."""
     m = params.m
-    A, B, C = w[..., :m], w[..., m:2 * m], w[..., 2 * m:]
-    out = np.empty_like(w)
-    out[..., :m] = 2.0 * B
-    out[..., m:2 * m] = 2.0 * A
-    out[..., 2 * m:] = 2.0 * C + 2.0 * np.add.reduce(B * y, axis=-1, keepdims=True)
+    A, B, C = w[:m], w[m:2 * m], w[2 * m:]
+    out = np.empty(w.shape)
+    out[:m] = 2.0 * B
+    out[m:2 * m] = 2.0 * A
+    out[2 * m:] = 2.0 * C + 2.0 * component_sum(B * y)
     return out
 
 
 def phi_frame(params: ModelParams, w: np.ndarray) -> np.ndarray:
     """phi in frame components: (A, B, C) -> (-B, A, 0)."""
-    m, s = params.m, params.s
-    out = np.empty_like(w)
-    out[..., :m] = -w[..., m:2 * m]
-    out[..., m:2 * m] = w[..., :m]
-    out[..., 2 * m:] = 0.0
+    m = params.m
+    out = np.empty(w.shape)
+    out[:m] = -w[m:2 * m]
+    out[m:2 * m] = w[:m]
+    out[2 * m:] = 0.0
     return out
 
 
-def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> np.ndarray:
+def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray,
+                    t_sum=None) -> np.ndarray:
     """Bilinear connection part Phi(T, W) of nabla_T W in frame components.
 
     nabla_T W = dW/dt + Phi(T, W) along any curve with tangent T, where
@@ -116,19 +132,18 @@ def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> 
         Phi_B = -S A - Ctot tau
         Phi_C = <B, tau> - <A, sigma>       (same value for every alpha)
 
-    with T = (tau | sigma | s), S = sum s_alpha, Ctot = sum C_alpha.
+    with T = (tau | sigma | s), S = sum s_alpha, Ctot = sum C_alpha.  A
+    caller that pairs one T with many W passes S once as `t_sum`.
     """
     m = params.m
-    tau, sig, sv = t_frame[..., :m], t_frame[..., m:2 * m], t_frame[..., 2 * m:]
-    A, B, C = w[..., :m], w[..., m:2 * m], w[..., 2 * m:]
-    # np.add.reduce is np.sum without its Python-level wrapper, which costs
-    # as much as the reduction on the few-element rows of a synthesis step
-    S = np.add.reduce(sv, axis=-1, keepdims=True)
-    Ctot = np.add.reduce(C, axis=-1, keepdims=True)
-    out = np.empty_like(w)
-    out[..., :m] = S * B + Ctot * sig
-    out[..., m:2 * m] = -S * A - Ctot * tau
-    out[..., 2 * m:] = np.add.reduce(B * tau - A * sig, axis=-1, keepdims=True)
+    tau, sig = t_frame[:m], t_frame[m:2 * m]
+    A, B = w[:m], w[m:2 * m]
+    S = component_sum(t_frame[2 * m:]) if t_sum is None else t_sum
+    Ctot = component_sum(w[2 * m:])
+    out = np.empty(w.shape)
+    out[:m] = S * B + Ctot * sig
+    out[m:2 * m] = -S * A - Ctot * tau
+    out[2 * m:] = component_sum(B * tau - A * sig)
     return out
 
 
@@ -136,13 +151,9 @@ def connection_term(params: ModelParams, t_frame: np.ndarray, w: np.ndarray) -> 
 # the same maps on Python floats, for one frame vector per call
 #
 # A marching right-hand side calls these on a few short rows per stage,
-# where NumPy's per-call cost is most of the work.  They perform the
-# operations of `connection_term` and `frame_to_coords`, in the same
-# order, on lists of floats.  Rounding contract: a row sum here is the
-# sequential 0.0 + x_0 + x_1 + ..., which is what `np.add.reduce`
-# computes on fewer than 8 elements (on 8 or more it sums pairwise).  So
-# the results are bit-identical to the NumPy forms for m <= 7 and s <= 7
-# and may differ in the last bit beyond.
+# where NumPy's per-call cost is most of the work.  They repeat the
+# operations and sums of `connection_term` and `frame_to_coords` in their
+# order on lists of floats: bit-identical to them for every m and s.
 # ---------------------------------------------------------------------------
 
 def connection_rows(params: ModelParams, t_frame: list[float],
@@ -188,33 +199,17 @@ def curvature_frame(params: ModelParams, X: np.ndarray, Y: np.ndarray,
     which are frame-algebraic: eta_alpha(W) = C_alpha, g = dot product,
     phi = (A,B,C) -> (-B,A,0).  The term ((c+3s)/4)(g(phiX,phiZ) phi^2 Y
     - g(phiY,phiZ) phi^2 X) is left out: c = -3s makes it exactly 0.
-    Vectorized over leading axes.
+    Vectorized over trailing axes.
     """
     m, s = params.m, params.s
-    c = params.c
-    ebar = lambda W: np.sum(W[..., 2 * m:], axis=-1, keepdims=True)
     phX, phY, phZ = (phi_frame(params, W) for W in (X, Y, Z))
-    dot = lambda U, V: np.sum(U * V, axis=-1, keepdims=True)
-
-    def phi2(W):
-        # phi^2 W = -W + sum_alpha eta_alpha(W) xi_alpha: kill the xi part
-        out = -W.copy()
-        out[..., 2 * m:] = 0.0
-        return out
-
-    xibar = _xibar(params, X)
-
-    eX, eY, eZ = ebar(X), ebar(Y), ebar(Z)
-    out = (eX * eZ) * phi2(Y) - (eY * eZ) * phi2(X)
+    dot = lambda U, V: component_sum(U * V)
+    xibar = np.zeros((params.dim,) + (1,) * (X.ndim - 1))   # sum_alpha xi_alpha
+    xibar[2 * m:] = 1.0
+    eX, eY, eZ = (component_sum(W[2 * m:]) for W in (X, Y, Z))
+    # phi^2 W = -W + sum_alpha eta_alpha(W) xi_alpha is phi of phi W
+    out = (eX * eZ) * phi_frame(params, phY) - (eY * eZ) * phi_frame(params, phX)
     out += (-dot(phX, phZ) * eY + dot(phY, phZ) * eX) * xibar
-    coef2 = (c - s) / 4.0
+    coef2 = (params.c - s) / 4.0
     out += coef2 * (dot(X, phZ) * phY - dot(Y, phZ) * phX + 2.0 * dot(X, phY) * phZ)
     return out
-
-
-def _xibar(params: ModelParams, like: np.ndarray) -> np.ndarray:
-    """sum_alpha xi_alpha in frame components, broadcast like `like`."""
-    m, s = params.m, params.s
-    xb = np.zeros(like.shape[:-1] + (params.dim,))
-    xb[..., 2 * m:] = 1.0
-    return xb

@@ -81,8 +81,8 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
     """
     if tolerance is None:
         tolerance = 1e-3 if trace.sampled else 1e-5
-    tf = trace.tangent_frame()
-    etas = tf[:, 2 * trace.params.m:]          # eta_alpha(T) = C_alpha
+    # eta_alpha(T) = C_alpha, one sample per row
+    etas = trace.tangent_frame()[2 * trace.params.m:].T.copy()
     means = etas.mean(axis=0)
     deviation = float(np.max(np.abs(etas - means))) if len(etas) else 0.0
     thetas = _arccos_clipped(means, "contact angles (mean eta_alpha(T))")
@@ -135,7 +135,7 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     params = trace.params
     one_minus_a = 1.0 - profile.a
     n = trace.n
-    phiT = phi_frame(params, trace.tangent_frame())
+    phiT = phi_frame(params, trace.tangent_frame()).T.copy()   # (n, dim)
     phiT_norm2 = np.einsum("nd,nd->n", phiT, phiT)
     if one_minus_a < 1e-12:
         zeros = np.zeros(n)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveTrace, frenet_apparatus
+from .curve import CurveTrace, frenet_apparatus, grid_samples
 from .manifold import (ModelParams, connection_rows, frame_row_to_coords,
                        frame_to_coords)
 
@@ -153,6 +153,7 @@ def _rk4_march(rhs, y0, t0, window, step, after=None, table=None):
     lo, hi = window
     if not lo <= t0 <= hi:
         raise ValueError("window must contain the start point t0")
+    grid_samples(hi - lo, step)
     n_fwd = int(round((hi - t0) / step))
     n_bwd = int(round((t0 - lo) / step))
 
@@ -228,9 +229,8 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
         `frame_row_to_coords(T, y)`.  The ends are padded with k_0 = k_r = 0
         and zero rows, which leaves their bits alone: 0.0 - 0.0 * 0.0 is
         0.0, and x + 0.0 * 0.0 is x because x = 0.0 - (...) is never -0.0.
-        So the result is bit-identical to the NumPy form wherever those two
-        kernels are, i.e. for m <= 7 and s <= 7 (the CLI always runs
-        m = s = 2).
+        So the result is bit-identical to the NumPy form, as those two
+        kernels are, for every m and s.
         """
         *frame, pos = S.tolist()
         T = frame[0]
@@ -258,7 +258,7 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
                             spec.window, spec.step, after=reorthonormalize,
                             table=curvature_table)
     frames, points = states[:, :r], states[:, r]
-    vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
+    vels = frame_to_coords(params, frames[:, 0].T, points[:, m:2 * m].T).T
 
     trace = CurveTrace.from_velocity(params, ts, points, vels, spec.step, 5)
     return trace, frames.transpose(1, 0, 2)
@@ -381,8 +381,7 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     vel_frame[:, 0:2] = zeta.real
     vel_frame[:, m:m + 2] = zeta.imag
     vel_frame[:, 2 * m:] = sv
-    vels = frame_to_coords(params, vel_frame,
-                           points[:, params.m:2 * params.m])
+    vels = frame_to_coords(params, vel_frame.T, points[:, m:2 * m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, step, 5)
 
 

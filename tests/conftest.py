@@ -1,5 +1,6 @@
 import csv
 import functools
+from math import comb
 
 import numpy as np
 import pytest
@@ -139,13 +140,145 @@ def frame_gamma(params, p):
     affinely, so a unit difference in y_a is their exact derivative.
     """
     m, n = params.m, params.dim
-    y = np.asarray(p, dtype=float)[m:2 * m]
+    y = np.asarray(p, dtype=float)[m:2 * m, None]
     eye = np.eye(n)
-    w = mf.coords_to_frame(params, eye, y)              # row b = w_b
-    dw = np.zeros((n, n, n))
+    w = mf.coords_to_frame(params, eye, y)              # column b = w_b
+    dw = np.zeros((n, n, n))                            # [component, a, b]
     for a in range(m, 2 * m):
-        dw[a] = mf.coords_to_frame(params, eye, y + eye[a, m:2 * m]) - w
-    T = np.broadcast_to(w[:, None, :], (n, n, n))
-    W = np.broadcast_to(w[None, :, :], (n, n, n))
+        dw[:, a] = mf.coords_to_frame(params, eye, y + eye[a, m:2 * m, None]) - w
+    T = np.broadcast_to(w[:, :, None], (n, n, n))
+    W = np.broadcast_to(w[:, None, :], (n, n, n))
     out = dw + mf.connection_term(params, T, W)
-    return np.moveaxis(mf.frame_to_coords(params, out, y), -1, 0)
+    return mf.frame_to_coords(params, out, y[:, :, None])
+
+
+# ---------------------------------------------------------------------------
+# row-major oracles: the frame layer, the covariant chain and tau2/tau3 as
+# they were before the kernels went component-major, with the sample on
+# axis 0 and every sum over components taken by np.add.reduce/np.sum.  The
+# component-major kernels must reproduce them bit for bit wherever every
+# such sum has fewer than 8 terms.
+# ---------------------------------------------------------------------------
+
+def rowmajor_coords_to_frame(params, v, y):
+    m = params.m
+    out = np.empty_like(v)
+    out[..., :m] = v[..., m:2 * m] / 2.0
+    out[..., m:2 * m] = v[..., :m] / 2.0
+    out[..., 2 * m:] = (v[..., 2 * m:] - np.sum(y * v[..., :m], axis=-1, keepdims=True)) / 2.0
+    return out
+
+
+def rowmajor_phi_frame(params, w):
+    m = params.m
+    out = np.empty_like(w)
+    out[..., :m] = -w[..., m:2 * m]
+    out[..., m:2 * m] = w[..., :m]
+    out[..., 2 * m:] = 0.0
+    return out
+
+
+def rowmajor_connection_term(params, t_frame, w):
+    m = params.m
+    tau, sig, sv = t_frame[..., :m], t_frame[..., m:2 * m], t_frame[..., 2 * m:]
+    A, B, C = w[..., :m], w[..., m:2 * m], w[..., 2 * m:]
+    S = np.add.reduce(sv, axis=-1, keepdims=True)
+    Ctot = np.add.reduce(C, axis=-1, keepdims=True)
+    out = np.empty_like(w)
+    out[..., :m] = S * B + Ctot * sig
+    out[..., m:2 * m] = -S * A - Ctot * tau
+    out[..., 2 * m:] = np.add.reduce(B * tau - A * sig, axis=-1, keepdims=True)
+    return out
+
+
+def rowmajor_curvature_frame(params, X, Y, Z):
+    m, s = params.m, params.s
+    c = params.c
+    ebar = lambda W: np.sum(W[..., 2 * m:], axis=-1, keepdims=True)
+    phX, phY, phZ = (rowmajor_phi_frame(params, W) for W in (X, Y, Z))
+    dot = lambda U, V: np.sum(U * V, axis=-1, keepdims=True)
+
+    def phi2(W):
+        out = -W.copy()
+        out[..., 2 * m:] = 0.0
+        return out
+
+    xibar = np.zeros(X.shape[:-1] + (params.dim,))
+    xibar[..., 2 * m:] = 1.0
+    eX, eY, eZ = ebar(X), ebar(Y), ebar(Z)
+    out = (eX * eZ) * phi2(Y) - (eY * eZ) * phi2(X)
+    out += (-dot(phX, phZ) * eY + dot(phY, phZ) * eX) * xibar
+    coef2 = (c - s) / 4.0
+    out += coef2 * (dot(X, phZ) * phY - dot(Y, phZ) * phX + 2.0 * dot(X, phY) * phZ)
+    return out
+
+
+def rowmajor_frame_jet(trace):
+    params = trace.params
+    m = params.m
+    g = [trace.points] + trace.derivs
+    jets = [rowmajor_coords_to_frame(params, trace.velocity, trace.y)]
+    for j in range(1, trace.depth):
+        W = np.empty_like(trace.points)
+        W[:, :m] = g[j + 1][:, m:2 * m] / 2.0
+        W[:, m:2 * m] = g[j + 1][:, :m] / 2.0
+        acc = np.zeros(len(trace.ts))
+        for i in range(j + 1):
+            acc += comb(j, i) * np.sum(g[i][:, m:2 * m] * g[j + 1 - i][:, :m], axis=-1)
+        W[:, 2 * m:] = (g[j + 1][:, 2 * m:] - acc[:, None]) / 2.0
+        jets.append(W)
+    return jets
+
+
+def rowmajor_covariant_chain(trace):
+    params = trace.params
+    tjet = rowmajor_frame_jet(trace)
+    levels = [list(tjet)]
+    for _ in range(1, len(tjet)):
+        prev = levels[-1]
+        cur = []
+        for j in range(len(prev) - 1):
+            W = prev[j + 1].copy()
+            for i in range(j + 1):
+                W += comb(j, i) * rowmajor_connection_term(params, tjet[i], prev[j - i])
+            cur.append(W)
+        levels.append(cur)
+    return tuple(lv[0] for lv in levels)
+
+
+def rowmajor_tau2(fd, chain):
+    """tau2 of FrenetData `fd` from the row-major `chain` of its trace."""
+    params = fd.params
+    tf = chain[0]
+    R_term = rowmajor_curvature_frame(params, tf, chain[1], tf)
+    direct = chain[3] - R_term
+    k1, k2, k3 = fd.padded_curvatures
+    k1p, k1pp, k2p = fd.curvature_jet
+    frames = np.zeros((4, len(fd.ts), params.dim))
+    frames[0] = tf
+    for j in range(1, min(4, fd.order)):
+        frames[j] = fd.frames[j]
+    frenet = ((-3 * k1 * k1p)[:, None] * frames[0]
+              + (k1pp - k1 ** 3 - k1 * k2 ** 2)[:, None] * frames[1]
+              + (2 * k1p * k2 + k1 * k2p)[:, None] * frames[2]
+              + (k1 * k2 * k3)[:, None] * frames[3]
+              - R_term)
+    cross = float(np.max(np.linalg.norm(direct - frenet, axis=-1)))
+    return {"direct": direct, "frenet": frenet, "cross_residual": cross}
+
+
+def rowmajor_tau3(fd, f, chain):
+    t2 = rowmajor_tau2(fd, chain)
+    w1 = (f.fp / f.f)[:, None]
+    w2 = (f.fpp / f.f)[:, None]
+    direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
+    norm = np.linalg.norm(direct, axis=-1)
+    return {"direct": direct, "cross_residual": t2["cross_residual"],
+            "norm": norm, "max_norm": float(np.max(norm))}
+
+
+def same_bits(got, want) -> bool:
+    """Equal down to the bit, the sign of every zero included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))

@@ -196,7 +196,7 @@ def test_criterion_07_example_end_to_end():
     trace, _ = synth.integrate_frenet_system(spec)
     fd = frenet_apparatus(trace, max_order=4)
     prof = contact_angles(trace, tolerance=1e-5)
-    etas = trace.tangent_frame()[:, 4:]
+    etas = trace.tangent_frame()[4:].T
     eta1 = float(np.max(np.abs(etas[:, 0])))
     eta2 = float(np.max(np.abs(etas[:, 1] - 0.5)))
     k1 = fd.curvatures[0]
@@ -256,7 +256,7 @@ def test_criterion_09_degeneration_properties(case2_curve, case2_fd,
     t2 = tau2(case2_fd)
     t3 = tau3(case2_fd, f_const)
     const_dev = float(np.max(np.linalg.norm(
-        t3["direct"] - t2["direct"], axis=1)))
+        t3["direct"] - t2["direct"], axis=0)))
 
     gfd = frenet_apparatus(geodesic)
     t3g = tau3(gfd, WeightFunction.from_samples(geodesic.ts,

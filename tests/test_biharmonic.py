@@ -8,13 +8,16 @@ from sspaceform import findings, odesol, synth
 from sspaceform.biharmonic import (EQUATIONS, WeightFunction, check_conditions,
                                    classify_case, mainprop_residuals, tau2,
                                    tau3)
-from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
+from sspaceform.curve import (CurveTrace, covariant_chain, fd_derivative,
+                              frenet_apparatus)
 from sspaceform.findings import (case1_case2_checker, case3_obstruction,
                                  case4_checker, case4_mu)
-from sspaceform.manifold import ModelParams, frame_to_coords
+from sspaceform.manifold import ModelParams, curvature_frame, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
 
-from conftest import k1_case2, k1_catenary
+from conftest import (k1_case2, k1_catenary, rowmajor_covariant_chain,
+                      rowmajor_curvature_frame, rowmajor_tau2, rowmajor_tau3,
+                      same_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ def test_weight_refuses_non_finite_samples(catenary):
 def test_tau2_geodesic_vanishes(geodesic):
     fd = frenet_apparatus(geodesic)
     out = tau2(fd)
-    assert np.max(np.linalg.norm(out["direct"], axis=1)) < 1e-12
+    assert np.max(np.linalg.norm(out["direct"], axis=0)) < 1e-12
     assert out["cross_residual"] < 1e-12
 
 
@@ -75,7 +78,7 @@ def test_tau2_circle_closed_form(circle):
     out = tau2(fd)
     k1 = fd.curvatures[0][:, None]
     expect = -k1 ** 3 * fd.frames[1]
-    assert np.max(np.linalg.norm(out["direct"] - expect, axis=1)) < 1e-10
+    assert np.max(np.linalg.norm(out["direct"].T - expect, axis=1)) < 1e-10
     assert out["cross_residual"] < 1e-3
 
 
@@ -98,7 +101,7 @@ def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):
     f = WeightFunction.constant(case2_curve.ts, 2.5)
     t2 = tau2(case2_fd)
     t3 = tau3(case2_fd, f)
-    diff = np.linalg.norm(t3["direct"] - t2["direct"], axis=1)
+    diff = np.linalg.norm(t3["direct"] - t2["direct"], axis=0)
     assert np.max(diff) < 1e-10
 
 
@@ -123,6 +126,41 @@ def test_tau3_geodesic_any_f(geodesic):
     f = WeightFunction.from_samples(geodesic.ts, 2.0 + np.sin(geodesic.ts))
     t3 = tau3(fd, f)
     assert np.max(t3["norm"]) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["catenary", "circle", "geodesic", "case2-order3",
+                                  "r6-example", "r6-steered", "csv:case2-order3",
+                                  "csv:r6-steered"])
+def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_path,
+                                                          params22):
+    # the component-major chain, curvature term, tau2 and tau3 against the
+    # row-major forms they replaced, down to the sign of every zero
+    source = name.removeprefix("csv:")
+    if source == "r6-example":
+        trace, _ = synth.integrate_frenet_system(
+            synth.R6ExampleConfig().synthesis_spec(window=(-0.5, 0.5)))
+    else:
+        trace = request.getfixturevalue(
+            {"case2-order3": "case2_curve", "r6-steered": "r6_steered"}.get(source, source))
+    if name.startswith("csv:"):
+        trace.to_csv(tmp_path / "trace.csv")
+        trace = CurveTrace.from_csv(params22, tmp_path / "trace.csv")
+    chain, want = covariant_chain(trace), rowmajor_covariant_chain(trace)
+    assert len(chain) == len(want) == trace.depth
+    for level, ref in zip(chain, want):
+        assert same_bits(level.T, ref)
+    assert same_bits(curvature_frame(params22, chain[0], chain[1], chain[0]).T,
+                     rowmajor_curvature_frame(params22, want[0], want[1], want[0]))
+    fd = frenet_apparatus(trace)
+    f = WeightFunction.from_samples(trace.ts, 2.0 + np.sin(trace.ts))
+    t2, t3 = tau2(fd), tau3(fd, f)
+    ref2, ref3 = rowmajor_tau2(fd, want), rowmajor_tau3(fd, f, want)
+    assert same_bits(t2["direct"].T, ref2["direct"])
+    assert same_bits(t2["frenet"].T, ref2["frenet"])
+    assert same_bits(t3["direct"].T, ref3["direct"])
+    assert same_bits(t3["norm"], ref3["norm"])
+    for key in ("cross_residual", "max_norm"):
+        assert same_bits(t3[key], ref3[key])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +554,7 @@ def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):
     vf[:, 0:2] = zeta.real
     vf[:, m:m + 2] = zeta.imag
     vf[:, 2 * m:] = sv
-    vels = frame_to_coords(params, vf, points[:, m:2 * m])
+    vels = frame_to_coords(params, vf.T, points[:, m:2 * m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
@@ -547,8 +585,7 @@ def test_curvature_term_slant_specialization(r6_steered, r6_steered_fd,
     # on a slant curve the general curvature tensor specializes to
     # R(T, nabla_T T)T = -k1 [b^2 + ((c+3s)/4)(1-a)] V2
     #                    - 3 k1 ((c-s)/4) g(phiT,V2) phiT
-    from sspaceform.curve import covariant_chain
-    from sspaceform.manifold import curvature_frame, phi_frame
+    from sspaceform.manifold import phi_frame
     from sspaceform.slant import contact_angles, phiT_decomposition
 
     for trace, fd, prof in (
@@ -557,10 +594,10 @@ def test_curvature_term_slant_specialization(r6_steered, r6_steered_fd,
         params = trace.params
         c, s = params.c, params.s
         chain = covariant_chain(trace)
-        R_general = curvature_frame(params, chain[0], chain[1], chain[0])
+        R_general = curvature_frame(params, chain[0], chain[1], chain[0]).T
         dec = phiT_decomposition(trace, fd, prof)
         k1 = fd.curvatures[0][:, None]
-        phiT = phi_frame(params, trace.tangent_frame())
+        phiT = phi_frame(params, trace.tangent_frame()).T
         bracket = prof.b ** 2 + ((c + 3 * s) / 4.0) * (1 - prof.a)
         R_slant = (-k1 * bracket * fd.frames[1]
                    - 3 * k1 * ((c - s) / 4.0) * dec.p2[:, None] * phiT)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sspaceform import cli, odesol, synth
-from sspaceform.curve import CurveTrace, frenet_apparatus
+from sspaceform.curve import MAX_SAMPLES, CurveTrace, frenet_apparatus, grid_samples
 from sspaceform.manifold import ModelParams
 
 from conftest import csv_writer_bytes
@@ -607,6 +607,73 @@ def test_verify_report_to_a_pipe(tmp_path):
     assert out.returncode == cli.EXIT_OK, out.stderr
     assert json.loads(out.stdout)["command"] == "verify"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+def _verdict_case_order(tmp_path, builtin, m, s):
+    weight = "c1 = 1.0" if builtin == "catenary" else "constant = 1.0"
+    cfg = write_config(tmp_path / f"{builtin}-{m}-{s}.ini",
+                       f"[manifold]\nm = {m}\ns = {s}\n\n[curve]\n"
+                       f"source = builtin:{builtin}\n\n[weight]\n{weight}\n")
+    report = tmp_path / f"{builtin}-{m}-{s}.json"
+    assert cli.run_verify(cfg, report_path=str(report)) == cli.EXIT_OK
+    out = json.loads(report.read_text())
+    return (out["report"]["verdict"], out["report"]["case"],
+            out["curve"]["osculating_order"])
+
+
+@pytest.mark.parametrize("builtin", ["catenary", "circle", "geodesic"])
+def test_verify_outside_m2_s2_keeps_verdict_case_and_order(tmp_path, builtin):
+    # the analytic builtins live in every R^(2m+s)(-3s); at 8 or more
+    # components the frame sums no longer round as np.add.reduce would,
+    # so what is pinned is the verdict, the case and the osculating order
+    want = _verdict_case_order(tmp_path, builtin, 2, 2)
+    for m, s in ((3, 2), (2, 1), (2, 8), (9, 9)):
+        assert _verdict_case_order(tmp_path, builtin, m, s) == want, (m, s)
+
+
+# 1 GiB of address space: a refused or an ordinary run fits, an unbounded
+# grid fails at once instead of exhausting the machine's memory
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--config", "big.ini"],
+    ["synth", "--builtin", "catenary", "--out", "t.csv", "--step", "1e-7"],
+    ["synth", "--builtin", "r6-steered", "--out", "t.csv", "--step", "1e-7"],
+    ["ode", "--case", "iii", "--c2", "1", "--c3", "4", "--range", "-2:2:1e-7"],
+    ["synth", "--builtin", "case2-order3", "--out", "t.csv", "--step", "5e-324"],
+])
+def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
+    # step 1e-7 on a -2:2 window asks for 40,000,001 samples (r6-steered
+    # keeps the step on its own window), and a subnormal step for infinitely
+    # many: every grid above MAX_SAMPLES is a config error, raised before
+    # the grid is allocated
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2)
+
+    write_config(tmp_path / "big.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                 "[curve]\nsource = builtin:catenary\nstep = 1e-7\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-m", "sspaceform.cli", *command],
+                         env=env, cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120, preexec_fn=limit)
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr[-500:]
+    assert out.stderr.startswith("config error:")
+    assert "1000000 samples" in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.ini"]
+
+
+def test_grid_samples_cap():
+    assert grid_samples(4.0, 1e-3) == 4001
+    assert grid_samples(1.0, 1.0 / (MAX_SAMPLES - 1)) == MAX_SAMPLES
+    for step in (1.0 / MAX_SAMPLES, 5e-324, float("nan")):
+        with pytest.raises(ValueError, match="samples a grid may have"):
+            grid_samples(1.0, step)
 
 
 # the case-theorem layer: only tests and demos call it

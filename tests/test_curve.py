@@ -171,9 +171,9 @@ def test_chain_levels_match_finite_differences(catenary):
     chain = covariant_chain(catenary)
     h = catenary.ts[1] - catenary.ts[0]
     tf = chain[0]
-    lvl1_dot = fd_derivative(chain[1], h)
+    lvl1_dot = fd_derivative(chain[1].T, h).T
     recomputed = lvl1_dot + connection_term(catenary.params, tf, chain[1])
-    assert np.max(np.abs(recomputed - chain[2])[5:-5]) < 1e-8
+    assert np.max(np.abs(recomputed - chain[2])[:, 5:-5]) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_frenet_equations_residual(case2_curve, case2_fd):
     sl = slice(4 * stride, trace.n - 4 * stride)
     for j in range(fd.order):
         vdot = fd_derivative(fd.frames[j], h, stride=stride)
-        dv = vdot + connection_term(trace.params, tf, fd.frames[j])
+        dv = vdot + connection_term(trace.params, tf, fd.frames[j].T).T
         expect = np.zeros_like(dv)
         if j > 0:
             expect -= fd.curvatures[j - 1][:, None] * fd.frames[j - 1]
@@ -298,7 +298,7 @@ def test_frenet_equations_on_analytic_catenary(catenary, catenary_fd):
     tf = trace.tangent_frame()
     for j in range(fd.order):
         vdot = fd_derivative(fd.frames[j], h)
-        dv = vdot + connection_term(trace.params, tf, fd.frames[j])
+        dv = vdot + connection_term(trace.params, tf, fd.frames[j].T).T
         expect = np.zeros_like(dv)
         if j > 0:
             expect -= fd.curvatures[j - 1][:, None] * fd.frames[j - 1]
@@ -306,6 +306,29 @@ def test_frenet_equations_on_analytic_catenary(catenary, catenary_fd):
             expect += fd.curvatures[j][:, None] * fd.frames[j + 1]
         res = np.linalg.norm(dv - expect, axis=1)[5:-5]
         assert np.max(res) < 1e-6, f"V_{j+1}"
+
+
+def test_contiguous_windows_match_loop_reference():
+    # the run finder of the degeneracy report against the per-sample loop
+    # it replaced
+    def loop(ts, mask):
+        windows, start = [], None
+        for i, good in enumerate(mask):
+            if good and start is None:
+                start = i
+            elif not good and start is not None:
+                windows.append((float(ts[start]), float(ts[i - 1])))
+                start = None
+        if start is not None:
+            windows.append((float(ts[start]), float(ts[-1])))
+        return windows
+
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 50):
+        ts = np.linspace(-1.0, 1.0, n)
+        for _ in range(100):
+            mask = rng.random(n) < rng.random()
+            assert _contiguous_windows(ts, mask) == loop(ts, mask)
 
 
 def test_from_csv_malformed(params22, tmp_path):
@@ -341,7 +364,7 @@ def _frenet_oracle(trace, max_order=None, threshold=1e-6, edge_trim=4):
     for idx in range(n):
         basis = []
         for j in range(max_order):
-            v = chain[j][idx].copy()
+            v = chain[j][:, idx].copy()
             for b in basis:
                 v -= np.dot(v, b) * b
             nv = float(np.linalg.norm(v))

@@ -15,7 +15,9 @@ from sspaceform import manifold as mf
 from sspaceform.manifold import ModelParams
 from sspaceform.oracles import nabla, structure_identities
 
-from conftest import exact, exact_curvature, exact_numeric, frame_gamma, is_zero
+from conftest import (exact, exact_curvature, exact_numeric, frame_gamma, is_zero,
+                      rowmajor_connection_term, rowmajor_coords_to_frame,
+                      rowmajor_curvature_frame, rowmajor_phi_frame, same_bits)
 
 REL = 1e-12
 DIMS = [(1, 1), (2, 2), (1, 3)]
@@ -67,7 +69,8 @@ def test_frame_components_match_exact_model(m, s):
     M, n = exact(m, s), params.dim
     phi_in_frame = sp.simplify(M.frame.inv() * M.phi * M.frame)
     assert not phi_in_frame.free_symbols
-    assert np.array_equal(mf.phi_frame(params, np.eye(n)).T,
+    # component-major: column j of the result is phi of the frame vector e_j
+    assert np.array_equal(mf.phi_frame(params, np.eye(n)),
                           np.array(phi_in_frame, dtype=float))
     rng = np.random.default_rng(20)
     for _ in range(10):
@@ -87,22 +90,24 @@ def test_connection_term_matches_exact_model(m, s):
     C = exact(m, s).frame_connection
     assert not C.free_symbols
     C = np.array(C.tolist(), dtype=float)
+    # component-major: T[:, i, j] = e_i and W[:, i, j] = e_j
     eye = np.eye(n)
-    assert np.array_equal(mf.connection_term(params, eye[:, None, :], np.broadcast_to(
-        eye[None, :, :], (n, n, n)).copy()), C)
+    assert np.array_equal(mf.connection_term(params, eye[:, :, None], np.broadcast_to(
+        eye[:, None, :], (n, n, n)).copy()), np.moveaxis(C, -1, 0))
     rng = np.random.default_rng(21)
     T, W = rng.uniform(-1, 1, (2, 50, n))
-    assert_rel(mf.connection_term(params, T, W),
-               np.einsum("ijk,ni,nj->nk", C, T, W))
+    assert_rel(mf.connection_term(params, T.T, W.T),
+               np.einsum("ijk,ni,nj->kn", C, T, W))
 
 
-@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("m", range(1, 10))
 def test_float_kernels_match_numpy_forms_bitwise(m):
     # connection_rows and frame_row_to_coords against connection_term and
-    # frame_to_coords down to the bit, for every s of their rounding
-    # contract; states with signed zeros pin the sign of every zero result
+    # frame_to_coords down to the bit, for m, s <= 9: both sum components
+    # sequentially at every size; states with signed zeros pin the sign of
+    # every zero result
     rng = np.random.default_rng(40 + m)
-    for s in range(1, 8):
+    for s in range(1, 10):
         params = ModelParams(m, s)
         n = params.dim
         for i in range(40):
@@ -115,10 +120,36 @@ def test_float_kernels_match_numpy_forms_bitwise(m):
                     v[zeros] = rng.choice([0.0, -0.0], zeros.sum())
             got = mf.connection_rows(params, T.tolist(), W.tolist())
             assert (np.array(got).tobytes()
-                    == mf.connection_term(params, T, W).tobytes())
+                    == mf.connection_term(params, T[:, None], W.T).T.tobytes())
             got = mf.frame_row_to_coords(params, T.tolist(), y.tolist())
             assert (np.array(got).tobytes()
                     == mf.frame_to_coords(params, T, y).tobytes())
+
+
+@pytest.mark.parametrize("m,s", [(1, 1), (2, 2), (1, 3), (2, 3), (3, 1), (1, 5)])
+def test_kernels_match_rowmajor_oracles_bitwise(m, s):
+    # the component-major kernels against the row-major forms they
+    # replaced, down to the bit, where every sum has fewer than 8 terms
+    # (curvature_frame sums over all 2m + s components): there
+    # np.add.reduce sums sequentially from 0.0.  Fields mostly +0.0 and -0.0
+    # pin the sign of every zero: a sum over components started at its
+    # first term instead of at 0.0 + c_0 fails here.
+    params = ModelParams(m, s)
+    rng = np.random.default_rng(50 + 10 * m + s)
+    for i in range(20):
+        X, Y, Z, W = rng.standard_normal((4, 300, params.dim)) * 10.0 ** rng.integers(
+            -3, 4, (4, 300, params.dim))
+        y = rng.standard_normal((300, m))
+        for v in (X, Y, Z, W, y) if i % 2 else ():
+            zeros = rng.random(v.shape) < 0.6
+            v[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        assert same_bits(mf.connection_term(params, X.T, W.T).T,
+                         rowmajor_connection_term(params, X, W))
+        assert same_bits(mf.curvature_frame(params, X.T, Y.T, Z.T).T,
+                         rowmajor_curvature_frame(params, X, Y, Z))
+        assert same_bits(mf.coords_to_frame(params, W.T, y.T).T,
+                         rowmajor_coords_to_frame(params, W, y))
+        assert same_bits(mf.phi_frame(params, W.T).T, rowmajor_phi_frame(params, W))
 
 
 @pytest.mark.parametrize("m,s", DIMS)
@@ -274,9 +305,9 @@ def test_nabla_xi_is_minus_phi(params22):
         assert is_zero(nabla(M, v, xi) + M.phi * v)
     # xi_alpha has constant frame components, so nabla_T xi = Phi(T, xi)
     rng = np.random.default_rng(8)
-    T = rng.uniform(-1, 1, (20, 6))
+    T = rng.uniform(-1, 1, (20, 6)).T
     for alpha in (4, 5):
-        xi = np.broadcast_to(np.eye(6)[alpha], T.shape).copy()
+        xi = np.broadcast_to(np.eye(6)[alpha][:, None], T.shape).copy()
         assert_rel(mf.connection_term(params22, T, xi), -mf.phi_frame(params22, T))
 
 
@@ -305,12 +336,12 @@ def test_nabla_phi_formula(params22):
     assert is_zero(lhs - rhs)
     # phi has constant frame components: (nabla_T phi)W = Phi(T, phiW) - phi Phi(T, W)
     rng = np.random.default_rng(9)
-    T, W = rng.uniform(-1, 1, (2, 20, 6))
+    T, W = (a.T for a in rng.uniform(-1, 1, (2, 20, 6)))
     got = (mf.connection_term(params22, T, mf.phi_frame(params22, W))
            - mf.phi_frame(params22, mf.connection_term(params22, T, W)))
     phT, phW = mf.phi_frame(params22, T), mf.phi_frame(params22, W)
-    want = frame_phi2(params22, T) * W[:, 4:].sum(axis=1, keepdims=True)
-    want[:, 4:] += np.einsum("nd,nd->n", phT, phW)[:, None]
+    want = frame_phi2(params22, T) * W[4:].sum(axis=0)
+    want[4:] += np.einsum("dn,dn->n", phT, phW)
     assert_rel(got, want)
 
 
@@ -327,9 +358,9 @@ def test_metric_compatibility_along_curves(params22):
     # in frame components: d/dt <V, W> = <Phi(T,V), W> + <V, Phi(T,W)> + ...
     # holds because Phi(T, .) is skew
     rng = np.random.default_rng(10)
-    T, V, W = rng.uniform(-1, 1, (3, 20, 6))
-    skew = (np.einsum("nd,nd->n", mf.connection_term(params22, T, V), W)
-            + np.einsum("nd,nd->n", V, mf.connection_term(params22, T, W)))
+    T, V, W = (a.T for a in rng.uniform(-1, 1, (3, 20, 6)))
+    skew = (np.einsum("dn,dn->n", mf.connection_term(params22, T, V), W)
+            + np.einsum("dn,dn->n", V, mf.connection_term(params22, T, W)))
     assert np.max(np.abs(skew)) < 1e-14
 
 

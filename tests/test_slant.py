@@ -185,7 +185,7 @@ def test_phiT_norm_identity_on_slant_traces(case2_curve, r6_steered):
     for tr in (case2_curve, r6_steered):
         prof = contact_angles(tr)
         phiT = phi_frame(tr.params, tr.tangent_frame())
-        norms = np.einsum("nd,nd->n", phiT, phiT)
+        norms = np.einsum("dn,dn->n", phiT, phiT)
         assert np.max(np.abs(norms + prof.a - 1.0)) < 1e-8
 
 

@@ -160,7 +160,7 @@ def test_steered_curve_enforced_quantities(params22):
     sl = slice(20, -20)
     assert np.max(np.abs(fd.curvatures[0] - k1(tr.ts))[sl]) < 1e-8
     assert np.max(np.abs(fd.curvatures[1] / fd.curvatures[0] - c2)[sl]) < 1e-6
-    phiT = phi_frame(params22, tr.tangent_frame())
+    phiT = phi_frame(params22, tr.tangent_frame()).T
     p2_meas = np.einsum("nd,nd->n", phiT, fd.frames[1])
     assert np.max(np.abs(p2_meas - p2)[sl]) < 1e-8
 
@@ -353,7 +353,7 @@ def test_steering_enforcement_random_configurations(params22):
         sl = slice(20, -20)
         assert np.max(np.abs(fd.curvatures[0] - k1(tr.ts))[sl]) < 1e-7
         assert np.max(np.abs(fd.curvatures[1] / fd.curvatures[0] - c2)[sl]) < 1e-5
-        phiT = phi_frame(params22, tr.tangent_frame())
+        phiT = phi_frame(params22, tr.tangent_frame()).T
         p2m = np.einsum("nd,nd->n", phiT, fd.frames[1])
         assert np.max(np.abs(p2m - p2)[sl]) < 1e-7
     assert tried == 5, "not enough admissible random configurations"
@@ -412,7 +412,7 @@ def oracle_frenet(spec):
         target = np.zeros_like(frame)
         target[1:] -= kvals * frame[:-1]
         target[:-1] += kvals * frame[1:]
-        dframe = target - connection_term(params, T, frame)
+        dframe = target - connection_term(params, T[:, None], frame.T).T
         dpos = frame_to_coords(params, T, pos[m:2 * m])
         return dframe, dpos
 
@@ -429,7 +429,7 @@ def oracle_frenet(spec):
                                   after=reorthonormalize)
     frames = states[:, :r * dim].reshape(-1, r, dim)
     points = states[:, r * dim:]
-    vels = frame_to_coords(params, frames[:, 0], points[:, m:2 * m])
+    vels = frame_to_coords(params, frames[:, 0].T, points[:, m:2 * m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, spec.step, 5), \
         frames.transpose(1, 0, 2)
 
@@ -500,7 +500,7 @@ def oracle_steered(params, thetas, k1, p2, c2, window=(-1.0, 1.0),
     vel_frame[:, 0:2] = zeta.real
     vel_frame[:, m:m + 2] = zeta.imag
     vel_frame[:, 2 * m:] = sv
-    vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
+    vels = frame_to_coords(params, vel_frame.T, points[:, m:2 * m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, step, 5)
 
 
@@ -536,7 +536,7 @@ def oracle_phiT_aligned(params, thetas, k1, epsilon=+1, window=(-2.0, 2.0),
     vel_frame[:, 0] = recs[:, 0]
     vel_frame[:, m] = recs[:, 1]
     vel_frame[:, 2 * m:] = sv
-    vels = frame_to_coords(params, vel_frame, points[:, m:2 * m])
+    vels = frame_to_coords(params, vel_frame.T, points[:, m:2 * m].T).T
     return CurveTrace.from_velocity(params, ts, points, vels, step, 4)
 
 
@@ -669,11 +669,11 @@ def test_steering_rhs_matches_numpy_pair_form_bitwise(m, monkeypatch):
         assert rhs(row, st).tobytes() == want(row, st).tobytes()
 
 
-@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("m", range(1, 10))
 def test_frenet_rhs_matches_numpy_form_bitwise(m, monkeypatch):
     # the Python-float right-hand side of integrate_frenet_system against
     # the NumPy form it replaced, stage by stage (a march hides most 1-ulp
-    # differences), for every s and order its rounding contract covers;
+    # differences), for m, s <= 9 and every order up to 5;
     # states with signed zeros pin the sign of every zero result
     rng = np.random.default_rng(100 + m)
     captured = []
@@ -683,7 +683,7 @@ def test_frenet_rhs_matches_numpy_form_bitwise(m, monkeypatch):
         raise _Captured
 
     monkeypatch.setattr(synth, "_rk4_march", capture)
-    for s in range(1, 8):
+    for s in range(1, 10):
         params = ModelParams(m=m, s=s)
         dim = params.dim
         for r in range(1, min(5, dim) + 1):
@@ -700,7 +700,7 @@ def test_frenet_rhs_matches_numpy_form_bitwise(m, monkeypatch):
                 dS = np.zeros_like(S)
                 dS[1:r] -= kcol * frame[:-1]
                 dS[:r - 1] += kcol * frame[1:]
-                dS[:r] -= connection_term(params, T, frame)
+                dS[:r] -= connection_term(params, T[:, None], frame.T).T
                 dS[r] = frame_to_coords(params, T, S[r, m:2 * m])
                 return dS
 

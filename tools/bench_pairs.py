@@ -14,7 +14,8 @@ one traced run (`--trace 1`, first seed) per workload for the per-layer
 metrics.
 
 The record holds, per workload and per end-to-end metric of BENCHMARK.json,
-each side's runs, median and quartiles (`statistics.quantiles`, n = 4), the
+each side's runs, median and quartiles (`statistics.quantiles`, n = 4), its
+interquartile range relative to its own median (None for a zero median), the
 pairs the change won, lost and tied (by the metric's `better` direction),
 and two verdicts.  `gain` is true when the change won at least 9/10 of the
 pairs, its median is better than the parent's by more than the parent's
@@ -77,8 +78,9 @@ def run_bench(root: str, workload: str, seed: int, seconds: float,
 
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"runs": values, "median": statistics.median(values),
-            "q1": q1, "q3": q3}
+    median = statistics.median(values)
+    return {"runs": values, "median": median, "q1": q1, "q3": q3,
+            "iqr_over_median": (q3 - q1) / abs(median) if median else None}
 
 
 def failed_share(runs: list[dict]) -> float:
