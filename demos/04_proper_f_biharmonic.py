@@ -38,7 +38,7 @@ def show(title, trace, k1_callable):
     print("=" * 72)
     fd = frenet_apparatus(trace)
     prof = contact_angles(trace)
-    f = odesol.f_from_k1(trace.ts, k1_callable, c1=1.0)
+    f = odesol.f_from_k1(trace.ts, *k1_callable(trace.ts), c1=1.0)
     rep = check_conditions(trace, fd, prof, f)
     print(f"order r = {fd.order}, contact angles "
           f"{np.round(np.degrees(prof.thetas), 1)} deg, "

@@ -41,7 +41,7 @@ for name, tr in curves.items():
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
     label, detail = classify_case(phiT_decomposition(tr, fd, prof), prof,
-                                  params)
+                                  params.c, params.s)
     print(f"{name}:")
     print(f"  case {label}   (max |g(phiT,V2)| = {detail.get('max_abs_p2', 0):.3e},"
           f" alignment defect = {detail.get('align_defect', 0):.3e})")

@@ -1,6 +1,8 @@
 """Numerical toolkit for theta_alpha-slant curves and f-biharmonicity in
 the coordinate-model S-space form R^(2m+s)(-3s).
 
+`import sspaceform` binds only `__version__`; import a submodule by name.
+
 Submodules
 ----------
 manifold    frame layer: frame components, phi, connection, curvature
@@ -14,25 +16,7 @@ synth       curve synthesis (prescribed-curvature Frenet flow, steering)
 cli         verify / synth / ode command-line front end
 findings    the paper's analyses: worked-example realizability, the case
             checkers I-IV, nabla phiT identity, closed-form real domains
-            (tests and demos only; not imported here)
-oracles     exact sympy model built from g (tests and demos only; not
-            imported here)
+            (tests and demos only)
+oracles     exact sympy model built from g (tests and demos only)
 """
-from .manifold import ModelParams
-from .curve import CurveTrace, FrenetData, frenet_apparatus, unit_speed_check
-from .slant import SlantProfile, contact_angles, phiT_decomposition
-from .biharmonic import BiharmonicReport, WeightFunction, check_conditions
-from .odesol import OdeSolutionSpec, k1_closed_form, numeric_solution_oracle
-from .synth import R6ExampleConfig, SynthesisSpec, integrate_frenet_system
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ModelParams",
-    "CurveTrace", "FrenetData", "frenet_apparatus", "unit_speed_check",
-    "SlantProfile", "contact_angles", "phiT_decomposition",
-    "BiharmonicReport", "WeightFunction", "check_conditions",
-    "OdeSolutionSpec", "k1_closed_form", "numeric_solution_oracle",
-    "R6ExampleConfig", "SynthesisSpec", "integrate_frenet_system",
-    "__version__",
-]

@@ -24,9 +24,10 @@ closed-form curvature tensor, in frame components) and the
 Frenet-expansion route from measured scalars; the cross residual is part
 of every report.  The measured scalars k1, k2, k3 and their jet k1',
 k1'', k2' come from FrenetData, which differences them once per trace.
-The scalar core `mainprop_residuals` also runs standalone on
-hypothetical data (e.g. case I, c = s, which the coordinate model cannot
-realize since c = -3s).
+The scalar core `mainprop_residuals` and `classify_case` take the
+constants c and s as floats, so they also run on hypothetical data
+(e.g. case I, c = s, which the coordinate model cannot realize since
+c = -3s).
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveTrace, FrenetData, fd_derivative, uniform_step
-from .manifold import ModelParams, component_sum, curvature_frame
+from .curve import CurveTrace, FrenetData
+from .manifold import component_sum, curvature_frame
 from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
 __all__ = [
@@ -50,11 +51,6 @@ __all__ = [
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
 TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
-
-
-def _c_s(params) -> tuple:
-    """(c, s) of a ModelParams or of a hypothetical (c, s) pair."""
-    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
 
 
 @dataclass
@@ -93,18 +89,6 @@ class WeightFunction:
         z = np.zeros_like(ts)
         return cls(ts=ts, f=np.full_like(ts, float(value)), fp=z, fpp=z.copy())
 
-    @classmethod
-    def from_samples(cls, ts, f) -> "WeightFunction":
-        """Sampled weight; derivatives by 4th-order differencing.
-
-        The grid must be uniform (FD stencils assume constant step).
-        """
-        ts = np.asarray(ts, dtype=float)
-        f = np.asarray(f, dtype=float)
-        h = uniform_step(ts, "WeightFunction.from_samples")
-        fp = fd_derivative(f, h)
-        return cls(ts=ts, f=f, fp=fp, fpp=fd_derivative(fp, h))
-
     @property
     def variation(self) -> float:
         mean = float(np.mean(self.f))
@@ -119,12 +103,12 @@ class WeightFunction:
 # scalar core: the five master equations
 # ---------------------------------------------------------------------------
 
-def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
-                       a: float, b: float, k1p, k1pp, k2p,
+def mainprop_residuals(c: float, s: float, k1, k2, k3, p2, p3, p4,
+                       f: WeightFunction, a: float, b: float, k1p, k1pp, k2p,
                        extra_gphiT=None) -> dict:
-    """Residual arrays of the five proper-f-biharmonicity conditions.
+    """Residual arrays of the five proper-f-biharmonicity conditions in a
+    space form of constants (c, s).
 
-    params may be a ModelParams or a (c, s) pair (hypothetical mode).
     The curvature derivatives k1', k1'', k2' are the caller's: on a
     measured trace, `FrenetData.curvature_jet`.  A NaN in k1 (the
     verify pass masks k1 <= 0) makes eq1-eq3 and gphiT NaN at that
@@ -133,7 +117,6 @@ def mainprop_residuals(params, k1, k2, k3, p2, p3, p4, f: WeightFunction,
     (the part of phiT outside span{V2,V3,V4}), needed for condition (5)
     on traces of order > 4; scalar mode assumes phiT lies in the span.
     """
-    c, s = _c_s(params)
     k1, k2, k3, p2, p3, p4 = (np.asarray(v, dtype=float)
                               for v in (k1, k2, k3, p2, p3, p4))
     cf = 3.0 * (c - s) / 4.0
@@ -268,8 +251,8 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     zeros = np.zeros(n)
     p2, p3, p4 = (dec.p2, dec.p3, dec.p4) if dec else (zeros, zeros, zeros)
     out_of_span = dec.phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2) if dec else None
-    per_sample = mainprop_residuals(params, np.where(k1 > 0, k1, np.nan), k2, k3,
-                                    p2, p3, p4, f, profile.a, profile.b,
+    per_sample = mainprop_residuals(params.c, params.s, np.where(k1 > 0, k1, np.nan),
+                                    k2, k3, p2, p3, p4, f, profile.a, profile.b,
                                     *fd.curvature_jet, extra_gphiT=out_of_span)
     t3 = tau3(fd, f) if len(fd.chain) >= TAU2_CHAIN_LEVELS else None
     per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3["norm"]
@@ -287,7 +270,7 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
 
     sl = trace.interior
     residuals = {k: float(np.max(np.abs(per_sample[k][sl]))) for k in EQUATIONS}
-    case = classify_case(dec, profile, params)
+    case = classify_case(dec, profile, params.c, params.s)
     details = {"case_detail": case[1], "slant": profile.is_slant,
                "order": fd.order}
     if t3 is not None:
@@ -312,9 +295,13 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                             per_sample=per_sample, decomposition=dec)
 
 
+CASE_TOL = 1e-6    # scale-relative threshold of the case II and III tests
+
+
 def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
-                  params: ModelParams | tuple, tol: float = 1e-6) -> tuple[str, dict]:
-    """Case label per the classification of g(tau3, phiT) = 0.
+                  c: float, s: float) -> tuple[str, dict]:
+    """Case label per the classification of g(tau3, phiT) = 0 in a space
+    form of constants (c, s).
 
     I   : c = s (unreachable in the coordinate model, where c = -3s);
     II  : c != s and g(phiT, V2) = 0;
@@ -322,11 +309,11 @@ def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
     IV  : otherwise.
     Returns (label, detail); near-threshold configurations report both
     candidates in detail['ambiguous'].  Thresholds are scale-relative:
-    |g(phiT,V2)| < tol*sqrt(1-a) for II, span alignment within tol for III.
+    |g(phiT,V2)| < CASE_TOL sqrt(1-a) for II, span alignment within
+    CASE_TOL for III.
     Invariant under frame sign flips (only |p2| and norms of the phiT
     decomposition `dec` are used).
     """
-    c, s = _c_s(params)
     if abs(c - s) < 1e-14:
         return "I", {"c": c, "s": s}
     one_minus_a = 1.0 - profile.a
@@ -337,8 +324,8 @@ def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
     # alignment with +-V2: || |phiT| - |p2| || relative to scale
     align = float(np.max(np.abs(np.sqrt(dec.phiT_norm2) - np.abs(dec.p2))))
     detail = {"max_abs_p2": p2max, "align_defect": align, "scale": scale}
-    is_II = p2max < tol * scale
-    is_III = align < tol * scale
+    is_II = p2max < CASE_TOL * scale
+    is_III = align < CASE_TOL * scale
     if is_II and is_III:
         detail["ambiguous"] = ["II", "III"]
         return "II", detail
@@ -348,9 +335,9 @@ def classify_case(dec: PhiTDecomposition, profile: SlantProfile,
         return "III", detail
     # ambiguity reporting near thresholds
     near = []
-    if p2max < 10 * tol * scale:
+    if p2max < 10 * CASE_TOL * scale:
         near.append("II")
-    if align < 10 * tol * scale:
+    if align < 10 * CASE_TOL * scale:
         near.append("III")
     if near:
         detail["ambiguous"] = near + ["IV"]

@@ -38,13 +38,10 @@ __all__ = [
 # finite differences on a uniform grid (4th order, one-sided at the ends)
 # ---------------------------------------------------------------------------
 
-# 4th-order first-derivative stencils on 5 points, offset = position of the
-# evaluation node within the stencil
+# 4th-order one-sided first-derivative stencils on 5 points, offset =
+# position of the evaluation node within the stencil
 _FD5 = {
     0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
-    2: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    3: np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0,
     4: np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0,
 }
 
@@ -228,9 +225,13 @@ class CurveTrace:
         """Build a trace from sampled positions only; gamma' to gamma^(4)
         by FD.
 
-        The grid must be uniform (FD stencils assume constant step).
+        The grid must be uniform (FD stencils assume constant step), and
+        more than MAX_SAMPLES samples are refused before any differencing.
         """
         ts = np.asarray(ts, dtype=float)
+        if len(ts) > MAX_SAMPLES:
+            raise ValueError(f"more than the {MAX_SAMPLES} samples a trace "
+                             "may have")
         h = uniform_step(ts, "from_positions")
         points = np.asarray(points, dtype=float)
         return cls(params, ts, points, _chained_derivatives(points, h, 4)[1:],
@@ -238,7 +239,8 @@ class CurveTrace:
 
     @classmethod
     def from_csv(cls, params: ModelParams, path) -> "CurveTrace":
-        """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD."""
+        """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD.
+        Rows past MAX_SAMPLES + 1 are not read: the trace is refused anyway."""
         with open(path) as fh:
             header = fh.readline().rstrip("\r\n").split(",")
             if len(header) < 1 + params.dim:
@@ -246,11 +248,11 @@ class CurveTrace:
                     f"csv needs {1 + params.dim} columns (t + coordinates), "
                     f"got {len(header)}")
             data = np.loadtxt(fh, delimiter=",", usecols=range(1 + params.dim),
-                              ndmin=2)
+                              ndmin=2, max_rows=MAX_SAMPLES + 1)
         return cls.from_positions(params, data[:, 0], data[:, 1:])
 
-    def to_csv(self, path, include_derivatives: bool = True) -> None:
-        """Write t, coordinates and (optionally) the derivative columns.
+    def to_csv(self, path) -> None:
+        """Write t, the coordinates and the derivative columns.
 
         `from_csv` only consumes the t/coordinate columns, so the
         derivative columns are informational and round-trip safely.
@@ -258,13 +260,10 @@ class CurveTrace:
         coord_names = ([f"x{i+1}" for i in range(self.params.m)]
                        + [f"y{i+1}" for i in range(self.params.m)]
                        + [f"z{a+1}" for a in range(self.params.s)])
-        header = ["t"] + coord_names
-        blocks = [self.points]
-        if include_derivatives:
-            for k, d in enumerate(self.derivs, start=1):
-                header += [f"d{k}_{name}" for name in coord_names]
-                blocks.append(d)
-        write_csv(path, header, np.column_stack([self.ts] + blocks))
+        header = ["t"] + coord_names + [
+            f"d{k}_{name}" for k in range(1, self.depth + 1) for name in coord_names]
+        write_csv(path, header,
+                  np.column_stack([self.ts, self.points, *self.derivs]))
 
     def tangent_frame(self) -> np.ndarray:
         """Frame components of the velocity, component-major: (2m+s, n).

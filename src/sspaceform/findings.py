@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biharmonic import WeightFunction, _c_s, check_conditions
+from .biharmonic import WeightFunction, check_conditions
 from .curve import (CurveTrace, FrenetData, _frame_jet, fd_derivative,
                     frenet_apparatus)
 from .manifold import ModelParams, connection_term, frame_to_coords, phi_frame
@@ -46,6 +46,12 @@ __all__ = [
     "nabla_phiT_check",
     "real_domain_report",
 ]
+
+
+def _c_s(params) -> tuple:
+    """(c, s) of a ModelParams or of a hypothetical (c, s) pair: the
+    analyses here take either, so that they also reach case I (c = s)."""
+    return (params.c, params.s) if hasattr(params, "c") else tuple(params)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def phiT_aligned_curve(params: ModelParams, thetas, k1, epsilon: int = +1,
     st0[0] = np.sqrt(P)
     st0[2:] = p0
 
-    ts, recs = _rk4_march(rhs, st0, 0.0, window, step, table=rotation)
+    ts, recs = _rk4_march(rhs, st0, window, step, rotation)
     points = recs[:, 2:]
     vel_frame = np.zeros((len(ts), params.dim))
     vel_frame[:, 0] = recs[:, 0]
@@ -504,7 +510,7 @@ def v_frame(profile: SlantProfile) -> np.ndarray:
     """Frame components of V (xi_alpha slots carry cos theta_alpha)."""
     params = profile.params
     out = np.zeros(params.dim)
-    out[2 * params.m:] = profile.cos_thetas
+    out[2 * params.m:] = np.cos(profile.thetas)
     return out
 
 

@@ -155,22 +155,13 @@ def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
     }
 
 
-def f_from_k1(ts, k1, k1p=None, k1pp=None, c1: float = 1.0):
-    """WeightFunction f = c1 k1^(-3/2) with chain-rule derivatives.
-
-    k1 may be a callable returning (k1, k1', k1'') on ts, or an array with
-    k1p/k1pp arrays (finite differences of the caller's choosing).
-    Requires k1 > 0 on the window and c1 > 0.
+def f_from_k1(ts, k1, k1p, k1pp, c1: float = 1.0):
+    """WeightFunction f = c1 k1^(-3/2) with chain-rule derivatives from
+    the arrays k1, k1', k1'' on ts (exact or differenced, as the caller
+    chooses).  Requires k1 > 0 on the window and c1 > 0.
     """
     ts = np.asarray(ts, dtype=float)
-    if callable(k1):
-        k1, k1p, k1pp = (np.asarray(v, dtype=float) for v in k1(ts))
-    else:
-        k1 = np.asarray(k1, dtype=float)
-        if k1p is None or k1pp is None:
-            raise ValueError("array k1 requires k1p and k1pp")
-        k1p = np.asarray(k1p, dtype=float)
-        k1pp = np.asarray(k1pp, dtype=float)
+    k1, k1p, k1pp = (np.asarray(v, dtype=float) for v in (k1, k1p, k1pp))
     if c1 <= 0:
         raise ValueError("c1 must be positive")
     if np.any(k1 <= 0):

@@ -63,12 +63,7 @@ class SlantProfile:
     b: float                        # sum cos theta
     constancy_deviation: float      # max |eta_alpha(T) - cos theta_alpha|
     is_slant: bool
-    tolerance: float
     eta_samples: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def cos_thetas(self) -> np.ndarray:
-        return np.cos(self.thetas)
 
 
 def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantProfile:
@@ -84,7 +79,7 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
     # eta_alpha(T) = C_alpha, one sample per row
     etas = trace.tangent_frame()[2 * trace.params.m:].T.copy()
     means = etas.mean(axis=0)
-    deviation = float(np.max(np.abs(etas - means))) if len(etas) else 0.0
+    deviation = float(np.max(np.abs(etas - means)))
     thetas = _arccos_clipped(means, "contact angles (mean eta_alpha(T))")
     cos = np.cos(thetas)
     return SlantProfile(
@@ -94,7 +89,6 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
         b=float(np.sum(cos)),
         constancy_deviation=deviation,
         is_slant=bool(deviation <= tolerance),
-        tolerance=float(tolerance),
         eta_samples=etas,
     )
 
@@ -107,7 +101,6 @@ SPAN_TOL = 1e-6
 class PhiTDecomposition:
     """Projection of phi T onto the Frenet frame, with angle functions."""
 
-    ts: np.ndarray
     p2: np.ndarray                  # g(phiT, V2)
     p3: np.ndarray                  # g(phiT, V3), zeros if r < 3
     p4: np.ndarray                  # g(phiT, V4), zeros if r < 4
@@ -140,7 +133,7 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     if one_minus_a < 1e-12:
         zeros = np.zeros(n)
         return PhiTDecomposition(
-            ts=trace.ts, p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
+            p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
             beta=np.full(n, np.nan), w=np.full(n, np.nan),
             norm_defect=zeros.copy(), phiT_norm2=phiT_norm2,
             in_span_v234=True, degenerate=True, derivative_residual=0.0)
@@ -164,6 +157,6 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     dp2 = fd_derivative(p2, trace.step)
     resid = float(np.max(np.abs(dp2 - k2 * p3)))
     return PhiTDecomposition(
-        ts=trace.ts, p2=p2, p3=p3, p4=p4, beta=beta, w=w,
+        p2=p2, p3=p3, p4=p4, beta=beta, w=w,
         norm_defect=norm_defect, phiT_norm2=phiT_norm2,
         in_span_v234=in_span, degenerate=False, derivative_residual=resid)

@@ -115,16 +115,16 @@ class SynthesisSpec:
         return len(self.curvatures) + 1
 
 
-def _stage_times(t0: float, n_steps: int, h: float) -> np.ndarray:
-    """The distinct stage times of an n-step RK4 march with step h, in
-    march order: t_0, t_0 + h/2, t_1, ..., t_n (2n + 1 values).
+def _stage_times(n_steps: int, h: float) -> np.ndarray:
+    """The distinct stage times of an n-step RK4 march from t_0 = 0 with
+    step h, in march order: t_0, t_0 + h/2, t_1, ..., t_n (2n + 1 values).
 
-    t_{k+1} = t_k + h is accumulated exactly as the step loop of
-    `_rk4_march` would, so a stage time here is the float that loop would
-    pass to its right-hand side.
+    t_{k+1} = t_k + h is accumulated as a per-stage step loop would, so a
+    stage time here is the float that loop would pass to its right-hand
+    side.
     """
-    nodes = [t0]
-    t = t0
+    nodes = [0.0]
+    t = 0.0
     for _ in range(n_steps):
         t += h
         nodes.append(t)
@@ -134,32 +134,27 @@ def _stage_times(t0: float, n_steps: int, h: float) -> np.ndarray:
     return times
 
 
-def _rk4_march(rhs, y0, t0, window, step, after=None, table=None):
-    """Classical fixed-step RK4 for y' = rhs(row, y) from (t0, y0) to both
+def _rk4_march(rhs, y0, window, step, table, after=None):
+    """Classical fixed-step RK4 for y' = rhs(row, y) from (0, y0) to both
     ends of `window`.
 
     Step k of a half march evaluates rhs at the stage times t_k,
     t_k + h/2 (twice) and t_{k+1} (see `_stage_times`).  `table` maps the
     array of a half march's distinct stage times to one row per time, and
-    rhs receives the row of its stage time; without a table the row is
-    the time itself, as a Python float.  Both tables are built before the
-    first step, so a table that raises refuses the march before any rhs
-    call.  `after(y)`, if given, corrects the state after every step (and
-    may raise to refuse the march).
+    rhs receives the row of its stage time.  Both tables are built before
+    the first step, so a table that raises refuses the march before any
+    rhs call.  `after(y)`, if given, corrects the state after every step
+    (and may raise to refuse the march).
 
-    Returns the grid t0 + step * k, k = -n_bwd..n_fwd, and the states on it
+    Returns the grid step * k, k = -n_bwd..n_fwd, and the states on it
     stacked along axis 0.
     """
     lo, hi = window
-    if not lo <= t0 <= hi:
-        raise ValueError("window must contain the start point t0")
+    if not lo <= 0.0 <= hi:
+        raise ValueError("the window must contain t = 0, where the march starts")
     grid_samples(hi - lo, step)
-    n_fwd = int(round((hi - t0) / step))
-    n_bwd = int(round((t0 - lo) / step))
-
-    def rows_of(n_steps, h):
-        times = _stage_times(t0, n_steps, h)
-        return times.tolist() if table is None else list(table(times))
+    n_fwd = int(round(hi / step))
+    n_bwd = int(round(-lo / step))
 
     def march(rows, h):
         half, sixth = h / 2, h / 6
@@ -177,9 +172,10 @@ def _rk4_march(rhs, y0, t0, window, step, after=None, table=None):
             states.append(y)
         return states
 
-    bwd, fwd = rows_of(n_bwd, -step), rows_of(n_fwd, step)
+    bwd = list(table(_stage_times(n_bwd, -step)))
+    fwd = list(table(_stage_times(n_fwd, step)))
     states = march(bwd, -step)[::-1][:-1] + march(fwd, step)
-    return t0 + step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
+    return step * np.arange(-n_bwd, n_fwd + 1), np.array(states)
 
 
 def _orthonormalize(frame: np.ndarray) -> None:
@@ -254,9 +250,8 @@ def integrate_frenet_system(spec: SynthesisSpec) -> tuple[CurveTrace, np.ndarray
         _orthonormalize(frame)
         return S
 
-    ts, states = _rk4_march(rhs, np.vstack([spec.frame0, spec.p0]), 0.0,
-                            spec.window, spec.step, after=reorthonormalize,
-                            table=curvature_table)
+    ts, states = _rk4_march(rhs, np.vstack([spec.frame0, spec.p0]), spec.window,
+                            spec.step, curvature_table, after=reorthonormalize)
     frames, points = states[:, :r], states[:, r]
     vels = frame_to_coords(params, frames[:, 0].T, points[:, m:2 * m].T).T
 
@@ -278,8 +273,7 @@ def _radicand_coefficients(a: float, b: float, s: int, p2: float,
 
 def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
                         c2: float, window=(-1.0, 1.0), step: float = 1e-3,
-                        branch: int = +1, psi0: float = 0.0,
-                        p0=None) -> CurveTrace:
+                        branch: int = +1, p0=None) -> CurveTrace:
     """Slant curve with exact contact angles, prescribed k1, k2 = c2 k1 and
     constant g(phiT, V2) = p2.
 
@@ -371,10 +365,9 @@ def steered_slant_curve(params: ModelParams, thetas, k1, p2: float,
     st0 = np.zeros(nst)
     st0[0] = np.sqrt(P)      # zeta(0) on the first complex axis
     st0[5] = np.sqrt(P)      # nu(0) on the second
-    st0[8] = psi0
     st0[9:] = p0
 
-    ts, recs = _rk4_march(rhs, st0, 0.0, window, step, table=coefficients)
+    ts, recs = _rk4_march(rhs, st0, window, step, coefficients)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
     points = recs[:, 9:]
     vel_frame = np.zeros((len(ts), params.dim))
@@ -505,22 +498,14 @@ class R6ExampleConfig:
     c3 = 4.0
     params = ModelParams(m=2, s=2)
     thetas = (np.pi / 2, np.pi / 3)
-
-    @property
-    def a(self) -> float:
-        return float(np.sum(np.cos(self.thetas) ** 2))
-
-    @property
-    def b(self) -> float:
-        return float(np.sum(np.cos(self.thetas)))
-
-    @property
-    def cos_beta(self) -> float:
-        return -np.sqrt(2.0) / 6.0
-
-    @property
-    def p2(self) -> float:
-        return float(np.sqrt(1.0 - self.a) * self.cos_beta)
+    a = float(np.sum(np.cos(thetas) ** 2))
+    b = float(np.sum(np.cos(thetas)))
+    cos_beta = -np.sqrt(2.0) / 6.0
+    p2 = float(np.sqrt(1.0 - a) * cos_beta)
+    # |3(c-s)/8 sin(2 beta)| (1-a), with sin(2 beta) = 2 cos(beta) sin(beta)
+    k2k3_target = float(abs(3.0 * (params.c - params.s)
+                            * (2.0 * cos_beta * np.sqrt(1.0 - cos_beta ** 2)) / 8.0)
+                        * (1.0 - a))
 
     def k1(self, t):
         c2, c3 = self.c2, self.c3
@@ -528,12 +513,6 @@ class R6ExampleConfig:
 
     def k2(self, t):
         return self.c2 * self.k1(t)
-
-    @property
-    def k2k3_target(self) -> float:
-        c, s = self.params.c, self.params.s
-        sin2b = 2.0 * self.cos_beta * np.sqrt(1.0 - self.cos_beta ** 2)
-        return float(abs(3.0 * (c - s) * sin2b / 8.0) * (1.0 - self.a))
 
     def k3(self, t):
         return self.k2k3_target / self.k2(t)

@@ -8,7 +8,8 @@ import sympy as sp
 
 from sspaceform import manifold as mf
 from sspaceform import synth
-from sspaceform.curve import frenet_apparatus
+from sspaceform.biharmonic import WeightFunction
+from sspaceform.curve import fd_derivative, frenet_apparatus, uniform_step
 from sspaceform.manifold import ModelParams
 from sspaceform.slant import contact_angles
 
@@ -85,6 +86,16 @@ def k1_catenary(ts):
     ts = np.asarray(ts, dtype=float)
     u = 1.0 + ts ** 2
     return 1.0 / u, -2.0 * ts / u ** 2, (6.0 * ts ** 2 - 2.0) / u ** 3
+
+
+def sampled_weight(ts, f) -> WeightFunction:
+    """Weight of samples f on a uniform grid ts; f' and f'' by 4th-order
+    differencing."""
+    ts = np.asarray(ts, dtype=float)
+    f = np.asarray(f, dtype=float)
+    h = uniform_step(ts, "sampled_weight")
+    fp = fd_derivative(f, h)
+    return WeightFunction(ts=ts, f=f, fp=fp, fpp=fd_derivative(fp, h))
 
 
 def csv_writer_bytes(path, header, rows) -> bytes:

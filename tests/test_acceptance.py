@@ -19,7 +19,8 @@ from sspaceform.manifold import ModelParams, curvature_frame, phi_frame
 from sspaceform.oracles import exact_model, nabla, structure_identities
 from sspaceform.slant import contact_angles
 
-from conftest import curvature_evaluator, frame_gamma, is_zero, k1_case2
+from conftest import (curvature_evaluator, frame_gamma, is_zero, k1_case2,
+                      sampled_weight)
 
 
 def report(criterion, ok, detail=""):
@@ -201,7 +202,7 @@ def test_criterion_07_example_end_to_end():
     eta2 = float(np.max(np.abs(etas[:, 1] - 0.5)))
     k1 = fd.curvatures[0]
     k1_rel = float(np.max(np.abs(k1 - cfg.k1(trace.ts)) / cfg.k1(trace.ts)))
-    f = odesol.f_from_k1(trace.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(trace.ts, *k1_case2(trace.ts), c1=1.0)
     rep = check_conditions(trace, fd, prof, f, eq_tol=1e-3)
     elapsed = time.time() - t0
     worst_eq = max(rep.residuals[k] for k in ("eq1", "eq2", "eq3", "eq4",
@@ -225,7 +226,7 @@ def test_criterion_07_feasible_window_counterpart():
     k1 = fd.curvatures[0]
     expect = 1.0 / (2.0 + trace.ts ** 2)
     k1_rel = float(np.max(np.abs(k1 - expect) / expect))
-    f = odesol.f_from_k1(trace.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(trace.ts, *k1_case2(trace.ts), c1=1.0)
     rep = check_conditions(trace, fd, prof, f, eq_tol=1e-3)
     worst_eq = max(rep.residuals[k] for k in ("eq1", "eq2", "eq3", "eq4",
                                               "gphiT"))
@@ -259,8 +260,7 @@ def test_criterion_09_degeneration_properties(case2_curve, case2_fd,
         t3["direct"] - t2["direct"], axis=0)))
 
     gfd = frenet_apparatus(geodesic)
-    t3g = tau3(gfd, WeightFunction.from_samples(geodesic.ts,
-                                                2.0 + np.sin(geodesic.ts)))
+    t3g = tau3(gfd, sampled_weight(geodesic.ts, 2.0 + np.sin(geodesic.ts)))
     geo_norm = float(np.max(t3g["norm"]))
 
     rng = np.random.default_rng(9)

@@ -17,7 +17,7 @@ from sspaceform.slant import contact_angles, phiT_decomposition
 
 from conftest import (k1_case2, k1_catenary, rowmajor_covariant_chain,
                       rowmajor_curvature_frame, rowmajor_tau2, rowmajor_tau3,
-                      same_bits)
+                      same_bits, sampled_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +34,9 @@ def test_weight_validation():
 
 def test_weight_from_samples():
     ts = np.linspace(-1, 1, 401)
-    f = WeightFunction.from_samples(ts, np.exp(ts))
+    f = sampled_weight(ts, np.exp(ts))
     assert np.max(np.abs(f.fp - np.exp(ts))[5:-5]) < 1e-8
     assert not f.is_constant
-
-
-def test_weight_from_samples_rejects_nonuniform_grid():
-    # the stencils assume h = ts[1] - ts[0]; on this grid f = 1 + t^2 used
-    # to come out with f' off by 0.37
-    ts = np.linspace(-1, 1, 401) ** 3
-    with pytest.raises(ValueError, match="uniform"):
-        WeightFunction.from_samples(ts, 1.0 + ts ** 2)
 
 
 def test_weight_refuses_non_finite_samples(catenary):
@@ -52,7 +44,7 @@ def test_weight_refuses_non_finite_samples(catenary):
     f = (1.0 + catenary.ts ** 2) ** 1.5
     f[2000] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite f in row 2000"):
-        WeightFunction.from_samples(catenary.ts, f)
+        sampled_weight(catenary.ts, f)
     ts = np.linspace(0, 1, 11)
     fpp = np.zeros(11)
     fpp[7] = np.inf
@@ -90,7 +82,7 @@ def test_depth3_trace_has_no_tau2(catenary):
     fd = frenet_apparatus(trace)
     with pytest.raises(ValueError, match="depth"):
         tau2(fd)
-    f = odesol.f_from_k1(trace.ts, k1_catenary, c1=1.0)
+    f = odesol.f_from_k1(trace.ts, *k1_catenary(trace.ts), c1=1.0)
     rep = check_conditions(trace, fd, contact_angles(trace), f)
     assert rep.verdict == "proper-f-biharmonic"
     assert "tau3_norm" not in rep.residuals
@@ -106,7 +98,7 @@ def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):
 
 
 def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
-    f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(case2_curve.ts, *k1_case2(case2_curve.ts), c1=1.0)
     t3 = tau3(case2_fd, f)
     sl = slice(20, -20)
     assert np.max(t3["norm"][sl]) < 1e-3
@@ -115,7 +107,7 @@ def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
 
 def test_tau3_vanishes_on_catenary(catenary, catenary_fd):
     prof = contact_angles(catenary)
-    f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
     t3 = tau3(catenary_fd, f)
     assert np.max(t3["norm"][5:-5]) < 1e-6
 
@@ -123,7 +115,7 @@ def test_tau3_vanishes_on_catenary(catenary, catenary_fd):
 def test_tau3_geodesic_any_f(geodesic):
     fd = frenet_apparatus(geodesic)
     prof = contact_angles(geodesic)
-    f = WeightFunction.from_samples(geodesic.ts, 2.0 + np.sin(geodesic.ts))
+    f = sampled_weight(geodesic.ts, 2.0 + np.sin(geodesic.ts))
     t3 = tau3(fd, f)
     assert np.max(t3["norm"]) < 1e-12
 
@@ -152,7 +144,7 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
     assert same_bits(curvature_frame(params22, chain[0], chain[1], chain[0]).T,
                      rowmajor_curvature_frame(params22, want[0], want[1], want[0]))
     fd = frenet_apparatus(trace)
-    f = WeightFunction.from_samples(trace.ts, 2.0 + np.sin(trace.ts))
+    f = sampled_weight(trace.ts, 2.0 + np.sin(trace.ts))
     t2, t3 = tau2(fd), tau3(fd, f)
     ref2, ref3 = rowmajor_tau2(fd, want), rowmajor_tau3(fd, f, want)
     assert same_bits(t2["direct"].T, ref2["direct"])
@@ -168,7 +160,7 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
 # ---------------------------------------------------------------------------
 
 def test_check_conditions_case2_proper(case2_curve, case2_fd, case2_profile):
-    f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(case2_curve.ts, *k1_case2(case2_curve.ts), c1=1.0)
     rep = check_conditions(case2_curve, case2_fd, case2_profile, f)
     assert rep.verdict == "proper-f-biharmonic"
     assert rep.case == "II"
@@ -178,7 +170,7 @@ def test_check_conditions_case2_proper(case2_curve, case2_fd, case2_profile):
 
 def test_check_conditions_catenary_proper(catenary, catenary_fd):
     prof = contact_angles(catenary)
-    f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
     rep = check_conditions(catenary, catenary_fd, prof, f)
     assert rep.verdict == "proper-f-biharmonic"
     assert rep.case == "II"
@@ -223,7 +215,7 @@ def test_check_conditions_non_slant_is_none(r6_config):
         r6_config.synthesis_spec(window=(-1.5, 1.5), step=2e-3))
     fd = frenet_apparatus(trace)
     prof = contact_angles(trace, tolerance=1e-5)
-    f = odesol.f_from_k1(trace.ts, lambda ts: k1_case2(ts), c1=1.0)
+    f = odesol.f_from_k1(trace.ts, *k1_case2(trace.ts), c1=1.0)
     rep = check_conditions(trace, fd, prof, f)
     assert rep.verdict == "none"
     assert rep.details["reason"] == "not a slant curve"
@@ -239,7 +231,7 @@ def test_nonpositive_k1_is_nan_at_its_own_sample(catenary, catenary_fd):
     fd = dataclasses.replace(catenary_fd, curvatures=k)
     # the jet follows the replaced curvatures
     assert fd.curvature_jet[0][i + 1] != catenary_fd.curvature_jet[0][i + 1]
-    f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
     rep = check_conditions(catenary, fd, contact_angles(catenary), f)
     for key in ("eq1", "eq2", "eq3", "gphiT"):
         assert np.flatnonzero(np.isnan(rep.per_sample[key])).tolist() == [i], key
@@ -256,7 +248,7 @@ def test_mainprop_hypothetical_case1_helix_biharmonic():
     k1 = np.full_like(ts, k0)
     zeros = np.zeros_like(ts)
     f = WeightFunction.constant(ts, 1.0)
-    res = mainprop_residuals((c, s), k1, k1, zeros, zeros, zeros, zeros,
+    res = mainprop_residuals(c, s, k1, k1, zeros, zeros, zeros, zeros,
                              f, a, b, k1p=zeros, k1pp=zeros, k2p=zeros)
     for key, arr in res.items():
         assert np.max(np.abs(arr)) < 1e-12, key
@@ -275,7 +267,8 @@ def test_model_never_case_I():
 
 def test_classify_case_II(case2_curve, case2_fd, case2_profile):
     dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
-    label, detail = classify_case(dec, case2_profile, case2_curve.params)
+    label, detail = classify_case(dec, case2_profile, case2_curve.params.c,
+                                  case2_curve.params.s)
     assert label == "II"
 
 
@@ -286,27 +279,29 @@ def test_classify_case_III(params22):
     fd = frenet_apparatus(tr)
     prof = contact_angles(tr)
     label, detail = classify_case(phiT_decomposition(tr, fd, prof), prof,
-                                  params22)
+                                  params22.c, params22.s)
     assert label == "III"
 
 
 def test_classify_case_IV(r6_steered, r6_steered_fd):
     prof = contact_angles(r6_steered)
     dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
-    label, detail = classify_case(dec, prof, r6_steered.params)
+    label, detail = classify_case(dec, prof, r6_steered.params.c,
+                                  r6_steered.params.s)
     assert label == "IV" and "ambiguous" not in detail
     # |p2| just above the case II threshold 1e-6 sqrt(1-a) but within 10x
     # of it: still IV, with II named as the near candidate
     scale = np.sqrt(1.0 - prof.a)
     near = dataclasses.replace(
         dec, p2=dec.p2 * (5e-6 * scale / np.max(np.abs(dec.p2))))
-    label, detail = classify_case(near, prof, r6_steered.params)
+    label, detail = classify_case(near, prof, r6_steered.params.c,
+                                  r6_steered.params.s)
     assert (label, detail["ambiguous"]) == ("IV", ["II", "IV"])
 
 
 def test_classify_case_I_hypothetical(case2_curve, case2_fd, case2_profile):
     dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
-    label, _ = classify_case(dec, case2_profile, (2.0, 2))
+    label, _ = classify_case(dec, case2_profile, 2.0, 2)
     assert label == "I"
 
 
@@ -314,9 +309,9 @@ def test_classify_sign_flip_invariance(r6_steered, r6_steered_fd):
     prof = contact_angles(r6_steered)
     flipped = dataclasses.replace(r6_steered_fd, frames=-r6_steered_fd.frames)
     a = classify_case(phiT_decomposition(r6_steered, r6_steered_fd, prof),
-                      prof, r6_steered.params)[0]
+                      prof, r6_steered.params.c, r6_steered.params.s)[0]
     b = classify_case(phiT_decomposition(r6_steered, flipped, prof),
-                      prof, r6_steered.params)[0]
+                      prof, r6_steered.params.c, r6_steered.params.s)[0]
     assert a == b
 
 
@@ -325,7 +320,7 @@ def test_classify_sign_flip_invariance(r6_steered, r6_steered_fd):
 # ---------------------------------------------------------------------------
 
 def test_case2_checker_on_case2_curve(case2_curve, case2_fd, case2_profile):
-    f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(case2_curve.ts, *k1_case2(case2_curve.ts), c1=1.0)
     k1, k2, _ = case2_fd.padded_curvatures
     k1p, k1pp, _ = case2_fd.curvature_jet
     rep = case1_case2_checker(case2_profile.a, case2_profile.b,
@@ -351,7 +346,7 @@ def test_case1_checker_hypothetical():
         u = 2.0 + ts ** 2
         return 1.0 / u, -2.0 * ts / u ** 2, (6.0 * ts ** 2 - 4.0) / u ** 3
 
-    f = odesol.f_from_k1(ts, k1, c1=2.0)
+    f = odesol.f_from_k1(ts, *k1(ts), c1=2.0)
     k1v, k1p, k1pp = k1(ts)
     rep = case1_case2_checker(0.5, np.sqrt(2) / 2, (1.0, 1), k1v, k1p,
                               k1pp, 2.0 * k1v, f)
@@ -379,7 +374,7 @@ def test_case2_checker_constant_k2_means_not_proper():
 
 def test_case2_checker_r2_subcase(catenary, catenary_fd):
     prof = contact_angles(catenary)
-    f = odesol.f_from_k1(catenary.ts, k1_catenary, c1=1.0)
+    f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
     k1p, k1pp, _ = catenary_fd.curvature_jet
     rep = case1_case2_checker(prof.a, prof.b, catenary.params,
                               catenary_fd.curvatures[0], k1p, k1pp,
@@ -450,7 +445,7 @@ def test_case4_checker_r6_steered(r6_steered, r6_steered_fd):
     # and the case ODE hold, but the k2 k3 product misses its target --
     # the measured content of the realizability obstruction
     prof = contact_angles(r6_steered)
-    f = odesol.f_from_k1(r6_steered.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(r6_steered.ts, *k1_case2(r6_steered.ts), c1=1.0)
     dec = phiT_decomposition(r6_steered, r6_steered_fd, prof)
     rep = case4_checker(r6_steered, r6_steered_fd, prof, dec, f)
     assert rep["beta_constant"]
@@ -479,7 +474,7 @@ def test_case4_checker_trims_the_stencil_edge(r6_steered, r6_steered_fd):
 
 
 def test_case4_checker_rejects_case2_input(case2_curve, case2_fd, case2_profile):
-    f = odesol.f_from_k1(case2_curve.ts, k1_case2, c1=1.0)
+    f = odesol.f_from_k1(case2_curve.ts, *k1_case2(case2_curve.ts), c1=1.0)
     with pytest.raises(ValueError, match="case II"):
         case4_checker(case2_curve, case2_fd, case2_profile,
                       phiT_decomposition(case2_curve, case2_fd, case2_profile),
@@ -547,7 +542,7 @@ def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):
     st0[0] = np.sqrt(P)
     st0[5] = np.sqrt(P)
 
-    ts, recs = synth._rk4_march(rhs, st0, 0.0, window, step)
+    ts, recs = synth._rk4_march(rhs, st0, window, step, np.ndarray.tolist)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
     points = recs[:, 8:]
     vf = np.zeros((len(ts), params.dim))

@@ -642,19 +642,30 @@ CHILD_ADDRESS_SPACE = 1 << 30
     ["synth", "--builtin", "r6-steered", "--out", "t.csv", "--step", "1e-7"],
     ["ode", "--case", "iii", "--c2", "1", "--c3", "4", "--range", "-2:2:1e-7"],
     ["synth", "--builtin", "case2-order3", "--out", "t.csv", "--step", "5e-324"],
+    ["verify", "--config", "big-csv.ini"],
 ])
 def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
     # step 1e-7 on a -2:2 window asks for 40,000,001 samples (r6-steered
     # keeps the step on its own window), and a subnormal step for infinitely
     # many: every grid above MAX_SAMPLES is a config error, raised before
-    # the grid is allocated
+    # the grid is allocated.  A csv: trace one row above the cap is refused
+    # before it is differenced.
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2)
 
-    write_config(tmp_path / "big.ini", "[manifold]\nm = 2\ns = 2\n\n"
-                 "[curve]\nsource = builtin:catenary\nstep = 1e-7\n")
+    head = "[manifold]\nm = 2\ns = 2\n\n[curve]\n"
+    write_config(tmp_path / "big.ini",
+                 head + "source = builtin:catenary\nstep = 1e-7\n")
+    write_config(tmp_path / "big-csv.ini", head + "source = csv:big.csv\n")
+    if "big-csv.ini" in command:
+        # the integral curve of xi_1 (z_1 = 2t), unit speed on a uniform grid
+        with open(tmp_path / "big.csv", "w") as fh:
+            fh.write("t,x1,x2,y1,y2,z1,z2\n")
+            fh.writelines(f"{k},0,0,0,0,{2 * k},0\n"
+                          for k in range(MAX_SAMPLES + 1))
+    inputs = sorted(p.name for p in tmp_path.iterdir())
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -665,7 +676,7 @@ def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
     assert out.returncode == cli.EXIT_CONFIG, out.stderr[-500:]
     assert out.stderr.startswith("config error:")
     assert "1000000 samples" in out.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.ini"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def test_grid_samples_cap():
@@ -686,9 +697,25 @@ MOVED_TO_FINDINGS = {
 }
 
 
+# names only tests and demos used; they no longer ship at all
+UNSHIPPED = {
+    "sspaceform": ("ModelParams", "CurveTrace", "FrenetData",
+                   "frenet_apparatus", "unit_speed_check", "SlantProfile",
+                   "contact_angles", "phiT_decomposition", "BiharmonicReport",
+                   "WeightFunction", "check_conditions", "OdeSolutionSpec",
+                   "k1_closed_form", "numeric_solution_oracle",
+                   "R6ExampleConfig", "SynthesisSpec", "integrate_frenet_system"),
+    "biharmonic": ("_c_s",),
+    "WeightFunction": ("from_samples",),
+    "SlantProfile": ("cos_thetas",),
+}
+
+
 def test_case_checkers_live_in_findings_only():
     # the modules the CLI imports do not ship the case checkers or the
-    # helpers only they use; sspaceform.findings provides all of them
+    # helpers only they use; sspaceform.findings provides all of them.  Nor
+    # do they ship the names that only tests and demos used.
+    import sspaceform
     from sspaceform import biharmonic, findings, slant
     modules = {"biharmonic": biharmonic, "odesol": odesol, "slant": slant}
     shipped = [f"{module}.{name}" for module, names in MOVED_TO_FINDINGS.items()
@@ -697,6 +724,11 @@ def test_case_checkers_live_in_findings_only():
     missing = [name for names in MOVED_TO_FINDINGS.values() for name in names
                if not callable(getattr(findings, name, None))]
     assert missing == []
+    owners = {"sspaceform": sspaceform, "biharmonic": biharmonic,
+              "WeightFunction": biharmonic.WeightFunction,
+              "SlantProfile": slant.SlantProfile}
+    assert [f"{owner}.{name}" for owner, names in UNSHIPPED.items()
+            for name in names if hasattr(owners[owner], name)] == []
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
@@ -882,7 +914,7 @@ def test_verify_nan_coordinate_exit_3(params22, tmp_path, capsys):
     # one nan coordinate in a csv: trace is a numerical failure, not a verdict
     trace = synth.legendre_catenary(params22, window=(-1.0, 1.0), n=401)
     path = tmp_path / "nan.csv"
-    trace.to_csv(path, include_derivatives=False)
+    trace.to_csv(path)
     lines = path.read_text().splitlines()
     cells = lines[1 + 100].split(",")
     cells[4] = "nan"

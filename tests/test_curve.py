@@ -161,6 +161,25 @@ def test_csv_round_trip(catenary, tmp_path):
     assert np.max(np.abs(k1 - expect)[5:-5]) < 1e-5
 
 
+def test_sampled_trace_cap(catenary, tmp_path, monkeypatch):
+    # a trace from positions may have MAX_SAMPLES rows, not one more, and
+    # from_csv reads no row past MAX_SAMPLES + 1: the unparsable last line
+    # of this file is never reached
+    monkeypatch.setattr(curve, "MAX_SAMPLES", 400)
+    params = catenary.params
+    assert CurveTrace.from_positions(params, catenary.ts[:400],
+                                     catenary.points[:400]).n == 400
+    with pytest.raises(ValueError, match="more than the 400 samples"):
+        CurveTrace.from_positions(params, catenary.ts[:401],
+                                  catenary.points[:401])
+    path = tmp_path / "catenary.csv"
+    catenary.to_csv(path)
+    with open(path, "a") as fh:
+        fh.write("not,a,number,,,,\n")
+    with pytest.raises(ValueError, match="more than the 400 samples"):
+        CurveTrace.from_csv(params, path)
+
+
 # ---------------------------------------------------------------------------
 # covariant chain cross-check
 # ---------------------------------------------------------------------------

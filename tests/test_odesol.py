@@ -338,7 +338,7 @@ def test_f_from_k1_reference():
         u = 2.0 + ts ** 2
         return 1.0 / u, -2.0 * ts / u ** 2, (6.0 * ts ** 2 - 4.0) / u ** 3
 
-    f = f_from_k1(ts, k1, c1=1.0)
+    f = f_from_k1(ts, *k1(ts), c1=1.0)
     assert np.max(np.abs(f.f - (2.0 + ts ** 2) ** 1.5)) < 1e-12
     assert not f.is_constant
     # eq (1): 3 k1'/k1 + 2 f'/f = 0 exactly with analytic derivatives

@@ -36,7 +36,7 @@ def pipeline(trace, k1):
     """Everything `verify` derives from a trace, as comparable arrays."""
     fd = frenet_apparatus(trace)
     prof = contact_angles(trace)
-    rep = check_conditions(trace, fd, prof, f_from_k1(trace.ts, k1))
+    rep = check_conditions(trace, fd, prof, f_from_k1(trace.ts, *k1(trace.ts)))
     return {
         "order": fd.order,
         "curvatures": fd.curvatures,
@@ -118,7 +118,7 @@ def classified(catenary, catenary_fd, case2_curve, case2_fd, r6_steered,
     for trace, fd in cases:
         prof = contact_angles(trace)
         label = classify_case(phiT_decomposition(trace, fd, prof), prof,
-                              trace.params)
+                              trace.params.c, trace.params.s)
         out.append((trace, fd, prof, label))
     assert sorted(c[3][0] for c in out) == ["II", "II", "III", "IV"]
     return out
@@ -136,7 +136,7 @@ def test_classify_case_ignores_frame_signs(classified, which, seed, per_sample):
     frames[1:] *= signs                      # V_2..V_r; T = V_1 stays
     flipped = dataclasses.replace(fd, frames=frames)
     got = classify_case(phiT_decomposition(trace, flipped, prof), prof,
-                        trace.params)
+                        trace.params.c, trace.params.s)
     assert got == (label, detail)
 
 

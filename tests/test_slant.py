@@ -175,7 +175,7 @@ def test_forced_eta_V3_identity(r6_steered, r6_steered_fd):
     k1, k2 = fd.curvatures[0], fd.curvatures[1]
     sl = slice(20, -20)
     for alpha in range(2):
-        expect = (dec.p2 + k1 * prof.cos_thetas[alpha]) / k2
+        expect = (dec.p2 + k1 * np.cos(prof.thetas[alpha])) / k2
         assert np.max(np.abs(etas[sl, alpha] - expect[sl])) < 1e-5
 
 

@@ -124,24 +124,24 @@ def test_nonfinite_curvature_refused_naming_it(params22, bad):
 
 def test_rk4_march_linear_amplification():
     # y' = y: one RK4 step multiplies by R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24
-    # exactly, so the state k steps from t0 is R(+-h)^|k| y0 on either side
-    t0, step, y0 = 0.3, 0.05, np.array([1.0, -2.0])
+    # exactly, so the state k steps from t = 0 is R(+-h)^|k| y0 on either side
+    step, y0 = 0.05, np.array([1.0, -2.0])
     calls = []
 
     def after(y):
         calls.append(1)
         return y
 
-    ts, states = synth._rk4_march(lambda t, y: y, y0, t0, (-0.2, 0.6), step,
-                                  after=after)
+    ts, states = synth._rk4_march(lambda t, y: y, y0, (-0.5, 0.3), step,
+                                  np.ndarray.tolist, after=after)
     k = np.arange(-10, 7)
-    np.testing.assert_array_equal(ts, t0 + step * k)
+    np.testing.assert_array_equal(ts, step * k)
     R = lambda z: 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
     amp = np.where(k < 0, R(-step) ** np.abs(k), R(step) ** np.abs(k))
     np.testing.assert_allclose(states, amp[:, None] * y0, rtol=1e-14, atol=0)
     assert len(calls) == 16
-    with pytest.raises(ValueError, match="t0"):
-        synth._rk4_march(lambda t, y: y, y0, 1.0, (-0.2, 0.6), step)
+    with pytest.raises(ValueError, match="t = 0"):
+        synth._rk4_march(lambda t, y: y, y0, (0.2, 0.6), step, np.ndarray.tolist)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def oracle_frenet(spec):
 
 
 def oracle_steered(params, thetas, k1, p2, c2, window=(-1.0, 1.0),
-                   step=1e-3, branch=+1, psi0=0.0, p0=None):
+                   step=1e-3, branch=+1, p0=None):
     m, s = params.m, params.s
     sv = np.cos(np.asarray(thetas, dtype=float))
     a = float(np.sum(sv ** 2))
@@ -491,7 +491,6 @@ def oracle_steered(params, thetas, k1, p2, c2, window=(-1.0, 1.0),
     st0 = np.zeros(nst)
     st0[0] = np.sqrt(P)
     st0[5] = np.sqrt(P)
-    st0[8] = psi0
     st0[9:] = p0
     ts, recs = oracle_rk4_march(rhs, st0, 0.0, window, step)
     zeta = recs[:, 0:2] + 1j * recs[:, 2:4]
@@ -559,14 +558,15 @@ def assert_same_trace(got, want):
 
 
 def test_rk4_march_stage_times_match_accumulated_loop():
-    # without a table the right-hand side sees exactly the Python floats
-    # the accumulating step loop passes: t, t + h/2 (twice), t + h
-    for t0, window, step in ((0.0, (-2.0, 2.0), 1e-3), (0.3, (-0.2, 0.6), 0.05),
-                             (0.1, (0.1, 1.0), 0.07)):
+    # through the identity table the right-hand side sees exactly the
+    # Python floats the accumulating step loop passes: t, t + h/2 (twice),
+    # t + h
+    for window, step in (((-2.0, 2.0), 1e-3), ((-0.5, 0.3), 0.05),
+                         ((0.0, 0.9), 0.07)):
         seen, want = [], []
-        synth._rk4_march(lambda t, y: seen.append(t) or y, np.ones(1), t0,
-                         window, step)
-        oracle_rk4_march(lambda t, y: want.append(t) or y, np.ones(1), t0,
+        synth._rk4_march(lambda t, y: seen.append(t) or y, np.ones(1),
+                         window, step, np.ndarray.tolist)
+        oracle_rk4_march(lambda t, y: want.append(t) or y, np.ones(1), 0.0,
                          window, step)
         assert seen == want
         assert all(type(t) is float for t in seen)
@@ -613,7 +613,7 @@ def test_r6_steered_matches_per_stage_oracle(r6_config, r6_steered):
 def test_steering_other_branch_matches_per_stage_oracle(params22):
     kwargs = dict(thetas=(0.4 * np.pi, 0.6 * np.pi),
                   k1=lambda t: 0.4 / (1.0 + 0.3 * t * t), p2=-0.15, c2=1.4,
-                  window=(-1.0, 0.75), step=1e-3, branch=-1, psi0=0.7,
+                  window=(-1.0, 0.75), step=1e-3, branch=-1,
                   p0=[0.3, -0.2, 0.5, 1.1, -0.4, 0.25])
     got = synth.steered_slant_curve(params22, **kwargs)
     assert_same_trace(got, oracle_steered(params22, **kwargs))

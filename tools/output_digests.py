@@ -11,7 +11,8 @@ depend on where the checkout lives:
 - `verify --report --csv` for the six builtins (r6-example on -0.5:0.5)
   and for the `csv:` traces of case2-order3 and r6-steered;
 - `synth --out` and `synth --verify --report` for r6-example (-0.5:0.5),
-  case2-order3 and r6-steered;
+  case2-order3, r6-steered and catenary (the trace writer with four
+  exact derivative blocks);
 - `ode --out` for case (iii) and for the nowhere-real case (i) and (ii)
   grids;
 - inputs the CLI must refuse with exit 2 or 3: a verify config whose
@@ -48,7 +49,7 @@ BUILTINS = ("catenary", "circle", "geodesic", "case2-order3", "r6-example",
 # r6-example takes about 2 s per run on -2:2
 WINDOWS = {"r6-example": "-0.5:0.5"}
 CSV_TRACES = ("case2-order3", "r6-steered")
-SYNTH = ("r6-example", "case2-order3", "r6-steered")
+SYNTH = ("r6-example", "case2-order3", "r6-steered", "catenary")
 ODE = {
     "iii": ["--case", "iii", "--c2", "1", "--c3", "4", "--range", "-2:2:1e-3"],
     "i": ["--case", "i", "--lambda", "1", "--c2", "1", "--c3", "1",
