@@ -7,8 +7,9 @@ Submodules
 ----------
 manifold    frame layer: frame components, phi, connection, curvature
 curve       curve traces, exact covariant chains, Frenet apparatus
-csvformat   Python's "%.16e" bytes from a vectorized kernel (imported by
-            curve.write_csv on its first call)
+csvformat   Python's "%.16e" bytes from a vectorized kernel that formats a
+            constant column once (imported by curve.write_csv on its
+            first call)
 slant       contact angles, slant constants, phi T decomposition
 biharmonic  bitension fields, master equations, verdict, case label I-IV
 odesol      the governing autonomous ODE: closed forms vs RK4 oracle

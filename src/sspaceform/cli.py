@@ -42,8 +42,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import (CurveTrace, fd_derivative, frenet_apparatus, grid_samples,
-                    write_csv)
+from .curve import (MAX_SAMPLES, CurveTrace, fd_derivative, frenet_apparatus,
+                    grid_samples, write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -213,7 +213,10 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
         # a table without rows is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(section["csv"], delimiter=",", skiprows=1,
-                          usecols=(0, 1), ndmin=2)
+                          usecols=(0, 1), ndmin=2, max_rows=MAX_SAMPLES + 1)
+    if len(data) > MAX_SAMPLES:
+        raise ConfigError(f"[weight] csv has more than the {MAX_SAMPLES} "
+                          "samples a table may have")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise FloatingPointError(
@@ -371,7 +374,7 @@ def _write_verify_csv(path, trace, fd, profile, report) -> None:
               + [f"eta{a+1}_T" for a in range(trace.params.s)]
               + ["g_phiT_V2", "g_phiT_V3", "g_phiT_V4", "beta", "tau3_norm",
                  "eq1", "eq2", "eq3", "eq4", "g_tau3_phiT"])
-    write_csv(path, header, np.column_stack(columns))
+    write_csv(path, header, columns)
 
 
 @_exit_policy
@@ -435,9 +438,8 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         residual[ok] = odesol.ode_residual(yy[ok], spec, yp[ok],
                                            ypp[ok])["per_sample"]
     if out_path:
-        data = np.column_stack([ts, np.where(ok, y, np.nan),
-                                np.where(np.isfinite(residual), residual,
-                                         np.nan), ok])
+        data = [ts, np.where(ok, y, np.nan),
+                np.where(np.isfinite(residual), residual, np.nan), ok]
         _write_all([(out_path, lambda path: write_csv(
             path, ["t", "y", "residual", "domain_ok"], data,
             formats=["%.16e"] * 3 + ["%d"]))])

@@ -108,8 +108,8 @@ def uniform_step(ts: np.ndarray, who: str) -> float:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header, data, formats=None) -> None:
-    """Write a header row and the rows of a 2-D array as CSV.
+def write_csv(path, header, columns, formats=None) -> None:
+    """Write a header row and the rows of equal-length 1-D columns as CSV.
 
     Every cell is printed with "%.16e" unless `formats` gives one format per
     column.  The text equals csv.writer rows of f"{v:.16e}" strings,
@@ -121,11 +121,11 @@ def write_csv(path, header, data, formats=None) -> None:
     # compile the kernel
     from .csvformat import write_rows
 
-    data = np.asarray(data, dtype=float)
-    formats = formats or ["%.16e"] * data.shape[1]
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    formats = formats or ["%.16e"] * len(columns)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        write_rows(fh, data, formats)
+        write_rows(fh, columns, formats)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +262,8 @@ class CurveTrace:
                        + [f"z{a+1}" for a in range(self.params.s)])
         header = ["t"] + coord_names + [
             f"d{k}_{name}" for k in range(1, self.depth + 1) for name in coord_names]
-        write_csv(path, header,
-                  np.column_stack([self.ts, self.points, *self.derivs]))
+        write_csv(path, header, [self.ts, *self.points.T,
+                                 *(c for d in self.derivs for c in d.T)])
 
     def tangent_frame(self) -> np.ndarray:
         """Frame components of the velocity, component-major: (2m+s, n).

@@ -643,13 +643,15 @@ CHILD_ADDRESS_SPACE = 1 << 30
     ["ode", "--case", "iii", "--c2", "1", "--c3", "4", "--range", "-2:2:1e-7"],
     ["synth", "--builtin", "case2-order3", "--out", "t.csv", "--step", "5e-324"],
     ["verify", "--config", "big-csv.ini"],
+    ["verify", "--config", "big-weight.ini"],
 ])
 def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
     # step 1e-7 on a -2:2 window asks for 40,000,001 samples (r6-steered
     # keeps the step on its own window), and a subnormal step for infinitely
     # many: every grid above MAX_SAMPLES is a config error, raised before
     # the grid is allocated.  A csv: trace one row above the cap is refused
-    # before it is differenced.
+    # before it is differenced, and a [weight] csv one row above it before
+    # it is interpolated.
     import resource
 
     def limit():
@@ -659,11 +661,19 @@ def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
     write_config(tmp_path / "big.ini",
                  head + "source = builtin:catenary\nstep = 1e-7\n")
     write_config(tmp_path / "big-csv.ini", head + "source = csv:big.csv\n")
+    write_config(tmp_path / "big-weight.ini", head + "source = builtin:catenary"
+                 "\n\n[weight]\ncsv = weight.csv\n")
     if "big-csv.ini" in command:
         # the integral curve of xi_1 (z_1 = 2t), unit speed on a uniform grid
         with open(tmp_path / "big.csv", "w") as fh:
             fh.write("t,x1,x2,y1,y2,z1,z2\n")
             fh.writelines(f"{k},0,0,0,0,{2 * k},0\n"
+                          for k in range(MAX_SAMPLES + 1))
+    if "big-weight.ini" in command:
+        # a constant weight on a grid that covers the catenary's -2:2 window
+        with open(tmp_path / "weight.csv", "w") as fh:
+            fh.write("t,f\n")
+            fh.writelines(f"{-2 + 4 * k / MAX_SAMPLES!r},1\n"
                           for k in range(MAX_SAMPLES + 1))
     inputs = sorted(p.name for p in tmp_path.iterdir())
     src = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -1021,13 +1031,13 @@ def test_synth_verify_builds_the_trace_once(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _captured_write_csv(monkeypatch):
-    """Patch cli.write_csv to record its (header, data) and still write."""
+    """Patch cli.write_csv to record its (header, rows) and still write."""
     calls = []
     real = cli.write_csv
 
-    def spy(path, header, data, **kw):
-        calls.append((header, np.asarray(data, dtype=float)))
-        real(path, header, data, **kw)
+    def spy(path, header, columns, **kw):
+        calls.append((header, np.column_stack(columns).astype(float)))
+        real(path, header, columns, **kw)
 
     monkeypatch.setattr(cli, "write_csv", spy)
     return calls

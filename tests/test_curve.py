@@ -482,27 +482,41 @@ def test_write_csv_matches_csv_writer(tmp_path):
     data = np.array([[0.0, -0.0, np.nan, 1.0],
                      [np.inf, -np.inf, 5e-324, 0.0],
                      [1.7976931348623157e308, -1.0 / 3.0, 2.0 ** -1074, 1.0]])
-    write_csv(tmp_path / "new.csv", ["a", "b", "c", "d"], data)
+    write_csv(tmp_path / "new.csv", ["a", "b", "c", "d"], data.T)
     old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
                             [[f"{v:.16e}" for v in row] for row in data])
     assert (tmp_path / "new.csv").read_bytes() == old
     # per-column formats: the ode writer's integer domain flag
-    write_csv(tmp_path / "fmt.csv", ["a", "b", "c", "d"], data,
+    write_csv(tmp_path / "fmt.csv", ["a", "b", "c", "d"], data.T,
               formats=["%.16e"] * 3 + ["%d"])
     old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
                             [[f"{v:.16e}" for v in row[:3]] + [int(row[3])]
                              for row in data])
     assert (tmp_path / "fmt.csv").read_bytes() == old
+    # a "%d" cell wider than any "%.16e" one, in the third block
+    wide = np.column_stack([np.linspace(0, 1, 5000), np.ones(5000)])
+    wide[4500, 1] = 1e40
+    write_csv(tmp_path / "wide.csv", ["a", "b"], wide.T,
+              formats=["%.16e", "%d"])
+    assert (tmp_path / "wide.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "old.csv", ["a", "b"],
+        [[f"{a:.16e}", int(b)] for a, b in wide])
+
+
+def block_rows(cols):
+    """Rows the writer formats per block of a table of `cols` columns."""
+    return max(1, csvformat._CSV_BLOCK_CELLS // cols)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2500])
 def test_write_csv_blocks_match_csv_writer(tmp_path, n_rows):
     """Row counts at, around and past the formatting block size."""
+    assert block_rows(4) == 1024
     rng = np.random.default_rng(n_rows)
-    data = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
-        -300, 300, size=(n_rows, 3))
-    write_csv(tmp_path / "new.csv", ["a", "b", "c"], data)
-    old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c"],
+    data = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(
+        -300, 300, size=(n_rows, 4))
+    write_csv(tmp_path / "new.csv", list("abcd"), data.T)
+    old = csv_writer_bytes(tmp_path / "old.csv", list("abcd"),
                             [[f"{v:.16e}" for v in row] for row in data])
     assert (tmp_path / "new.csv").read_bytes() == old
 
@@ -525,7 +539,7 @@ def test_to_csv_bytes_match_csv_writer(case2_curve, tmp_path):
 def assert_python_bytes(path, data):
     """write_csv of `data` equals csv.writer rows of Python's "%.16e"."""
     header = [f"c{i}" for i in range(data.shape[1])]
-    write_csv(path / "new.csv", header, data)
+    write_csv(path / "new.csv", header, data.T)
     rows = [[f"{v:.16e}" for v in row] for row in data.tolist()]
     assert (path / "new.csv").read_bytes() == csv_writer_bytes(
         path / "old.csv", header, rows)
@@ -543,7 +557,7 @@ def test_write_csv_raw_bit_patterns_match_python(tmp_path_factory, cols,
                                                  blocks, extra, seed,
                                                  patterns):
     """Any float64 bits, row counts at and around the formatting block."""
-    rows = blocks * (csvformat._CSV_BLOCK_CELLS // cols) + extra
+    rows = blocks * block_rows(cols) + extra
     data = np.random.default_rng(seed).integers(
         0, 2 ** 64, size=rows * cols, dtype=np.uint64).view(np.float64)
     data[:len(patterns)] = bits(*patterns)
@@ -567,7 +581,7 @@ def test_write_csv_powers_of_ten_neighbours_match_python(tmp_path):
                         np.concatenate([cells, -cells]).reshape(-1, 14))
 
 
-def test_write_csv_exact_ties_match_python(tmp_path):
+def exact_ties():
     """x = m 2^-j with m 5^j an 18-digit odd number is an exact tie at the
     17th significant digit: Python rounds it half to even."""
     ties = []
@@ -578,14 +592,18 @@ def test_write_csv_exact_ties_match_python(tmp_path):
             digits = decimal.Decimal(x).as_tuple().digits
             if len(digits) == 18 and digits[-1] == 5:
                 ties += [x, -x]
+    return ties
+
+
+def test_write_csv_exact_ties_match_python(tmp_path):
+    ties = exact_ties()
     assert len(ties) > 400
     assert_python_bytes(tmp_path,
                         np.array(ties[:len(ties) // 8 * 8]).reshape(-1, 8))
 
 
-def test_write_csv_near_ties_that_long_double_misrounds(tmp_path):
-    """Cells whose digits rint(|x| 10^(16-k)) in long double gets wrong: the
-    kernel must hand them to Python, and there are some to hand."""
+def long_double_misrounds():
+    """Values whose digits rint(|x| 10^(16-k)) in long double gets wrong."""
     rng = np.random.default_rng(12)
     x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-300, 300, 100_000)
     k = np.floor(np.log10(np.abs(x))).astype(int)
@@ -594,7 +612,13 @@ def test_write_csv_near_ties_that_long_double_misrounds(tmp_path):
                     * p10[16 - k + 300]).astype(np.int64)
     python = np.array([int(f"{v:.16e}".lstrip("-")[:18].replace(".", ""))
                        for v in x.tolist()], dtype=np.int64)
-    wrong = x[(naive != python) & (python > 10 ** 16)]
+    return x[(naive != python) & (python > 10 ** 16)]
+
+
+def test_write_csv_near_ties_that_long_double_misrounds(tmp_path):
+    """The kernel must hand the values long double misrounds to Python, and
+    there are some to hand."""
+    wrong = long_double_misrounds()
     assert len(wrong) > 50
     assert_python_bytes(tmp_path, wrong[:len(wrong) // 4 * 4].reshape(-1, 4))
 
@@ -635,12 +659,13 @@ def test_write_csv_without_extended_precision_is_unchanged(tmp_path,
                                                                 (700, 5))
     data[::9, 1] = np.nan
     data[::11, 2] = -0.0
+    data[:, 3] = np.pi / 2      # a constant column, formatted once
     data[:, 4] = rng.integers(0, 2, 700)
     formats = ["%.16e"] * 4 + ["%d"]
-    write_csv(tmp_path / "fast.csv", list("abcde"), data, formats)
+    write_csv(tmp_path / "fast.csv", list("abcde"), data.T, formats)
     monkeypatch.setattr(csvformat, "_exact_kernel_available",
                         lambda: False)
-    write_csv(tmp_path / "python.csv", list("abcde"), data, formats)
+    write_csv(tmp_path / "python.csv", list("abcde"), data.T, formats)
     assert ((tmp_path / "python.csv").read_bytes()
             == (tmp_path / "fast.csv").read_bytes())
 
@@ -651,16 +676,135 @@ def test_write_csv_raises_no_warning(tmp_path):
         [np.inf, -np.inf, -0.0, 1e308], [1.0, 0.0, 1.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_csv(tmp_path / "w.csv", ["a", "b", "c"], data,
+        write_csv(tmp_path / "w.csv", ["a", "b", "c"], data.T,
                   formats=["%.16e", "%.16e", "%d"])
 
 
 def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
     data = np.random.default_rng(0).standard_normal((16001, 16))
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(16)], data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+    # a catenary-like verify table: k2 ... beta and eq3 ... g_tau3_phiT,
+    # 11 of the 16 columns, hold one value each
+    catenary = data.copy()
+    catenary[:, 2:9] = catenary[:, 13:] = 0.0
+    catenary[:, 9] = np.pi / 2
+    for table in (data, catenary):
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", [f"c{i}" for i in range(16)],
+                      table.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+# ---------------------------------------------------------------------------
+# constant columns: formatted once, broadcast into every block
+# ---------------------------------------------------------------------------
+
+CONSTANT_BITS = {
+    "zero": 0, "negative-zero": 0x8000000000000000,
+    "inf": 0x7FF0000000000000, "negative-inf": 0xFFF0000000000000,
+    "smallest-subnormal": 1, "negative-largest-subnormal": 0x800FFFFFFFFFFFFF,
+    "nan": 0x7FF8000000000000, "negative-nan-with-payload": 0xFFF00000DEADBEEF,
+}
+
+
+@pytest.mark.parametrize("pattern", CONSTANT_BITS.values(), ids=CONSTANT_BITS)
+def test_write_csv_constant_columns_match_python(tmp_path, pattern):
+    """A column of one bit pattern first, inside and last (the "\\r\\n"
+    tail) among varying columns, over two blocks and part of a third."""
+    rows = 2 * block_rows(5) + 7
+    data = np.random.default_rng(5).standard_normal((rows, 5))
+    data.view(np.uint64)[:, [0, 2, 4]] = pattern
+    assert_python_bytes(tmp_path, data)
+
+
+def test_write_csv_nan_columns_match_python(tmp_path):
+    """NaN of one payload is a constant column; NaN of mixed payloads and
+    signs varies.  Python prints every one of them "nan"."""
+    rows = block_rows(3) + 3
+    data = np.zeros((rows, 3))
+    raw = data.view(np.uint64)
+    raw[:, 0] = 0x7FF8000000000000
+    raw[:, 1] = 0x7FF8000000000000 + np.arange(rows, dtype=np.uint64) % 3
+    raw[::2, 1] |= np.uint64(1 << 63)
+    raw[:, 2] = 0xFFF0000000000001
+    assert_python_bytes(tmp_path, data)
+    assert b"-nan" not in (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["exact-tie", "long-double-misrounds"])
+def test_write_csv_constant_column_the_kernel_cannot_decide(tmp_path,
+                                                            monkeypatch, kind):
+    """The broadcast cell of a tie or a misrounded value takes Python's
+    route, once, and ends its row where the column is last."""
+    value = exact_ties()[0] if kind == "exact-tie" else long_double_misrounds()[0]
+    seen = []
+    real = csvformat._python_cells
+
+    def spy(fmt, values):
+        seen.extend(values)
+        return real(fmt, values)
+
+    monkeypatch.setattr(csvformat, "_python_cells", spy)
+    rows = 2 * block_rows(4) + 1
+    data = np.random.default_rng(6).standard_normal((rows, 4))
+    data[:, 1] = value
+    data[:, 3] = -value
+    assert_python_bytes(tmp_path, data)
+    assert seen.count(value) == 1 and seen.count(-value) == 1
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * block_rows(6) + 1])
+def test_write_csv_every_column_constant(tmp_path, rows):
+    """One row makes every column constant; 0 rows write the header only."""
+    row = bits(0, 0x8000000000000000, 0x7FF8000000000001, 0xFFF0000000000000,
+               0x3FF921FB54442D18, 1)
+    data = np.tile(row, (rows, 1))
+    if rows == 1:
+        data = np.random.default_rng(1).standard_normal((1, 6))
+    assert_python_bytes(tmp_path, data)
+    # the ode writer's "%d" domain flag, constant too
+    write_csv(tmp_path / "fmt.csv", list("abc"),
+              [np.full(rows, -0.0), np.full(rows, 0.1), np.ones(rows)],
+              formats=["%.16e", "%.16e", "%d"])
+    assert (tmp_path / "fmt.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "old.csv", list("abc"),
+        [["-0.0000000000000000e+00", f"{0.1:.16e}", 1]] * rows)
+
+
+@pytest.mark.parametrize("row", ["last-of-first-block", "last-of-table"])
+def test_write_csv_column_constant_but_one_cell(tmp_path, row):
+    """A cell that breaks a column's one bit pattern, -0.0 in a column of
+    0.0 included, makes the column vary in every block."""
+    step = block_rows(4)
+    rows = 2 * step + 5
+    data = np.full((rows, 4), 0.25)
+    data[:, 0] = np.arange(rows)
+    data[:, 1] = 0.0
+    at = step - 1 if row == "last-of-first-block" else rows - 1
+    data[at, 1:] = [-0.0, -0.25, 1.5]
+    assert_python_bytes(tmp_path, data)
+
+
+def test_write_csv_formats_a_constant_column_once(tmp_path, monkeypatch):
+    seen = []
+    real = csvformat._e_cells
+
+    def spy(x, last, exact):
+        seen.append(x.copy())
+        return real(x, last, exact)
+
+    monkeypatch.setattr(csvformat, "_e_cells", spy)
+    rows = 3 * block_rows(6) + 2
+    data = np.random.default_rng(7).standard_normal((rows, 6))
+    data[:, 2] = np.pi / 2
+    data[:, 5] = 0.0
+    assert_python_bytes(tmp_path, data)
+    # one call for the constants, then one per block with the varying cells
+    assert len(seen) == 1 + 4
+    cells = np.concatenate(seen)
+    assert len(cells) == 2 + 4 * rows
+    assert np.count_nonzero(cells == np.pi / 2) == 1
+    assert np.count_nonzero(cells == 0.0) == 1

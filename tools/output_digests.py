@@ -10,6 +10,8 @@ depend on where the checkout lives:
 
 - `verify --report --csv` for the six builtins (r6-example on -0.5:0.5)
   and for the `csv:` traces of case2-order3 and r6-steered;
+- `verify --report --csv` for catenary on -8:8, the bench's largest
+  request: 16001 rows, many CSV blocks and 11 constant columns;
 - `synth --out` and `synth --verify --report` for r6-example (-0.5:0.5),
   case2-order3, r6-steered and catenary (the trace writer with four
   exact derivative blocks);
@@ -95,10 +97,13 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
                      f"synth-{name}.json"] + window, {}))
     sources = ([f"builtin:{name}" for name in BUILTINS]
                + [f"csv:synth-{name}.csv" for name in CSV_TRACES])
-    for source in sources:
-        stem = "verify-" + source.replace(":", "-").removesuffix(".csv")
+    verifies = [(source, WINDOWS.get(source.removeprefix("builtin:")),
+                 "verify-" + source.replace(":", "-").removesuffix(".csv"))
+                for source in sources]
+    # the bench's largest request
+    verifies.append(("builtin:catenary", "-8:8", "verify-builtin-catenary-8"))
+    for source, window, stem in verifies:
         lines = ["[manifold]", "m = 2", "s = 2", "[curve]", f"source = {source}"]
-        window = WINDOWS.get(source.removeprefix("builtin:"))
         if window:
             lines.append(f"window = {window}")
         out.append((["verify", "--config", f"{stem}.ini", "--report",
