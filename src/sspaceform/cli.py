@@ -35,6 +35,7 @@ import pathlib
 import stat
 import sys
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -209,12 +210,16 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
         return odesol.f_from_k1(ts, k1, k1p, k1pp, c1=c1)
     if keys[0] == "constant":
         return bih.WeightFunction.constant(ts, float(section["constant"]))
-    with warnings.catch_warnings():
+    with open(section["csv"]) as fh, warnings.catch_warnings():
         # a table without rows is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(section["csv"], delimiter=",", skiprows=1,
-                          usecols=(0, 1), ndmin=2, max_rows=MAX_SAMPLES + 1)
-    if len(data) > MAX_SAMPLES:
+        fh.readline()
+        # no line past the cap is parsed (`max_rows` would reserve the
+        # cap's whole table), but one that holds more than blanks refuses
+        data = np.loadtxt(islice(fh, MAX_SAMPLES + 1), delimiter=",",
+                          usecols=(0, 1), ndmin=2)
+        too_long = len(data) > MAX_SAMPLES or any(map(str.strip, fh))
+    if too_long:
         raise ConfigError(f"[weight] csv has more than the {MAX_SAMPLES} "
                           "samples a table may have")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

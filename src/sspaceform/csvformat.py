@@ -2,14 +2,12 @@
 
 `curve.write_csv` imports this module on its first call.  For a finite,
 nonzero x with k = floor(log10|x|), the 17 significant digits of
-"%.16e" % x are the integer nearest y = |x| * 10^(16-k).  The kernel
-computes y in long double, takes D = rint(y) and looks D's digits, the
-sign and the exponent with its separator up in tables of 4-byte words.
-A cell whose D may not be the correctly rounded one (near a rounding tie,
-or next to a power of ten where k can be off by one) is formatted by
-Python's own `%`, as is every cell where long double has no 64-bit
-significand, so the bytes are Python's whatever the kernel decides.  A
-column whose cells share one bit pattern is formatted once.
+"%.16e" % x are the integer D nearest y = |x| * 10^(16-k).  The kernel
+computes y as a float64 double-double and looks D's digits, the sign and
+the exponent with its separator up in tables of 4-byte words.  Cells it
+cannot decide (within 1e-9 of a rounding tie, or next to a power of ten
+where k can be off by one) are formatted by Python's own `%`.  A column
+of one bit pattern is formatted once.
 """
 from __future__ import annotations
 
@@ -17,24 +15,22 @@ from functools import cache
 
 import numpy as np
 
-# cells per block: bounds the writer's temporaries (the slot grid, long
-# double and int64 arrays) whatever the column count.  On 16001 x 16
-# tables 8192 cells save 4% (every column varies) to 13% (the catenary's
-# verify CSV) of the writer's time, but double its tracemalloc peak, to
-# 1.6 and 0.7 MB
+# cells per block: bounds the writer's temporaries whatever the column
+# count.  8192 cells double the peak on 16001 x 16 tables (to 1.9 and 0.8
+# MB under tracemalloc) and save no time beyond a shared VM's noise
 _CSV_BLOCK_CELLS = 4096
 # exponents k = floor(log10|x|) of nonzero finite float64, and the powers
 # 10^(16-k) that scale |x| to 17 integer digits
 _EXP_MIN, _EXP_MAX = -324, 308
 _N_EXP = _EXP_MAX - _EXP_MIN + 1
 _P10_MIN = 16 - _EXP_MAX
-# y_hat = |x| * 10^(16-k) in long double is within 0.0093 of the exact y:
-# x is exact in long double, the table's 10^p is correctly rounded
-# (relative error <= 2^-64, at most 10^17 * 2^-64 < 0.0055 on y < 10^17)
-# and the product is rounded once (half an ulp, 2^-8, below 2^57).  So
-# when |y_hat - rint(y_hat)| <= 0.5 - _TIE_MARGIN, y rounds to the same
-# integer; cells nearer a tie are Python's
-_TIE_MARGIN = 0.02
+# Veltkamp's constant 2^27 + 1: splits a float64 into two 26-bit halves
+_SPLIT = 134217729.0
+# y_hi + small is within 1e-14 of y: with |x| = m 2^e, m in [1/2, 1), and
+# 10^(16-k) = (ten + rest) 2^E, m ten is exact (Dekker), and rest, m rest
+# and the sum of the small terms each err by at most 2^-106 times
+# 2^(e+E) < 2^57.5.  Cells within _TIE_MARGIN of a tie are Python's
+_TIE_MARGIN = 1e-9
 # uint32 words of a "%.16e" cell: sign, lead digit and point; four 4-digit
 # chunks; the exponent and the separator in two words.  Python's widest
 # cell, "-d.dddddddddddddddde-ddd", fills the first 6
@@ -42,32 +38,37 @@ _E_WORDS = 7
 _SEPS = (",", "\r\n")
 
 
-def _exact_kernel_available() -> bool:
-    """Whether long double carries the 64-bit significand the digit kernel's
-    error bound assumes (x87 extended or wider); without it every "%.16e"
-    cell is formatted by Python."""
-    return np.finfo(np.longdouble).nmant >= 63
-
-
 @cache
 def _format_tables() -> dict:
     """Lookup tables of the "%.16e" kernel, built on the first write.
 
-    Every table is 1-D: bytes viewed as native uint32 words, so the slots
-    the kernel fills read back as the same bytes.  `p10[p - _P10_MIN]` is
-    10^p parsed from its decimal string, correctly rounded to long double.
-    The two-word tables are split into one table per word, indexed by the
-    cell's value and whether it ends its row.  Words of zero bytes are
-    padding that the writer drops.
+    `p10[:, p - _P10_MIN]` is 10^p = (ten + rest) 2^E as ten in [1, 2)
+    correctly rounded, its Veltkamp halves, the rest rounded and E, from
+    exact integers: Python's int / int rounds correctly.  Every other table
+    is 1-D: bytes viewed as native uint32 words, so the slots the kernel
+    fills read back as the same bytes.  The two-word tables are split into
+    one table per word, indexed by the cell's value and whether it ends its
+    row.  Words of zero bytes are padding that the writer drops.
     """
     def words(*cells, width):
         return np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells),
                              np.uint32).reshape(len(cells), width // 4).T.copy()
 
+    rows = []
+    for p in range(_P10_MIN, 16 - _EXP_MIN + 1):
+        # 10^p 2^-e in [1, 2): for p < 0, 10^-p is no power of two
+        q = 10 ** abs(p)
+        e = q.bit_length() - 1 if p >= 0 else -q.bit_length()
+        num, den = (q, 1 << e) if p >= 0 else (1 << -e, q)
+        ten = num / den
+        rows.append((ten, (num * 2 ** 52 - int(ten * 2 ** 52) * den)
+                     / (den << 52), e))
+    ten, rest, exp = np.array(rows).T
+    c = ten * _SPLIT
+    ten_hi = c - (c - ten)
     seps = [s.encode() for s in _SEPS]
     return {
-        "p10": np.array([f"1e{p}" for p in range(_P10_MIN, 16 - _EXP_MIN + 1)],
-                        dtype=np.longdouble),
+        "p10": np.array([ten, ten_hi, ten - ten_hi, rest, exp]),
         # the 4 ASCII digits of 0000..9999, built without 10,000 % calls
         "chunk": (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
                   + ord("0")).astype(np.uint8).view(np.uint32)[:, 0],
@@ -102,33 +103,35 @@ def _distinct_cells(fmt: str, column: np.ndarray) -> np.ndarray:
     return _python_cells(fmt, bits.view(np.float64).tolist())[inverse]
 
 
-def _e_cells(x: np.ndarray, last: np.ndarray, exact: bool) -> np.ndarray:
+def _e_cells(x: np.ndarray, last: np.ndarray) -> np.ndarray:
     """The "%.16e" cells of float64 `x`, each followed by "\\r\\n" where
     `last` is 1 and by "," where it is 0, as rows of `_E_WORDS` uint32
-    words with NUL padding left in.
-
-    The 17 digits are D = rint(|x| * 10^(16-k)) computed in long double.
-    Cells whose D may differ from the correctly rounded one (near a
-    rounding tie, or k off by one) are formatted by Python and replace
-    their slots.
+    words with NUL padding left in.  Cells whose digits D may differ from
+    the correctly rounded ones (near a rounding tie, or k off by one) are
+    Python's and replace their slots.
     """
     tab = _format_tables()
-    ax = np.abs(x)
-    normal = np.isfinite(x) & (ax != 0)
-    k = np.floor(np.log10(np.where(normal, ax, 1.0))).astype(np.intp)
-    if exact:
-        y = ax.astype(np.longdouble) * tab["p10"][16 - _P10_MIN - k]
-        d = np.rint(y)
-        # y - d is exact and small, so float64 holds it.  With frac <= 0.48,
-        # 10^16 < D < 10^17 - 2 puts the exact y in [10^16, 10^17 - 1):
-        # k was right and D did not round up to 10^17
-        frac = np.abs((y - d).astype(np.float64))
-        d = np.where(normal, d.astype(np.int64), 0)
-        fallback = normal & ((frac > 0.5 - _TIE_MARGIN)
-                             | (d <= 10 ** 16) | (d >= 10 ** 17 - 2))
-    else:
-        fallback = np.ones(len(x), dtype=bool)
-        d = np.zeros(len(x), dtype=np.int64)
+    normal = np.isfinite(x) & (x != 0)
+    ax = np.where(normal, np.abs(x), 1.0)
+    k = np.floor(np.log10(ax)).astype(np.intp)
+    ten, ten_hi, ten_lo, rest, exp = tab["p10"][:, 16 - _P10_MIN - k]
+    m, e = np.frexp(ax)
+    c = m * _SPLIT
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    # Dekker: prod + err is m * ten exactly
+    prod = m * ten
+    err = (m_hi * ten_hi - prod) + m_hi * ten_lo + m_lo * ten_hi + m_lo * ten_lo
+    scale = e + exp.astype(np.int32)
+    small = np.ldexp(err + m * rest, scale)
+    r = np.rint(small)
+    # 10^16 < D < 10^17 - 2 puts y in [10^16, 10^17 - 1), where y_hi =
+    # prod 2^scale is an integer: k was right and D did not round up
+    d = np.ldexp(prod, scale).astype(np.int64) + r.astype(np.int64)
+    fallback = normal & ((np.abs(small - r) > 0.5 - _TIE_MARGIN)
+                         | (d <= 10 ** 16) | (d >= 10 ** 17 - 2))
+    # zeros print D = 0, and so do Python's cells, whose D may reach 10^17
+    d[fallback | ~normal] = 0
     lead = d // 10 ** 16
     digits = d - lead * 10 ** 16
     hi = digits // 10 ** 8
@@ -165,17 +168,15 @@ def write_rows(fh, columns: list[np.ndarray], formats: list[str]) -> None:
     """Write the CSV rows of equal-length 1-D float64 columns to binary
     file `fh`.
 
-    "%.16e" cells come from the digit kernel (`_e_cells`); cells it cannot
-    decide exactly, about 4%, are formatted by Python itself.  A "%.16e"
-    column whose cells all share one bit pattern is formatted once, into a
-    grid of slots that every block reuses, so the kernel runs only on the
-    columns that vary.  Other formats are Python's, once per distinct
-    value of their column per block.  Rows are formatted
-    `_CSV_BLOCK_CELLS` cells at a time, so memory stays bounded by the
-    block.
+    "%.16e" cells come from the digit kernel (`_e_cells`); the few it
+    cannot decide are formatted by Python itself.  A "%.16e" column whose
+    cells all share one bit pattern is formatted once, into a grid of
+    slots that every block reuses, so the kernel runs only on the columns
+    that vary.  Other formats are Python's, once per distinct value of
+    their column per block.  Rows are formatted `_CSV_BLOCK_CELLS` cells
+    at a time, so memory stays bounded by the block.
     """
     n, cols = len(columns[0]), len(columns)
-    exact = _exact_kernel_available()
     fixed, vary, other = [], [], []
     for c, column in enumerate(columns):
         bits = column.view(np.int64)
@@ -194,15 +195,14 @@ def write_rows(fh, columns: list[np.ndarray], formats: list[str]) -> None:
     with np.errstate(all="ignore"):
         if fixed:
             grid[:, fixed] = _e_cells(np.array([columns[c][0] for c in fixed]),
-                                      np.equal(fixed, cols - 1).astype(np.intp),
-                                      exact)
+                                      np.equal(fixed, cols - 1).astype(np.intp))
         for start in range(0, n, step):
             rows = min(step, n - start)
             if vary:
                 x = np.stack([columns[c][start:start + rows] for c in vary],
                              axis=1).ravel()
                 grid[:rows, into, :_E_WORDS] = _e_cells(
-                    x, last[:len(x)], exact).reshape(rows, len(vary), -1)
+                    x, last[:len(x)]).reshape(rows, len(vary), -1)
             for c in other:
                 w = _distinct_cells(formats[c] + _SEPS[c == cols - 1],
                                     columns[c][start:start + rows])

@@ -13,6 +13,7 @@ chain up to nabla_T^(d-1) T, i.e. Frenet order up to d.
 """
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -240,15 +241,20 @@ class CurveTrace:
     @classmethod
     def from_csv(cls, params: ModelParams, path) -> "CurveTrace":
         """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD.
-        Rows past MAX_SAMPLES + 1 are not read: the trace is refused anyway."""
+        Lines past MAX_SAMPLES + 1 are not parsed (`max_rows` would make
+        NumPy reserve the cap's whole table up front), and the trace is
+        refused if any of them holds more than blanks."""
         with open(path) as fh:
             header = fh.readline().rstrip("\r\n").split(",")
             if len(header) < 1 + params.dim:
                 raise ValueError(
                     f"csv needs {1 + params.dim} columns (t + coordinates), "
                     f"got {len(header)}")
-            data = np.loadtxt(fh, delimiter=",", usecols=range(1 + params.dim),
-                              ndmin=2, max_rows=MAX_SAMPLES + 1)
+            data = np.loadtxt(islice(fh, MAX_SAMPLES + 1), delimiter=",",
+                              usecols=range(1 + params.dim), ndmin=2)
+            if any(map(str.strip, fh)):
+                raise ValueError(f"more than the {MAX_SAMPLES} samples a "
+                                 "trace may have")
         return cls.from_positions(params, data[:, 0], data[:, 1:])
 
     def to_csv(self, path) -> None:

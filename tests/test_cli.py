@@ -7,11 +7,12 @@ import pathlib
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sspaceform import cli, odesol, synth
+from sspaceform import cli, curve, odesol, synth
 from sspaceform.curve import MAX_SAMPLES, CurveTrace, frenet_apparatus, grid_samples
 from sspaceform.manifold import ModelParams
 
@@ -695,6 +696,65 @@ def test_grid_samples_cap():
     for step in (1.0 / MAX_SAMPLES, 5e-324, float("nan")):
         with pytest.raises(ValueError, match="samples a grid may have"):
             grid_samples(1.0, step)
+
+
+def _weight_cp(path):
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[weight]\ncsv = {path}\n")
+    return cp
+
+
+@pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])
+def test_small_csv_inputs_are_read_in_little_memory(catenary, tmp_path,
+                                                    reader):
+    # a capped read must not reserve the cap: with
+    # `np.loadtxt(max_rows=MAX_SAMPLES + 1)` either read reserves a table
+    # of a million rows, tens of MB
+    if reader == "csv-source":
+        catenary.to_csv(tmp_path / "trace.csv")
+
+        def read():
+            CurveTrace.from_csv(catenary.params, tmp_path / "trace.csv")
+    else:
+        with open(tmp_path / "weight.csv", "w") as fh:
+            fh.write("t,f\n")
+            fh.writelines(f"{t!r},{1 + t * t!r}\n"
+                          for t in np.linspace(-2, 2, 801).tolist())
+        cp = _weight_cp(tmp_path / "weight.csv")
+
+        def read():
+            cli._build_weight(catenary, None, None, cp)
+    read()      # the first call imports what it needs
+    tracemalloc.start()
+    try:
+        read()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])
+def test_csv_inputs_past_the_cap_after_blank_lines_are_refused(
+        catenary, tmp_path, monkeypatch, reader):
+    # blank and comment lines are no rows, so a cap on lines must still see
+    # the rows past it
+    monkeypatch.setattr(curve, "MAX_SAMPLES", 400)
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 400)
+    path = tmp_path / "in.csv"
+    if reader == "csv-source":
+        catenary.to_csv(path)
+        head, *rows = path.read_text().splitlines(keepends=True)
+    else:
+        head = "t,f\n"
+        rows = [f"{t!r},1\n" for t in np.linspace(-2, 2, 401).tolist()]
+    path.write_text(head + "\n# a comment\n" * 10 + "".join(rows))
+    if reader == "csv-source":
+        with pytest.raises(ValueError, match="more than the 400 samples"):
+            CurveTrace.from_csv(catenary.params, path)
+    else:
+        with pytest.raises(cli.ConfigError, match="more than the 400 samples"):
+            cli._build_weight(catenary, None, None, _weight_cp(path))
 
 
 # the case-theorem layer: only tests and demos call it

@@ -1,6 +1,7 @@
 """Curve traces, covariant chains and the Frenet apparatus."""
 import decimal
 import fractions
+import math
 import pathlib
 import re
 import tracemalloc
@@ -640,20 +641,28 @@ def test_write_csv_special_values_match_python(tmp_path):
 
 
 def test_power_of_ten_table_is_correctly_rounded():
-    p10 = csvformat._format_tables()["p10"]
-    assert len(p10) == 16 - csvformat._EXP_MIN - csvformat._P10_MIN + 1
-    for p, v in enumerate(p10, start=csvformat._P10_MIN):
-        exact = fractions.Fraction(10) ** p
-        err = abs(fractions.Fraction(*v.as_integer_ratio()) - exact)
-        for nb in (np.nextafter(v, v * 2), np.nextafter(v, v / 2)):
-            assert err <= abs(fractions.Fraction(*nb.as_integer_ratio())
-                              - exact), p
+    """Each 10^p = (ten + rest) 2^E: ten in [1, 2) is the float64 nearest
+    10^p 2^-E, ten + rest is within 2^-106 of it, and the Veltkamp halves
+    of ten sum to it in at most 26 and 27 significant bits."""
+    ten, ten_hi, ten_lo, rest, exp = csvformat._format_tables()["p10"]
+    powers = range(csvformat._P10_MIN, 16 - csvformat._EXP_MIN + 1)
+    assert len(ten) == len(powers)
+    frac = fractions.Fraction
+    for i, p in enumerate(powers):
+        assert exp[i] == int(exp[i])
+        exact = frac(10) ** p / frac(2) ** int(exp[i])
+        assert 1 <= ten[i] < 2, p
+        err = abs(frac(ten[i]) - exact)
+        for nb in (np.nextafter(ten[i], 2.0), np.nextafter(ten[i], 1.0)):
+            assert err <= abs(frac(nb) - exact), p
+        assert abs(frac(ten[i]) + frac(rest[i]) - exact) <= frac(1, 2 ** 106), p
+        assert ten_hi[i] + ten_lo[i] == ten[i], p
+        for half, width in ((ten_hi[i], 26), (ten_lo[i], 27)):
+            assert (math.frexp(half)[0] * 2 ** width).is_integer(), p
 
 
-def test_write_csv_without_extended_precision_is_unchanged(tmp_path,
-                                                           monkeypatch):
-    # where long double is no wider than float64 every "%.16e" cell is
-    # Python's own
+def test_write_csv_mixed_columns_match_python(tmp_path):
+    # NaN rows, -0.0, a constant column and a "%d" column in one table
     rng = np.random.default_rng(3)
     data = rng.standard_normal((700, 5)) * 10.0 ** rng.integers(-300, 300,
                                                                 (700, 5))
@@ -661,13 +670,59 @@ def test_write_csv_without_extended_precision_is_unchanged(tmp_path,
     data[::11, 2] = -0.0
     data[:, 3] = np.pi / 2      # a constant column, formatted once
     data[:, 4] = rng.integers(0, 2, 700)
-    formats = ["%.16e"] * 4 + ["%d"]
-    write_csv(tmp_path / "fast.csv", list("abcde"), data.T, formats)
-    monkeypatch.setattr(csvformat, "_exact_kernel_available",
-                        lambda: False)
-    write_csv(tmp_path / "python.csv", list("abcde"), data.T, formats)
-    assert ((tmp_path / "python.csv").read_bytes()
-            == (tmp_path / "fast.csv").read_bytes())
+    write_csv(tmp_path / "new.csv", list("abcde"), data.T,
+              ["%.16e"] * 4 + ["%d"])
+    assert (tmp_path / "new.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "old.csv", list("abcde"),
+        [[f"{v:.16e}" for v in row[:4]] + [int(row[4])]
+         for row in data.tolist()])
+
+
+def test_write_csv_million_raw_bit_patterns_match_python(tmp_path):
+    """A million float64 bit patterns, in ten tables of 100,000 cells."""
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        assert_python_bytes(tmp_path, rng.integers(
+            0, 2 ** 64, size=(10_000, 10), dtype=np.uint64).view(np.float64))
+
+
+def catenary_verify_csv_columns(tmp_path):
+    """The columns of the verify CSV of the catenary on -8:8 (16001 rows),
+    the bench's largest request."""
+    from sspaceform import cli
+
+    cfg = tmp_path / "catenary.ini"
+    cfg.write_text("[manifold]\nm = 2\ns = 2\n[curve]\n"
+                   "source = builtin:catenary\nwindow = -8:8\nstep = 1e-3\n")
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--config", str(cfg), "--csv", str(out),
+                     "--report", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape[0] == 16001
+    return data
+
+
+@pytest.mark.parametrize("table", ["normal-16001x16", "catenary-verify"])
+def test_write_csv_python_formats_under_a_thousandth_of_cells(tmp_path,
+                                                               monkeypatch,
+                                                               table):
+    """The digit kernel decides all but true ties and neighbours of powers
+    of ten; Python's % formats fewer than 0.1% of the "%.16e" cells."""
+    if table == "catenary-verify":
+        data = catenary_verify_csv_columns(tmp_path)
+    else:
+        data = np.random.default_rng(8).standard_normal((16001, 16))
+    seen = []
+    real = csvformat._python_cells
+
+    def spy(fmt, values):
+        values = list(values)
+        seen.extend(values)
+        return real(fmt, values)
+
+    monkeypatch.setattr(csvformat, "_python_cells", spy)
+    assert_python_bytes(tmp_path, data)
+    assert len(seen) < 1e-3 * data.size, len(seen) / data.size
 
 
 def test_write_csv_raises_no_warning(tmp_path):
@@ -737,8 +792,9 @@ def test_write_csv_nan_columns_match_python(tmp_path):
 @pytest.mark.parametrize("kind", ["exact-tie", "long-double-misrounds"])
 def test_write_csv_constant_column_the_kernel_cannot_decide(tmp_path,
                                                             monkeypatch, kind):
-    """The broadcast cell of a tie or a misrounded value takes Python's
-    route, once, and ends its row where the column is last."""
+    """The broadcast cell of an exact tie takes Python's route, once; a
+    value that long double misrounds is the kernel's.  Either ends its row
+    where the column is last."""
     value = exact_ties()[0] if kind == "exact-tie" else long_double_misrounds()[0]
     seen = []
     real = csvformat._python_cells
@@ -753,7 +809,8 @@ def test_write_csv_constant_column_the_kernel_cannot_decide(tmp_path,
     data[:, 1] = value
     data[:, 3] = -value
     assert_python_bytes(tmp_path, data)
-    assert seen.count(value) == 1 and seen.count(-value) == 1
+    expected = 1 if kind == "exact-tie" else 0
+    assert seen.count(value) == expected and seen.count(-value) == expected
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2 * block_rows(6) + 1])
@@ -792,9 +849,9 @@ def test_write_csv_formats_a_constant_column_once(tmp_path, monkeypatch):
     seen = []
     real = csvformat._e_cells
 
-    def spy(x, last, exact):
+    def spy(x, last):
         seen.append(x.copy())
-        return real(x, last, exact)
+        return real(x, last)
 
     monkeypatch.setattr(csvformat, "_e_cells", spy)
     rows = 3 * block_rows(6) + 2
