@@ -34,8 +34,6 @@ import os
 import pathlib
 import stat
 import sys
-import warnings
-from itertools import islice
 
 import numpy as np
 
@@ -43,8 +41,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import (MAX_SAMPLES, CurveTrace, fd_derivative, frenet_apparatus,
-                    grid_samples, write_csv)
+from .curve import (CurveTrace, fd_derivative, frenet_apparatus, grid_samples,
+                    read_csv, write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -61,6 +59,15 @@ TOL_PROFILES = {
 
 BUILTIN_CURVES = ("catenary", "circle", "geodesic", "case2-order3",
                   "r6-example", "r6-steered")
+
+# the sections of a verify config and the keys each may set
+CONFIG_KEYS = {
+    "manifold": ("m", "s"),
+    "curve": ("source", "window", "step", "radius", "seed"),
+    "weight": ("c1", "constant", "csv"),
+    "tolerances": tuple(TOL_PROFILES["default"]),
+    "expect": ("verdict",),
+}
 
 # the values of --expect and [expect] verdict: "any" or a report verdict
 VERDICTS = ("any", "proper-f-biharmonic", "biharmonic", "harmonic/geodesic",
@@ -117,8 +124,6 @@ def _tolerances(cp: configparser.ConfigParser | None) -> dict:
     tol = dict(TOL_PROFILES[profile])
     if cp is not None and cp.has_section("tolerances"):
         for key in cp["tolerances"]:
-            if key not in tol:
-                raise ConfigError(f"unknown tolerance name {key!r}")
             tol[key] = float(cp["tolerances"][key])
     if not all(math.isfinite(v) and v > 0 for v in tol.values()):
         raise ConfigError("tolerances must be positive and finite")
@@ -210,18 +215,7 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
         return odesol.f_from_k1(ts, k1, k1p, k1pp, c1=c1)
     if keys[0] == "constant":
         return bih.WeightFunction.constant(ts, float(section["constant"]))
-    with open(section["csv"]) as fh, warnings.catch_warnings():
-        # a table without rows is refused below, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        fh.readline()
-        # no line past the cap is parsed (`max_rows` would reserve the
-        # cap's whole table), but one that holds more than blanks refuses
-        data = np.loadtxt(islice(fh, MAX_SAMPLES + 1), delimiter=",",
-                          usecols=(0, 1), ndmin=2)
-        too_long = len(data) > MAX_SAMPLES or any(map(str.strip, fh))
-    if too_long:
-        raise ConfigError(f"[weight] csv has more than the {MAX_SAMPLES} "
-                          "samples a table may have")
+    data = read_csv(section["csv"], 2, "[weight] csv")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise FloatingPointError(
@@ -244,6 +238,14 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     cp = configparser.ConfigParser()
     if not cp.read(config_path):
         raise ConfigError(f"cannot read config {config_path!r}")
+    # a misspelled name would otherwise fall back to its default; a
+    # [DEFAULT] key shows up in every section
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
     m = cp.getint("manifold", "m", fallback=2)
     s = cp.getint("manifold", "s", fallback=2)
     if m < 1 or s < 1:
@@ -446,8 +448,7 @@ def run_ode(case: str, c2: float, c3: float, c4: float, lam: float,
         data = [ts, np.where(ok, y, np.nan),
                 np.where(np.isfinite(residual), residual, np.nan), ok]
         _write_all([(out_path, lambda path: write_csv(
-            path, ["t", "y", "residual", "domain_ok"], data,
-            formats=["%.16e"] * 3 + ["%d"]))])
+            path, ["t", "y", "residual", "domain_ok"], data))])
         print(f"wrote {len(ts)} samples to {out_path}")
     frac = float(np.mean(ok))
     if frac == 0.0:

@@ -1,4 +1,5 @@
-"""Python's "%.16e" bytes for float64 columns, from a vectorized kernel.
+"""Python's "%.16e" bytes for float64 columns, and 0/1 for bool columns,
+from a vectorized kernel.
 
 `curve.write_csv` imports this module on its first call.  For a finite,
 nonzero x with k = floor(log10|x|), the 17 significant digits of
@@ -83,24 +84,18 @@ def _format_tables() -> dict:
         "nonfinite": words(*(v + sep for sep in seps
                              for v in (b"nan", b"inf")), width=8),
         "sep": words(*seps, width=4)[0],
+        # [flag + 2 * last]: a bool cell and its separator
+        "flag": words(*(d + sep for sep in seps for d in (b"0", b"1")),
+                      width=4)[0],
     }
 
 
-def _python_cells(fmt: str, values) -> np.ndarray:
-    """Cells formatted by Python's % in one call, as rows of uint32 words
-    of their NUL-padded bytes."""
+def _python_cells(values) -> np.ndarray:
+    """Cells formatted by Python's "%.16e" in one call, as rows of 6
+    uint32 words of their NUL-padded bytes: no cell is wider than 24."""
     values = tuple(values)
-    text = ((fmt + "\0") * len(values) % values).split("\0")[:-1]
-    width = 4 * -(-max(map(len, text)) // 4)
-    return np.array(text, dtype=f"S{width}").view(np.uint32).reshape(
-        len(values), -1)
-
-
-def _distinct_cells(fmt: str, column: np.ndarray) -> np.ndarray:
-    """`_python_cells` of a column, formatting each distinct bit pattern
-    once (the ode writer's 0/1 domain flags are two)."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return _python_cells(fmt, bits.view(np.float64).tolist())[inverse]
+    text = ("%.16e\0" * len(values) % values).split("\0")[:-1]
+    return np.array(text, dtype="S24").view(np.uint32).reshape(len(values), 6)
 
 
 def _e_cells(x: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -157,32 +152,31 @@ def _e_cells(x: np.ndarray, last: np.ndarray) -> np.ndarray:
         slots[special, 6] = tab["nonfinite"][1][nonfinite]
     idx = np.flatnonzero(fallback)
     if len(idx):
-        cells = _python_cells("%.16e", x[idx].tolist())
-        slots[idx, :-1] = 0
-        slots[idx, :cells.shape[1]] = cells
+        slots[idx, :-1] = _python_cells(x[idx].tolist())
         slots[idx, -1] = tab["sep"][last[idx]]
     return slots
 
 
-def write_rows(fh, columns: list[np.ndarray], formats: list[str]) -> None:
-    """Write the CSV rows of equal-length 1-D float64 columns to binary
-    file `fh`.
+def write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write the CSV rows of equal-length 1-D float64 and bool columns to
+    binary file `fh`.
 
-    "%.16e" cells come from the digit kernel (`_e_cells`); the few it
-    cannot decide are formatted by Python itself.  A "%.16e" column whose
+    Float cells are "%.16e" from the digit kernel (`_e_cells`); the few it
+    cannot decide are formatted by Python itself.  A float column whose
     cells all share one bit pattern is formatted once, into a grid of
     slots that every block reuses, so the kernel runs only on the columns
-    that vary.  Other formats are Python's, once per distinct value of
-    their column per block.  Rows are formatted `_CSV_BLOCK_CELLS` cells
-    at a time, so memory stays bounded by the block.
+    that vary.  A bool cell is one word of a 4-word table.  Rows are
+    formatted `_CSV_BLOCK_CELLS` cells at a time, so memory stays bounded
+    by the block.
     """
     n, cols = len(columns[0]), len(columns)
-    fixed, vary, other = [], [], []
+    fixed, vary, flags = [], [], []
     for c, column in enumerate(columns):
+        if column.dtype == bool:
+            flags.append(c)
+            continue
         bits = column.view(np.int64)
-        if formats[c] != "%.16e":
-            other.append(c)
-        elif n and not np.any(bits != bits[0]):
+        if n and not np.any(bits != bits[0]):
             fixed.append(c)
         else:
             vary.append(c)
@@ -192,6 +186,7 @@ def write_rows(fh, columns: list[np.ndarray], formats: list[str]) -> None:
     into = (slice(vary[0], vary[-1] + 1)
             if vary and vary[-1] - vary[0] == len(vary) - 1 else vary)
     grid = np.zeros((step, cols, _E_WORDS), dtype=np.uint32)
+    flag = _format_tables()["flag"]
     with np.errstate(all="ignore"):
         if fixed:
             grid[:, fixed] = _e_cells(np.array([columns[c][0] for c in fixed]),
@@ -201,16 +196,10 @@ def write_rows(fh, columns: list[np.ndarray], formats: list[str]) -> None:
             if vary:
                 x = np.stack([columns[c][start:start + rows] for c in vary],
                              axis=1).ravel()
-                grid[:rows, into, :_E_WORDS] = _e_cells(
+                grid[:rows, into] = _e_cells(
                     x, last[:len(x)]).reshape(rows, len(vary), -1)
-            for c in other:
-                w = _distinct_cells(formats[c] + _SEPS[c == cols - 1],
-                                    columns[c][start:start + rows])
-                if w.shape[1] > grid.shape[2]:
-                    # a cell wider than any before widens every slot
-                    grid = np.pad(grid, ((0, 0), (0, 0),
-                                         (0, w.shape[1] - grid.shape[2])))
-                grid[:rows, c, :w.shape[1]] = w
-                grid[:rows, c, w.shape[1]:] = 0
+            for c in flags:
+                grid[:rows, c, 0] = flag[columns[c][start:start + rows]
+                                         + 2 * (c == cols - 1)]
             # bytes.translate drops the NULs faster than a boolean mask
             fh.write(grid[:rows].tobytes().translate(None, b"\0"))

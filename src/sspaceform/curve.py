@@ -13,6 +13,7 @@ chain up to nabla_T^(d-1) T, i.e. Frenet order up to d.
 """
 from __future__ import annotations
 
+import warnings
 from itertools import islice
 from math import comb
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .manifold import ModelParams, component_sum, connection_term, coords_to_fra
 __all__ = [
     "CurveTrace",
     "FrenetData",
+    "read_csv",
     "write_csv",
     "fd_derivative",
     "grid_samples",
@@ -106,27 +108,48 @@ def uniform_step(ts: np.ndarray, who: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV output
+# CSV input and output
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header, columns, formats=None) -> None:
+def read_csv(path, ncols: int, what: str) -> np.ndarray:
+    """The first `ncols` columns of a CSV file's data rows, of shape (rows,
+    ncols); ValueError naming `what` for a header of fewer fields or more
+    than MAX_SAMPLES rows.  No line past the cap is parsed (`max_rows`
+    would reserve the cap's whole table), but one that holds more than
+    blanks refuses the file.  A table without rows comes back empty, with
+    no warning: each caller refuses it.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        header = fh.readline().rstrip("\r\n").split(",")
+        if len(header) < ncols:
+            raise ValueError(f"{what} needs {ncols} columns, got {len(header)}")
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(islice(fh, MAX_SAMPLES + 1), delimiter=",",
+                          usecols=range(ncols), ndmin=2)
+        if len(data) > MAX_SAMPLES or any(map(str.strip, fh)):
+            raise ValueError(f"{what} has more than the {MAX_SAMPLES} "
+                             "samples a table may have")
+    return data
+
+
+def write_csv(path, header, columns) -> None:
     """Write a header row and the rows of equal-length 1-D columns as CSV.
 
-    Every cell is printed with "%.16e" unless `formats` gives one format per
-    column.  The text equals csv.writer rows of f"{v:.16e}" strings,
-    nan, inf and -0.0 included, with the same "\\r\\n" line endings.  The
-    rows come from `csvformat.write_rows`, a vectorized kernel whose
-    "%.16e" cells are Python's bytes for every float64.
+    A bool column is printed 0 or 1 and every other column, as float64,
+    with "%.16e".  The text equals csv.writer rows of f"{v:.16e}" strings,
+    nan, inf and -0.0 included, and of int(flag), with the same "\\r\\n"
+    line endings.  The rows come from `csvformat.write_rows`, a vectorized
+    kernel whose "%.16e" cells are Python's bytes for every float64.
     """
     # imported here, so that a cold `import sspaceform.cli` does not
     # compile the kernel
     from .csvformat import write_rows
 
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    formats = formats or ["%.16e"] * len(columns)
+    columns = [np.asarray(c) for c in columns]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        write_rows(fh, columns, formats)
+        write_rows(fh, [c if c.dtype == bool else c.astype(float, copy=False)
+                        for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +263,9 @@ class CurveTrace:
 
     @classmethod
     def from_csv(cls, params: ModelParams, path) -> "CurveTrace":
-        """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s; derivatives by FD.
-        Lines past MAX_SAMPLES + 1 are not parsed (`max_rows` would make
-        NumPy reserve the cap's whole table up front), and the trace is
-        refused if any of them holds more than blanks."""
-        with open(path) as fh:
-            header = fh.readline().rstrip("\r\n").split(",")
-            if len(header) < 1 + params.dim:
-                raise ValueError(
-                    f"csv needs {1 + params.dim} columns (t + coordinates), "
-                    f"got {len(header)}")
-            data = np.loadtxt(islice(fh, MAX_SAMPLES + 1), delimiter=",",
-                              usecols=range(1 + params.dim), ndmin=2)
-            if any(map(str.strip, fh)):
-                raise ValueError(f"more than the {MAX_SAMPLES} samples a "
-                                 "trace may have")
+        """Load columns t, x_1..x_m, y_1..y_m, z_1..z_s with `read_csv`;
+        derivatives by FD."""
+        data = read_csv(path, 1 + params.dim, "csv trace")
         return cls.from_positions(params, data[:, 0], data[:, 1:])
 
     def to_csv(self, path) -> None:

@@ -201,6 +201,22 @@ def test_check_conditions_constant_weight_is_biharmonic(circle):
     assert rep.verdict == "proper-f-biharmonic"
 
 
+@pytest.mark.parametrize("variation, verdict", [(1e-9, "biharmonic"),
+                                                (1e-7, "proper-f-biharmonic")])
+def test_proper_f_variation_boundary(circle, variation, verdict):
+    # a weight counts as varying above a relative variation of 1e-8
+    fd = frenet_apparatus(circle)
+    prof = contact_angles(circle)
+    ts = circle.ts
+    span = ts[-1] - ts[0]
+    f = WeightFunction(ts=ts, f=1.0 + variation * (ts - ts[0]) / span,
+                       fp=np.full_like(ts, variation / span),
+                       fpp=np.zeros_like(ts))
+    assert f.variation == pytest.approx(variation, rel=1e-6)
+    assert check_conditions(circle, fd, prof, f,
+                            eq_tol=1e3).verdict == verdict
+
+
 def test_check_conditions_geodesic(geodesic):
     fd = frenet_apparatus(geodesic)
     prof = contact_angles(geodesic)

@@ -637,6 +637,18 @@ def test_verify_outside_m2_s2_keeps_verdict_case_and_order(tmp_path, builtin):
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
+def _run_cli_process(cwd, *argv, **kwargs):
+    """`python -m sspaceform.cli` in a process of its own, whose stderr
+    holds every warning it prints; `kwargs` go to subprocess.run."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "sspaceform.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--config", "big.ini"],
     ["synth", "--builtin", "catenary", "--out", "t.csv", "--step", "1e-7"],
@@ -677,13 +689,7 @@ def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
             fh.writelines(f"{-2 + 4 * k / MAX_SAMPLES!r},1\n"
                           for k in range(MAX_SAMPLES + 1))
     inputs = sorted(p.name for p in tmp_path.iterdir())
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-m", "sspaceform.cli", *command],
-                         env=env, cwd=tmp_path, capture_output=True, text=True,
-                         timeout=120, preexec_fn=limit)
+    out = _run_cli_process(tmp_path, *command, preexec_fn=limit)
     assert out.returncode == cli.EXIT_CONFIG, out.stderr[-500:]
     assert out.stderr.startswith("config error:")
     assert "1000000 samples" in out.stderr
@@ -740,7 +746,6 @@ def test_csv_inputs_past_the_cap_after_blank_lines_are_refused(
     # blank and comment lines are no rows, so a cap on lines must still see
     # the rows past it
     monkeypatch.setattr(curve, "MAX_SAMPLES", 400)
-    monkeypatch.setattr(cli, "MAX_SAMPLES", 400)
     path = tmp_path / "in.csv"
     if reader == "csv-source":
         catenary.to_csv(path)
@@ -749,12 +754,102 @@ def test_csv_inputs_past_the_cap_after_blank_lines_are_refused(
         head = "t,f\n"
         rows = [f"{t!r},1\n" for t in np.linspace(-2, 2, 401).tolist()]
     path.write_text(head + "\n# a comment\n" * 10 + "".join(rows))
-    if reader == "csv-source":
-        with pytest.raises(ValueError, match="more than the 400 samples"):
+    with pytest.raises(ValueError, match="more than the 400 samples"):
+        if reader == "csv-source":
             CurveTrace.from_csv(catenary.params, path)
-    else:
-        with pytest.raises(cli.ConfigError, match="more than the 400 samples"):
+        else:
             cli._build_weight(catenary, None, None, _weight_cp(path))
+
+
+@pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])
+def test_header_only_csv_input_exit_2_with_one_line(tmp_path, reader):
+    # NumPy warns about a table without rows; the reader refuses it with
+    # one stderr line and no warning before it
+    head = "[manifold]\nm = 2\ns = 2\n\n[curve]\n"
+    if reader == "csv-source":
+        (tmp_path / "in.csv").write_text("t,x1,x2,y1,y2,z1,z2\n")
+        body = head + "source = csv:in.csv\n"
+    else:
+        (tmp_path / "in.csv").write_text("t,f\n")
+        body = head + "source = builtin:catenary\n\n[weight]\ncsv = in.csv\n"
+    write_config(tmp_path / "c.ini", body)
+    out = _run_cli_process(tmp_path, "verify", "--config", "c.ini")
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr
+    err = out.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("line, name", [
+    ("setp = 0.5", "'setp' in [curve]"),
+    ("windw = 0:1", "'windw' in [curve]"),
+    ("[wieght]\nconstant = 2", "[wieght]"),
+    ("[tolerances]\nslnat = 1e-3", "'slnat' in [tolerances]"),
+])
+def test_verify_unknown_config_name_exit_2(line, name, tmp_path, capsys):
+    # a misspelled name used to fall back silently to its default
+    body = "[manifold]\nm = 2\ns = 2\n[curve]\nsource = builtin:catenary\n"
+    cfg = write_config(tmp_path / "c.ini", body + line + "\n")
+    assert cli.run_verify(cfg) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert name in err[0]
+
+
+def test_verify_accepts_every_config_name(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", """
+[manifold]
+m = 2
+s = 2
+[curve]
+source = builtin:circle
+window = -1:1
+step = 1e-2
+radius = 2.0
+seed = 7
+[weight]
+constant = 2
+[tolerances]
+eq = 2
+slant = 1e-5
+ode = 1e-10
+[expect]
+verdict = biharmonic
+""")
+    rep = tmp_path / "r.json"
+    assert cli.run_verify(cfg, report_path=str(rep)) == cli.EXIT_OK
+    assert json.loads(rep.read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("delta, code", [(4e-6, cli.EXIT_OK),
+                                         (6e-6, cli.EXIT_CONFIG)])
+def test_csv_trace_speed_deviation_boundary(catenary, tmp_path, delta, code):
+    # positions scaled by 1 + delta give a speed deviation of 2 delta, on
+    # either side of the 1e-5 that a sampled trace may have
+    path = tmp_path / "scaled.csv"
+    curve.write_csv(path, ["t", "x1", "x2", "y1", "y2", "z1", "z2"],
+                    [catenary.ts, *(catenary.points * (1 + delta)).T])
+    trace = CurveTrace.from_csv(catenary.params, path)
+    assert curve.unit_speed_check(trace)["max_deviation"] == pytest.approx(
+        2 * delta, rel=1e-4)
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n"
+                       f"[curve]\nsource = csv:{path}\n")
+    assert cli.run_verify(cfg, report_path=str(tmp_path / "r.json")) == code
+
+
+@pytest.mark.parametrize("factor, verdict", [(0.5, "none"),
+                                             (2.0, "proper-f-biharmonic")])
+def test_eq_tolerance_boundary(tmp_path, factor, verdict):
+    # the verdict flips where [tolerances] eq passes the largest residual
+    body = "[manifold]\nm = 2\ns = 2\n[curve]\nsource = builtin:catenary\n"
+    rep = tmp_path / "r.json"
+    cli.run_verify(write_config(tmp_path / "c.ini", body), report_path=str(rep))
+    residuals = json.loads(rep.read_text())["report"]["residuals"]
+    top = max(residuals[k] for k in ("eq1", "eq2", "eq3", "eq4", "gphiT"))
+    assert top > 1e-10
+    cfg = write_config(tmp_path / "t.ini",
+                       body + f"[tolerances]\neq = {factor * top!r}\n")
+    cli.run_verify(cfg, report_path=str(rep))
+    assert json.loads(rep.read_text())["report"]["verdict"] == verdict
 
 
 # the case-theorem layer: only tests and demos call it
@@ -1095,9 +1190,9 @@ def _captured_write_csv(monkeypatch):
     calls = []
     real = cli.write_csv
 
-    def spy(path, header, columns, **kw):
+    def spy(path, header, columns):
         calls.append((header, np.column_stack(columns).astype(float)))
-        real(path, header, columns, **kw)
+        real(path, header, columns)
 
     monkeypatch.setattr(cli, "write_csv", spy)
     return calls

@@ -487,21 +487,13 @@ def test_write_csv_matches_csv_writer(tmp_path):
     old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
                             [[f"{v:.16e}" for v in row] for row in data])
     assert (tmp_path / "new.csv").read_bytes() == old
-    # per-column formats: the ode writer's integer domain flag
-    write_csv(tmp_path / "fmt.csv", ["a", "b", "c", "d"], data.T,
-              formats=["%.16e"] * 3 + ["%d"])
+    # a bool column: the ode writer's domain flag
+    write_csv(tmp_path / "flag.csv", ["a", "b", "c", "d"],
+              [*data[:, :3].T, data[:, 3] == 1.0])
     old = csv_writer_bytes(tmp_path / "old.csv", ["a", "b", "c", "d"],
                             [[f"{v:.16e}" for v in row[:3]] + [int(row[3])]
                              for row in data])
-    assert (tmp_path / "fmt.csv").read_bytes() == old
-    # a "%d" cell wider than any "%.16e" one, in the third block
-    wide = np.column_stack([np.linspace(0, 1, 5000), np.ones(5000)])
-    wide[4500, 1] = 1e40
-    write_csv(tmp_path / "wide.csv", ["a", "b"], wide.T,
-              formats=["%.16e", "%d"])
-    assert (tmp_path / "wide.csv").read_bytes() == csv_writer_bytes(
-        tmp_path / "old.csv", ["a", "b"],
-        [[f"{a:.16e}", int(b)] for a, b in wide])
+    assert (tmp_path / "flag.csv").read_bytes() == old
 
 
 def block_rows(cols):
@@ -617,8 +609,8 @@ def long_double_misrounds():
 
 
 def test_write_csv_near_ties_that_long_double_misrounds(tmp_path):
-    """The kernel must hand the values long double misrounds to Python, and
-    there are some to hand."""
+    """Values whose digits long double gets wrong, and there are some, are
+    Python's bytes too: the double-double kernel decides them."""
     wrong = long_double_misrounds()
     assert len(wrong) > 50
     assert_python_bytes(tmp_path, wrong[:len(wrong) // 4 * 4].reshape(-1, 4))
@@ -662,7 +654,7 @@ def test_power_of_ten_table_is_correctly_rounded():
 
 
 def test_write_csv_mixed_columns_match_python(tmp_path):
-    # NaN rows, -0.0, a constant column and a "%d" column in one table
+    # NaN rows, -0.0, a constant column and a bool column in one table
     rng = np.random.default_rng(3)
     data = rng.standard_normal((700, 5)) * 10.0 ** rng.integers(-300, 300,
                                                                 (700, 5))
@@ -670,11 +662,14 @@ def test_write_csv_mixed_columns_match_python(tmp_path):
     data[::11, 2] = -0.0
     data[:, 3] = np.pi / 2      # a constant column, formatted once
     data[:, 4] = rng.integers(0, 2, 700)
-    write_csv(tmp_path / "new.csv", list("abcde"), data.T,
-              ["%.16e"] * 4 + ["%d"])
+    # the bool column inside the row, then last
+    flag = data[:, 4] == 1.0
+    write_csv(tmp_path / "new.csv", list("abcdef"),
+              [*data[:, :2].T, flag, *data[:, 2:4].T, flag])
     assert (tmp_path / "new.csv").read_bytes() == csv_writer_bytes(
-        tmp_path / "old.csv", list("abcde"),
-        [[f"{v:.16e}" for v in row[:4]] + [int(row[4])]
+        tmp_path / "old.csv", list("abcdef"),
+        [[f"{v:.16e}" for v in row[:2]] + [int(row[4])]
+         + [f"{v:.16e}" for v in row[2:4]] + [int(row[4])]
          for row in data.tolist()])
 
 
@@ -715,10 +710,10 @@ def test_write_csv_python_formats_under_a_thousandth_of_cells(tmp_path,
     seen = []
     real = csvformat._python_cells
 
-    def spy(fmt, values):
+    def spy(values):
         values = list(values)
         seen.extend(values)
-        return real(fmt, values)
+        return real(values)
 
     monkeypatch.setattr(csvformat, "_python_cells", spy)
     assert_python_bytes(tmp_path, data)
@@ -728,11 +723,11 @@ def test_write_csv_python_formats_under_a_thousandth_of_cells(tmp_path,
 def test_write_csv_raises_no_warning(tmp_path):
     data = np.column_stack([
         bits(0x7FF0000000000001, 0xFFF8000000000000, 1, 0),
-        [np.inf, -np.inf, -0.0, 1e308], [1.0, 0.0, 1.0, 0.0]])
+        [np.inf, -np.inf, -0.0, 1e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_csv(tmp_path / "w.csv", ["a", "b", "c"], data.T,
-                  formats=["%.16e", "%.16e", "%d"])
+        write_csv(tmp_path / "w.csv", ["a", "b", "c"],
+                  [*data.T, np.array([True, False, True, False])])
 
 
 def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
@@ -799,9 +794,9 @@ def test_write_csv_constant_column_the_kernel_cannot_decide(tmp_path,
     seen = []
     real = csvformat._python_cells
 
-    def spy(fmt, values):
+    def spy(values):
         seen.extend(values)
-        return real(fmt, values)
+        return real(values)
 
     monkeypatch.setattr(csvformat, "_python_cells", spy)
     rows = 2 * block_rows(4) + 1
@@ -822,11 +817,10 @@ def test_write_csv_every_column_constant(tmp_path, rows):
     if rows == 1:
         data = np.random.default_rng(1).standard_normal((1, 6))
     assert_python_bytes(tmp_path, data)
-    # the ode writer's "%d" domain flag, constant too
-    write_csv(tmp_path / "fmt.csv", list("abc"),
-              [np.full(rows, -0.0), np.full(rows, 0.1), np.ones(rows)],
-              formats=["%.16e", "%.16e", "%d"])
-    assert (tmp_path / "fmt.csv").read_bytes() == csv_writer_bytes(
+    # the ode writer's bool domain flag, constant too
+    write_csv(tmp_path / "flag.csv", list("abc"),
+              [np.full(rows, -0.0), np.full(rows, 0.1), np.ones(rows, bool)])
+    assert (tmp_path / "flag.csv").read_bytes() == csv_writer_bytes(
         tmp_path / "old.csv", list("abc"),
         [["-0.0000000000000000e+00", f"{0.1:.16e}", 1]] * rows)
 
