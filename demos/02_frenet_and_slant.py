@@ -20,7 +20,7 @@ print("=" * 72)
 geo = synth.geodesic_trace(params)
 fd = frenet_apparatus(geo)
 prof = contact_angles(geo)
-print(f"unit-speed deviation: {unit_speed_check(geo)['max_deviation']:.2e}")
+print(f"unit-speed deviation: {unit_speed_check(geo):.2e}")
 print(f"osculating order r = {fd.order} (geodesic)")
 print(f"contact angles: {np.degrees(prof.thetas)} deg,  a = {prof.a:.3f}")
 

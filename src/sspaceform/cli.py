@@ -41,8 +41,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import (CurveTrace, fd_derivative, frenet_apparatus, grid_samples,
-                    read_csv, write_csv)
+from .curve import (STEP_TOL, CurveTrace, fd_derivative, frenet_apparatus,
+                    grid_samples, read_csv, write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -151,11 +151,23 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     step = float(cp.get("curve", "step", fallback="1e-3"))
     if not (math.isfinite(step) and step > 0):
         raise ConfigError("step must be positive and finite")
+    # a name the source does not read would otherwise be ignored
+    if cp.has_option("curve", "radius") and source != "builtin:circle":
+        raise ConfigError(f"[curve] radius applies only to builtin:circle, "
+                          f"not to {source}")
     kind, _, arg = source.partition(":")
     if kind == "csv":
         if not arg:
             raise ConfigError("source csv: needs a path")
-        return CurveTrace.from_csv(params, arg), None
+        if cp.has_option("curve", "window"):
+            raise ConfigError("[curve] window does not apply to a csv: "
+                              "source, whose rows set the window")
+        trace = CurveTrace.from_csv(params, arg)
+        if (cp.has_option("curve", "step") and abs(step - trace.step)
+                > STEP_TOL * max(1.0, abs(trace.step))):
+            raise ConfigError(f"[curve] step = {step!r} is not the csv "
+                              f"trace's grid step {float(trace.step)!r}")
+        return trace, None
     if kind != "builtin":
         raise ConfigError(f"unknown curve source kind {kind!r}")
     name = arg

@@ -96,13 +96,17 @@ def grid_samples(span: float, step: float) -> int:
     return int(round(span / step)) + 1
 
 
+# two grid steps h, h' are equal when |h - h'| <= STEP_TOL max(1, |h|)
+STEP_TOL = 1e-9
+
+
 def uniform_step(ts: np.ndarray, who: str) -> float:
     """The step of a uniform grid, its first difference exactly; ValueError
     naming `who` if the grid is not uniform or has fewer than two samples."""
     if len(ts) < 2:
         raise ValueError(f"{who} requires at least two grid samples")
     steps = np.diff(ts)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+    if np.max(np.abs(steps - steps[0])) > STEP_TOL * max(1.0, abs(steps[0])):
         raise ValueError(f"{who} requires a uniform grid")
     return steps[0]
 
@@ -297,11 +301,10 @@ class CurveTrace:
 # unit-speed diagnostic
 # ---------------------------------------------------------------------------
 
-def unit_speed_check(trace: CurveTrace) -> dict:
+def unit_speed_check(trace: CurveTrace) -> float:
     """Max over samples of |g(T,T) - 1| (frame components make g the dot)."""
     tf = trace.tangent_frame()
-    dev = np.abs(component_sum(tf * tf) - 1.0)
-    return {"max_deviation": float(np.max(dev)), "per_sample": dev}
+    return float(np.max(np.abs(component_sum(tf * tf) - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +429,7 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     curvature that crosses the threshold mid-window is kept, and its
     above-threshold subwindows are recorded in FrenetData.degeneracy.
     """
-    dev = unit_speed_check(trace)["max_deviation"]
+    dev = unit_speed_check(trace)
     tol = 1e-5 if trace.sampled else 1e-8
     if dev > tol:
         raise ValueError(f"trace is not unit speed: max |g(T,T)-1| = {dev:.3e}")

@@ -10,7 +10,8 @@ equations) is the one the CLI runs.
   algebra exactly, but no curve realizes it (README finding 1);
 - the case theorem's checkers, which test each case's characterization
   on top of the master equations: `case1_case2_checker`, `case4_checker`
-  with `case4_mu`, and the brackets `lambda_constants`;
+  with `case4_mu` and `span_angle` (the angle w of phi T in span{V3, V4}),
+  and the brackets `lambda_constants`;
 - `case3_obstruction` and `case3_grid_scan`: the case III obstruction, for
   one (a, b) and over a grid;
 - `phiT_aligned_curve`: the case III configuration phiT parallel V2;
@@ -38,6 +39,7 @@ __all__ = [
     "lambda_constants",
     "case1_case2_checker",
     "case4_mu",
+    "span_angle",
     "case4_checker",
     "case3_obstruction",
     "case3_grid_scan",
@@ -273,6 +275,18 @@ def case4_mu(ts, beta, k1, k1p, params, a: float) -> np.ndarray:
     return -(3.0 * (c - s) / 2.0) * (1.0 - a) * prim
 
 
+# relative size below which a phi T projection counts as zero
+SPAN_TOL = 1e-6
+
+
+def span_angle(dec: PhiTDecomposition, a: float) -> np.ndarray:
+    """The angle w of phi T's projection onto span{V3, V4}, measured from
+    V3; nan where that projection is below SPAN_TOL sqrt(1-a)."""
+    plane = np.hypot(dec.p3, dec.p4)
+    return np.where(plane > SPAN_TOL * np.sqrt(1.0 - a),
+                    np.arctan2(dec.p4, dec.p3), np.nan)
+
+
 def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                   dec: PhiTDecomposition, f: WeightFunction,
                   beta_const_tol: float = 1e-5) -> dict:
@@ -341,14 +355,15 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
            - 4 * k1 ** 2 * ((1 + mu) * k1 ** 2 - bracket))
     report["mu_ode_residual"] = float(np.max(np.abs(ode)))
     # cos w = -+ beta'/k2 where defined
+    w = span_angle(dec, profile.a)[sl]
     usable = k2 > max(1e-8, 10 * fd.threshold)
     if np.any(usable & (np.abs(np.sin(beta)) > 1e-8)):
-        cosw = np.cos(dec.w[sl])
+        cosw = np.cos(w)
         mask = usable & np.isfinite(cosw)
         resid = np.minimum(np.abs(cosw[mask] - beta_p[mask] / k2[mask]),
                            np.abs(cosw[mask] + beta_p[mask] / k2[mask]))
         report["cos_w_relation_residual"] = float(np.max(resid)) if np.any(mask) else np.nan
-    sinw = np.sin(dec.w[sl])
+    sinw = np.sin(w)
     target = np.abs(cf38 * np.sin(2 * beta) * sinw) * one_minus_a
     mask = np.isfinite(target)
     report["k2k3_sinw_abs_residual"] = float(

@@ -8,10 +8,10 @@ eta_alpha(T) = cos(theta_alpha) constant.  Derived scalars:
     b = sum cos theta_alpha
     V = sum cos(theta_alpha) xi_alpha
 
-phi T has squared norm 1 - a; its angles within span{V2, V3, V4} are
+phi T has squared norm 1 - a.  The master equations read it only through
+g(phiT, V2..V4) and |phiT|^2; its angle beta is defined by
 
-    g(phiT, V2) = sqrt(1-a) cos(beta),
-    cos(w), sin(w) from the projection onto span{V3, V4}.
+    g(phiT, V2) = sqrt(1-a) cos(beta).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveTrace, FrenetData, fd_derivative
+from .curve import CurveTrace, FrenetData
 from .manifold import ModelParams, phi_frame
 
 __all__ = [
@@ -93,35 +93,24 @@ def contact_angles(trace: CurveTrace, tolerance: float | None = None) -> SlantPr
     )
 
 
-# relative size below which a phi T projection counts as zero
-SPAN_TOL = 1e-6
-
-
 @dataclass
 class PhiTDecomposition:
-    """Projection of phi T onto the Frenet frame, with angle functions."""
+    """Projection of phi T onto the Frenet frame, with the angle beta."""
 
     p2: np.ndarray                  # g(phiT, V2)
     p3: np.ndarray                  # g(phiT, V3), zeros if r < 3
     p4: np.ndarray                  # g(phiT, V4), zeros if r < 4
     beta: np.ndarray                # arccos(p2 / sqrt(1-a)) in [0, pi]
-    w: np.ndarray                   # angle in span{V3, V4}; nan where undefined
-    norm_defect: np.ndarray         # p2^2+p3^2+p4^2 - (1-a), when span covers
     phiT_norm2: np.ndarray          # |phiT|^2 per sample
-    in_span_v234: bool              # |phiT|^2 - (p2^2+p3^2+p4^2) small
-    degenerate: bool                # a = 1: phi T = 0
-    derivative_residual: float      # eq. d/dt p2 = k2 p3
 
 
 def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
                        profile: SlantProfile) -> PhiTDecomposition:
-    """Inner products of phi T with V2..V4 and the angles beta, w.
+    """Inner products of phi T with V2..V4, |phi T|^2 and the angle beta.
 
     beta is reported in [0, pi] (arccos branch); the signs of the sin-beta
-    terms are those of the measured p3, p4.  w is undefined where the
-    projection onto span{V3, V4} is below SPAN_TOL sqrt(1-a).  When
-    1 - a < 1e-12, phi T vanishes identically and the decomposition is
-    flagged degenerate.
+    terms are those of the measured p3, p4.  When 1 - a < 1e-12, phi T
+    vanishes identically: the projections are zero and beta is nan.
     """
     if fd.order < 2:
         raise ValueError("phi T decomposition needs osculating order >= 2")
@@ -132,11 +121,9 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
     phiT_norm2 = np.einsum("nd,nd->n", phiT, phiT)
     if one_minus_a < 1e-12:
         zeros = np.zeros(n)
-        return PhiTDecomposition(
-            p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
-            beta=np.full(n, np.nan), w=np.full(n, np.nan),
-            norm_defect=zeros.copy(), phiT_norm2=phiT_norm2,
-            in_span_v234=True, degenerate=True, derivative_residual=0.0)
+        return PhiTDecomposition(p2=zeros, p3=zeros.copy(), p4=zeros.copy(),
+                                 beta=np.full(n, np.nan),
+                                 phiT_norm2=phiT_norm2)
 
     def proj(i):
         if fd.order >= i + 1:
@@ -144,19 +131,7 @@ def phiT_decomposition(trace: CurveTrace, fd: FrenetData,
         return np.zeros(n)
 
     p2, p3, p4 = proj(1), proj(2), proj(3)
-    sq = np.sqrt(one_minus_a)
-    beta = _arccos_clipped(p2 / sq, "beta (g(phiT, V2) / sqrt(1-a))")
-    # w: angle of the projection onto span{V3, V4} relative to V3
-    plane = np.hypot(p3, p4)
-    w = np.where(plane > SPAN_TOL * sq, np.arctan2(p4, p3), np.nan)
-    norm_defect = p2 ** 2 + p3 ** 2 + p4 ** 2 - one_minus_a
-    in_span = bool(np.max(np.abs(phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2)))
-                   <= SPAN_TOL * max(1.0, one_minus_a))
-    # derivative identity d/dt g(phiT,V2) = k2 g(phiT,V3)
-    k2 = fd.padded_curvatures[1]
-    dp2 = fd_derivative(p2, trace.step)
-    resid = float(np.max(np.abs(dp2 - k2 * p3)))
-    return PhiTDecomposition(
-        p2=p2, p3=p3, p4=p4, beta=beta, w=w,
-        norm_defect=norm_defect, phiT_norm2=phiT_norm2,
-        in_span_v234=in_span, degenerate=False, derivative_residual=resid)
+    beta = _arccos_clipped(p2 / np.sqrt(one_minus_a),
+                           "beta (g(phiT, V2) / sqrt(1-a))")
+    return PhiTDecomposition(p2=p2, p3=p3, p4=p4, beta=beta,
+                             phiT_norm2=phiT_norm2)

@@ -119,17 +119,12 @@ def _stage_times(n_steps: int, h: float) -> np.ndarray:
     """The distinct stage times of an n-step RK4 march from t_0 = 0 with
     step h, in march order: t_0, t_0 + h/2, t_1, ..., t_n (2n + 1 values).
 
-    t_{k+1} = t_k + h is accumulated as a per-stage step loop would, so a
-    stage time here is the float that loop would pass to its right-hand
-    side.
+    t_{k+1} = t_k + h is accumulated as a per-stage step loop would
+    (`np.cumsum` adds in order), so a stage time here is the float that
+    loop would pass to its right-hand side.
     """
-    nodes = [0.0]
-    t = 0.0
-    for _ in range(n_steps):
-        t += h
-        nodes.append(t)
     times = np.empty(2 * n_steps + 1)
-    times[0::2] = nodes
+    times[0::2] = np.concatenate(([0.0], np.cumsum(np.full(n_steps, h))))
     times[1::2] = times[0:-1:2] + h / 2
     return times
 

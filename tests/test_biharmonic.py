@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from sspaceform import findings, odesol, synth
-from sspaceform.biharmonic import (EQUATIONS, WeightFunction, check_conditions,
-                                   classify_case, mainprop_residuals, tau2,
-                                   tau3)
+from sspaceform.biharmonic import (CASE_TOL, EQUATIONS, WeightFunction,
+                                   check_conditions, classify_case,
+                                   mainprop_residuals, tau2, tau3)
 from sspaceform.curve import (CurveTrace, covariant_chain, fd_derivative,
                               frenet_apparatus)
 from sspaceform.findings import (case1_case2_checker, case3_obstruction,
-                                 case4_checker, case4_mu)
+                                 case4_checker, case4_mu, span_angle)
 from sspaceform.manifold import ModelParams, curvature_frame, frame_to_coords
-from sspaceform.slant import contact_angles, phiT_decomposition
+from sspaceform.slant import (PhiTDecomposition, SlantProfile, contact_angles,
+                              phiT_decomposition)
 
 from conftest import (k1_case2, k1_catenary, rowmajor_covariant_chain,
                       rowmajor_curvature_frame, rowmajor_tau2, rowmajor_tau3,
@@ -315,6 +316,22 @@ def test_classify_case_IV(r6_steered, r6_steered_fd):
     assert (label, detail["ambiguous"]) == ("IV", ["II", "IV"])
 
 
+@pytest.mark.parametrize("factor, ambiguous", [(5.0, ["II", "IV"]),
+                                               (50.0, None)])
+def test_classify_case_ambiguity_band_boundary(params22, factor, ambiguous):
+    # |p2| at 5x and 50x the case II threshold CASE_TOL sqrt(1-a), with phiT
+    # far from +-V2: II is named as a near candidate within 10x only
+    prof = SlantProfile(params=params22, thetas=np.array([np.pi / 3, np.pi / 2]),
+                        a=0.25, b=0.5, constancy_deviation=0.0, is_slant=True)
+    scale = np.sqrt(1.0 - prof.a)
+    p2 = np.full(11, factor * CASE_TOL * scale)
+    dec = PhiTDecomposition(p2=p2, p3=np.zeros(11), p4=np.zeros(11),
+                            beta=np.arccos(p2 / scale),
+                            phiT_norm2=np.full(11, 1.0 - prof.a))
+    label, detail = classify_case(dec, prof, params22.c, params22.s)
+    assert (label, detail.get("ambiguous")) == ("IV", ambiguous)
+
+
 def test_classify_case_I_hypothetical(case2_curve, case2_fd, case2_profile):
     dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
     label, _ = classify_case(dec, case2_profile, 2.0, 2)
@@ -472,8 +489,8 @@ def test_case4_checker_r6_steered(r6_steered, r6_steered_fd):
     assert rep["k2k3_target_abs"] == pytest.approx(np.sqrt(17) / 4, abs=1e-6)
     assert rep["k2k3_abs_residual"] > 0.5          # the honest mismatch
     # constant beta forces cos(w) = -+ beta'/k2 = 0: measured w is +-pi/2
-    interior = np.isfinite(dec.w[20:-20])
-    assert np.max(np.abs(np.cos(dec.w[20:-20][interior]))) < 1e-3
+    w = span_angle(dec, prof.a)[20:-20]
+    assert np.max(np.abs(np.cos(w[np.isfinite(w)]))) < 1e-3
 
 
 def test_case4_checker_trims_the_stencil_edge(r6_steered, r6_steered_fd):
@@ -514,7 +531,8 @@ def test_case4_nonconstant_beta_branch(params22):
     assert np.isfinite(rep["cos_w_relation_residual"])
     # the structural derivative identity d/dt p2 = k2 p3 (the in-span
     # cos(w) relation only binds f-biharmonic curves, which this is not)
-    assert dec.derivative_residual < 1e-4
+    dp2 = fd_derivative(dec.p2, trace.step)
+    assert np.max(np.abs(dp2 - fd.padded_curvatures[1] * dec.p3)) < 1e-4
 
 
 def _varying_beta_curve(params, k1, window=(-1.0, 1.0), step=1e-3):

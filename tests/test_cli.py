@@ -820,6 +820,42 @@ verdict = biharmonic
     assert json.loads(rep.read_text())["seed"] == 7
 
 
+@pytest.mark.parametrize("source, line", [
+    ("csv", "window = 0:1"),
+    ("csv", "step = 0.5"),
+    ("csv", "step = 0.00101"),
+    ("csv", "radius = 9"),
+    ("builtin:catenary", "radius = 9"),
+])
+def test_verify_refuses_curve_names_its_source_ignores(catenary, tmp_path,
+                                                       capsys, source, line):
+    # each used to be ignored: the csv: trace ran on its own rows (-2:2,
+    # n = 4001) and the catenary on its own radius, with exit 0
+    path = tmp_path / "c.csv"
+    catenary.to_csv(path)
+    if source == "csv":
+        source = f"csv:{path}"
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n"
+                       f"[curve]\nsource = {source}\n{line}\n")
+    assert cli.run_verify(cfg) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert f"[curve] {line.split()[0]}" in err[0]
+
+
+def test_verify_csv_source_accepts_its_own_step(catenary, tmp_path):
+    # a step equal to the trace's grid step within the grid tolerance is
+    # accepted, as every csv: config the bench writes has one
+    path = tmp_path / "c.csv"
+    catenary.to_csv(path)
+    assert CurveTrace.from_csv(catenary.params, path).step != 1e-3
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n"
+                       f"[curve]\nsource = csv:{path}\nstep = 0.001\n")
+    rep = tmp_path / "r.json"
+    assert cli.run_verify(cfg, report_path=str(rep)) == cli.EXIT_OK
+    assert json.loads(rep.read_text())["curve"]["window"] == [-2.0, 2.0]
+
+
 @pytest.mark.parametrize("delta, code", [(4e-6, cli.EXIT_OK),
                                          (6e-6, cli.EXIT_CONFIG)])
 def test_csv_trace_speed_deviation_boundary(catenary, tmp_path, delta, code):
@@ -829,7 +865,7 @@ def test_csv_trace_speed_deviation_boundary(catenary, tmp_path, delta, code):
     curve.write_csv(path, ["t", "x1", "x2", "y1", "y2", "z1", "z2"],
                     [catenary.ts, *(catenary.points * (1 + delta)).T])
     trace = CurveTrace.from_csv(catenary.params, path)
-    assert curve.unit_speed_check(trace)["max_deviation"] == pytest.approx(
+    assert curve.unit_speed_check(trace) == pytest.approx(
         2 * delta, rel=1e-4)
     cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n"
                        f"[curve]\nsource = csv:{path}\n")
@@ -980,6 +1016,23 @@ verdict = proper-f-biharmonic
         == cli.EXIT_OK
     data = json.loads(rep.read_text())
     assert data["report"]["verdict"] == "proper-f-biharmonic"
+
+
+@pytest.mark.xfail(strict=True, reason="finite-difference noise of sampled "
+                   "positions reaches eq2 through k1'' (ROADMAP items 3 and 4)")
+def test_verify_csv_catenary_on_the_default_window(tmp_path):
+    # builtin:catenary on -2:2 is proper-f-biharmonic (eq2 = 5.7e-10); its
+    # csv: round trip reads eq2 = 1.48e-3 over the 1e-3 tolerance and order
+    # 2, so its verdict is none
+    out = tmp_path / "cat.csv"
+    assert cli.main(["synth", "--builtin", "catenary", "--out", str(out),
+                     "--window", "-2:2"]) == cli.EXIT_OK
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n"
+                       f"[curve]\nsource = csv:{out}\n")
+    rep = tmp_path / "r.json"
+    assert cli.run_verify(cfg, report_path=str(rep)) == cli.EXIT_OK
+    assert json.loads(rep.read_text())["report"]["verdict"] \
+        == "proper-f-biharmonic"
 
 
 def test_verify_sampled_weight_csv(tmp_path):
@@ -1144,11 +1197,12 @@ def test_verify_differences_each_curvature_once(catenary_cfg, tmp_path,
                                                 monkeypatch):
     from sspaceform import curve
     diffs = _count_calls(monkeypatch, curve, "fd_derivative")
-    # catenary: the analytic k1 of the weight (2), d/dt g(phiT, V2) (1)
-    # and the jet k1', k1'', k2' shared by the master equations and tau2 (3)
+    # catenary: the analytic k1 of the weight (2) and the jet k1', k1'',
+    # k2' shared by the master equations and tau2 (3); the phi T
+    # decomposition differences nothing
     assert cli.run_verify(catenary_cfg,
                           report_path=str(tmp_path / "r.json")) == cli.EXIT_OK
-    assert len(diffs) == 6
+    assert len(diffs) == 5
 
     out = tmp_path / "c2.csv"
     assert cli.main(["synth", "--builtin", "case2-order3", "--out", str(out),
@@ -1162,11 +1216,11 @@ s = 2
 source = csv:{out}
 """)
     diffs.clear()
-    # csv: the trace derivatives (4), d/dt g(phiT, V2) (1) and the jet (3),
-    # which the weight f = c1 k1^(-3/2) reads too
+    # csv: the trace derivatives (4) and the jet (3), which the weight
+    # f = c1 k1^(-3/2) reads too
     assert cli.run_verify(cfg, report_path=str(tmp_path / "c2.json")) \
         == cli.EXIT_OK
-    assert len(diffs) == 8
+    assert len(diffs) == 7
 
 
 def test_synth_verify_builds_the_trace_once(tmp_path, monkeypatch):

@@ -141,13 +141,13 @@ def test_trace_rejects_nan_velocity(catenary):
 
 
 def test_unit_speed_geodesic(geodesic):
-    assert unit_speed_check(geodesic)["max_deviation"] < 1e-12
+    assert unit_speed_check(geodesic) < 1e-12
 
 
 def test_unit_speed_negative_control(geodesic):
     doubled = CurveTrace(geodesic.params, geodesic.ts, geodesic.points,
                          [2.0 * geodesic.derivs[0]] + geodesic.derivs[1:])
-    dev = unit_speed_check(doubled)["max_deviation"]
+    dev = unit_speed_check(doubled)
     assert dev == pytest.approx(3.0, abs=1e-12)
 
 

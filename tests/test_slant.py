@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sspaceform import synth
-from sspaceform.curve import CurveTrace, frenet_apparatus
-from sspaceform.findings import (nabla_phiT_check, phiT_aligned_curve,
-                                 v_frame)
+from sspaceform.curve import CurveTrace, fd_derivative, frenet_apparatus
+from sspaceform.findings import (SPAN_TOL, nabla_phiT_check,
+                                 phiT_aligned_curve, v_frame)
 from sspaceform.manifold import ModelParams, frame_to_coords
 from sspaceform.slant import contact_angles, phiT_decomposition
 
@@ -112,15 +112,33 @@ def test_nabla_phiT_geodesic_flagged(geodesic):
     assert rep["max_residual"] < 1e-10  # both sides vanish for a = 1
 
 
+@pytest.mark.parametrize("delta, slant", [(1.15e-3, True), (4.6e-3, False)])
+def test_sampled_slant_tolerance_boundary(catenary, delta, slant):
+    # z1 += delta sin t adds delta cos(t)/2 to eta_1(T), whose deviation
+    # from its mean over -2:2 is 0.435 delta: 5e-4 and 2e-3, on either side
+    # of the 1e-3 a sampled trace may have
+    points = catenary.points.copy()
+    points[:, 4] += delta * np.sin(catenary.ts)
+    prof = contact_angles(CurveTrace.from_positions(catenary.params,
+                                                    catenary.ts, points))
+    assert prof.constancy_deviation == pytest.approx(0.4353 * delta, rel=1e-3)
+    assert prof.is_slant == slant
+
+
 def test_phiT_decomposition_case2(case2_curve, case2_fd, case2_profile):
     dec = phiT_decomposition(case2_curve, case2_fd, case2_profile)
-    assert not dec.degenerate
+    assert np.all(np.isfinite(dec.beta))         # a < 1: not degenerate
     assert np.max(np.abs(dec.p2)) < 1e-8          # case II: phiT perp V2
     # here phiT lies entirely outside span{V2, V3} (p2 = 0 makes that
     # admissible); the span-norm identity is conditional and must not fire
-    assert not dec.in_span_v234
-    assert np.max(np.abs(dec.norm_defect + (1 - case2_profile.a))) < 1e-6
-    assert dec.derivative_residual < 1e-4
+    in_span = dec.p2 ** 2 + dec.p3 ** 2 + dec.p4 ** 2
+    assert (np.max(np.abs(dec.phiT_norm2 - in_span))
+            > SPAN_TOL * max(1.0, 1 - case2_profile.a))
+    # so the norm defect in_span - (1-a) is -(1-a): in_span vanishes
+    assert np.max(np.abs(in_span)) < 1e-6
+    # the derivative identity d/dt g(phiT, V2) = k2 g(phiT, V3)
+    dp2 = fd_derivative(dec.p2, case2_curve.step)
+    assert np.max(np.abs(dp2 - case2_fd.padded_curvatures[1] * dec.p3)) < 1e-4
 
 
 def test_phiT_decomposition_r6(r6_steered, r6_steered_fd):
@@ -132,7 +150,9 @@ def test_phiT_decomposition_r6(r6_steered, r6_steered_fd):
     cosb = dec.p2 / np.sqrt(1 - 0.25)
     assert np.max(np.abs(cosb + np.sqrt(2) / 6)) < 1e-6
     assert np.max(np.abs(dec.p3)) < 1e-5          # constant beta: p3 = 0
-    assert dec.derivative_residual < 1e-4         # d/dt p2 = k2 p3
+    dp2 = fd_derivative(dec.p2, r6_steered.step)  # d/dt p2 = k2 p3
+    k2 = r6_steered_fd.padded_curvatures[1]
+    assert np.max(np.abs(dp2 - k2 * dec.p3)) < 1e-4
 
 
 def test_phiT_decomposition_case3_alignment(params22):
@@ -148,8 +168,10 @@ def test_phiT_decomposition_case3_alignment(params22):
     assert np.max(np.abs(np.abs(dec.p2) - sq)) < 1e-6
     assert np.max(np.abs(np.minimum(dec.beta, np.pi - dec.beta))) < 1e-3
     # phiT = eps sqrt(1-a) V2 exactly: in span, norm identity holds
-    assert dec.in_span_v234
-    assert np.max(np.abs(dec.norm_defect)) < 1e-8
+    in_span = dec.p2 ** 2 + dec.p3 ** 2 + dec.p4 ** 2
+    assert (np.max(np.abs(dec.phiT_norm2 - in_span))
+            <= SPAN_TOL * max(1.0, 1 - prof.a))
+    assert np.max(np.abs(in_span - (1 - prof.a))) < 1e-8
 
 
 def test_phiT_decomposition_degenerate(geodesic):

@@ -40,7 +40,7 @@ def test_geodesic_preserves_contact_angles(params22):
     spec = synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
                                curvatures=[], window=(-1.0, 1.0), step=1e-3)
     trace, _ = synth.integrate_frenet_system(spec)
-    assert unit_speed_check(trace)["max_deviation"] < 1e-10
+    assert unit_speed_check(trace) < 1e-10
     prof = contact_angles(trace)
     assert prof.constancy_deviation < 1e-10
     fd = frenet_apparatus(trace)
@@ -93,6 +93,18 @@ def test_frame_orthonormality_preserved(r6_config):
 def test_drift_guard_fires_on_coarse_step(r6_config):
     spec = r6_config.synthesis_spec(window=(-2.0, 2.0), step=0.5)
     with pytest.raises(synth.SynthesisError, match="drift"):
+        synth.integrate_frenet_system(spec)
+
+
+@pytest.mark.parametrize("step, refused", [(0.025, False), (0.04, True)])
+def test_drift_guard_boundary(r6_config, step, refused):
+    # on -2:2 the largest single-step drift is 5.4e-7 at step 0.025; at
+    # step 0.04 a step first drifts 1.09e-6, over FRAME_DRIFT_TOL = 1e-6
+    spec = r6_config.synthesis_spec(window=(-2.0, 2.0), step=step)
+    if refused:
+        with pytest.raises(synth.SynthesisError, match="drift"):
+            synth.integrate_frenet_system(spec)
+    else:
         synth.integrate_frenet_system(spec)
 
 
@@ -153,7 +165,7 @@ def test_steered_curve_enforced_quantities(params22):
     p2, c2 = -0.15, 1.4
     tr = synth.steered_slant_curve(params22, (0.4 * np.pi, 0.6 * np.pi), k1,
                                    p2=p2, c2=c2, window=(-1.0, 1.0), step=1e-3)
-    assert unit_speed_check(tr)["max_deviation"] < 1e-12
+    assert unit_speed_check(tr) < 1e-12
     prof = contact_angles(tr)
     assert prof.constancy_deviation < 1e-12
     fd = frenet_apparatus(tr)
