@@ -51,6 +51,7 @@ __all__ = [
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
 TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
+TAU_BLOCK = 4096            # samples per block of the tau2/tau3 fields
 
 
 @dataclass
@@ -153,46 +154,64 @@ def tau2(fd: FrenetData) -> dict:
     where the R-term uses the same closed form and the scalars are
     fd.padded_curvatures and fd.curvature_jet.  Returns both fields,
     component-major like the chain, and their cross residual.  A chain
-    shorter than TAU2_CHAIN_LEVELS raises ValueError.
+    shorter than TAU2_CHAIN_LEVELS raises ValueError.  The fields are
+    filled TAU_BLOCK samples at a time, so no temporary spans the trace.
     """
     chain = fd.chain
     if len(chain) < TAU2_CHAIN_LEVELS:
         raise ValueError(f"tau2 needs nabla_T^3 T, i.e. derivative depth >= "
                          f"{TAU2_CHAIN_LEVELS}; the trace has {len(chain)}")
     params = fd.params
-    tf = chain[0]
-    R_term = curvature_frame(params, tf, chain[1], tf)
-    direct = chain[3] - R_term
-
     k1, k2, k3 = fd.padded_curvatures
     k1p, k1pp, k2p = fd.curvature_jet
-    zeros = np.zeros(tf.shape)
-    V = [tf] + [fd.frames[j].T if j < fd.order else zeros for j in (1, 2, 3)]
-    frenet = ((-3 * k1 * k1p) * V[0]
-              + (k1pp - k1 ** 3 - k1 * k2 ** 2) * V[1]
-              + (2 * k1p * k2 + k1 * k2p) * V[2]
-              + (k1 * k2 * k3) * V[3]
-              - R_term)
-    gap = direct - frenet
-    cross = float(np.max(np.sqrt(component_sum(gap * gap))))
-    return {"direct": direct, "frenet": frenet, "cross_residual": cross}
+    direct = frenet = None
+    cross = []
+    for b in _blocks(len(fd.ts)):
+        tf = chain[0][:, b]
+        R_term = curvature_frame(params, tf, chain[1][:, b], tf)
+        if direct is None:   # after the first curvature term's temporaries
+            direct, frenet = np.empty(chain[0].shape), np.empty(chain[0].shape)
+        d = np.subtract(chain[3][:, b], R_term, out=direct[:, b])
+        zeros = np.zeros(tf.shape)
+        V = [tf] + [fd.frames[j][b].T if j < fd.order else zeros
+                    for j in (1, 2, 3)]
+        k1b, k1pb, k2b = k1[b], k1p[b], k2[b]
+        fr = np.multiply(-3 * k1b * k1pb, V[0], out=frenet[:, b])
+        fr += (k1pp[b] - k1b ** 3 - k1b * k2b ** 2) * V[1]
+        fr += (2 * k1pb * k2b + k1b * k2p[b]) * V[2]
+        fr += (k1b * k2b * k3[b]) * V[3]
+        fr -= R_term
+        gap = d - fr
+        cross.append(np.max(np.sqrt(component_sum(gap * gap))))
+    return {"direct": direct, "frenet": frenet,
+            "cross_residual": float(np.max(cross))}
 
 
 def tau3(fd: FrenetData, f: WeightFunction) -> dict:
     """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
-    by the direct route; the cross residual is tau2's."""
+    by the direct route, written over tau2's direct field block by block;
+    the cross residual is tau2's."""
     t2 = tau2(fd)
     chain = fd.chain
-    w1 = f.fp / f.f
-    w2 = f.fpp / f.f
-    direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
-    norm = np.sqrt(component_sum(direct * direct))
+    direct, cross = t2["direct"], t2["cross_residual"]
+    del t2      # tau2's Frenet field is not needed here
+    norm = np.empty(len(fd.ts))
+    for b in _blocks(len(fd.ts)):
+        d = direct[:, b]
+        d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
+        d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
+        np.sqrt(component_sum(d * d), out=norm[b])
     return {
         "direct": direct,
-        "cross_residual": t2["cross_residual"],
+        "cross_residual": cross,
         "norm": norm,
         "max_norm": float(np.max(norm)),
     }
+
+
+def _blocks(n: int):
+    """Slices of TAU_BLOCK samples that cover range(n) in order."""
+    return (slice(lo, lo + TAU_BLOCK) for lo in range(0, n, TAU_BLOCK))
 
 
 # ---------------------------------------------------------------------------

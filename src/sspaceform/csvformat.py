@@ -45,7 +45,8 @@ def _format_tables() -> dict:
 
     `p10[:, p - _P10_MIN]` is 10^p = (ten + rest) 2^E as ten in [1, 2)
     correctly rounded, its Veltkamp halves, the rest rounded and E, from
-    exact integers: Python's int / int rounds correctly.  Every other table
+    exact integers: ten from an exact divmod rounded half to even, the rest
+    by Python's int / int, which rounds correctly.  Every other table
     is 1-D: bytes viewed as native uint32 words, so the slots the kernel
     fills read back as the same bytes.  The two-word tables are split into
     one table per word, indexed by the cell's value and whether it ends its
@@ -56,14 +57,19 @@ def _format_tables() -> dict:
                              np.uint32).reshape(len(cells), width // 4).T.copy()
 
     rows = []
+    q = 10 ** (1 - _P10_MIN)
     for p in range(_P10_MIN, 16 - _EXP_MIN + 1):
-        # 10^p 2^-e in [1, 2): for p < 0, 10^-p is no power of two
-        q = 10 ** abs(p)
+        # q = 10^|p|, stepped from the previous row's; 10^p 2^-e in [1, 2):
+        # for p < 0, 10^-p is no power of two
+        q = q // 10 if p <= 0 else q * 10
         e = q.bit_length() - 1 if p >= 0 else -q.bit_length()
         num, den = (q, 1 << e) if p >= 0 else (1 << -e, q)
-        ten = num / den
-        rows.append((ten, (num * 2 ** 52 - int(ten * 2 ** 52) * den)
-                     / (den << 52), e))
+        # ten = num / den rounded half to even to 53 bits, and the rest
+        # num / den - ten, from one exact division
+        t, r = divmod(num << 52, den)
+        if 2 * r > den or (2 * r == den and t & 1):
+            t, r = t + 1, r - den
+        rows.append((t / 2 ** 52, r / (den << 52), e))
     ten, rest, exp = np.array(rows).T
     c = ten * _SPLIT
     ten_hi = c - (c - ten)

@@ -484,8 +484,13 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
     for j in range(1, order):
         _align_signs(frames[j])
     kept = raw_k[:order - 1] if order > 1 else np.zeros((0, n))
+    # drop the levels past the order in place: a view of the kept levels
+    # would keep all max_order levels alive, and a copy would hold both.
+    # No view of `frames` is read after this.
+    if order < max_order:
+        frames.resize((order, n, dim), refcheck=False)
     return FrenetData(params=trace.params, ts=trace.ts, step=trace.step,
-                      order=order, frames=frames[:order], curvatures=kept,
+                      order=order, frames=frames, curvatures=kept,
                       threshold=threshold, raw_curvatures=raw_k, chain=chain,
                       unit_speed_deviation=dev, degeneracy=degeneracy)
 

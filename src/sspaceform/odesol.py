@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biharmonic import WeightFunction
+from .curve import MAX_SAMPLES
 
 __all__ = [
     "OdeSolutionSpec",
@@ -195,7 +196,8 @@ def numeric_solution_oracle(spec: OdeSolutionSpec, y0: float, y0prime: float,
     singular line y <= floor, and the truncation point is reported.  A
     step is refused, and the march truncated at its end time, when any of
     its stages would evaluate y'' at y <= floor; a y0 that is not above
-    the floor, where the first stage would, is refused with ValueError.
+    the floor, where the first stage would, is refused with ValueError,
+    and so is a grid of more than MAX_SAMPLES points, before the march.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
@@ -210,16 +212,26 @@ def numeric_solution_oracle(spec: OdeSolutionSpec, y0: float, y0prime: float,
         raise ValueError("window must be finite")
     if not t_lo <= t0 <= t_hi:
         raise ValueError("t0 must lie inside the window")
+    # steps forward and backward; the first test also refuses an inf, which
+    # round cannot take
+    steps = [abs(t_end - t0) / step for t_end in (t_hi, t_lo)]
+    if not sum(steps) < MAX_SAMPLES or sum(map(round, steps)) >= MAX_SAMPLES:
+        raise ValueError(f"step {step:g} over the window ({t_lo:g}, {t_hi:g}) "
+                         f"asks for more than the {MAX_SAMPLES} samples a grid "
+                         "may have")
+    # imported here: the CLI never runs the oracle
+    from array import array
+
     q = 1 + spec.c2 ** 2
     el = spec.epsilon * spec.lam ** 2
 
-    def march(direction, t_end):
-        n = int(round(abs(t_end - t0) / step))
+    def march(direction, n):
         h = direction * step
         half, sixth = h / 2, h / 6
-        ts = [t0]
-        ys = [y0]
-        yps = [y0prime]
+        # packed doubles, not lists of float objects: 8 bytes a value
+        ts = array("d", [t0])
+        ys = array("d", [y0])
+        yps = array("d", [y0prime])
         t, y, yp = t0, y0, y0prime
         # own scalar loop on Python floats: on two floats about 13x faster
         # than synth._rk4_march, whose stages are NumPy arrays.  Each stage
@@ -251,11 +263,11 @@ def numeric_solution_oracle(spec: OdeSolutionSpec, y0: float, y0prime: float,
             yps.append(yp)
         return ts, ys, yps, None
 
-    ts_f, ys_f, yps_f, stop_f = march(+1.0, t_hi)
-    ts_b, ys_b, yps_b, stop_b = march(-1.0, t_lo)
-    ts = np.array(ts_b[::-1][:-1] + ts_f)
-    y = np.array(ys_b[::-1][:-1] + ys_f)
-    yp = np.array(yps_b[::-1][:-1] + yps_f)
+    *fwd, stop_f = march(+1.0, round(steps[0]))
+    *back, stop_b = march(-1.0, round(steps[1]))
+    # the backward half reversed, without its copy of t0, then the forward
+    ts, y, yp = (np.concatenate((np.frombuffer(b)[:0:-1], np.frombuffer(f)))
+                 for b, f in zip(back, fwd))
     truncated = stop_f is not None or stop_b is not None
     blowup_t = stop_f if stop_f is not None else stop_b
     return OracleSolution(ts=ts, y=y, yp=yp, truncated=truncated,
@@ -270,5 +282,14 @@ def first_integral(y, yp, spec: OdeSolutionSpec) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     yp = np.asarray(yp, dtype=float)
-    return (yp ** 2 + 4 * (1 + spec.c2 ** 2) * y ** 4
-            + 4 * spec.epsilon * spec.lam ** 2 * y ** 2) / y ** 3
+    # (yp**2 + 4(1+c2^2) y**4 + 4 eps lam^2 y**2) / y**3 in two buffers,
+    # with the ufuncs of that expression in its order
+    out = np.square(yp)
+    term = np.power(y, 4)
+    term *= 4 * (1 + spec.c2 ** 2)
+    out += term
+    np.square(y, out=term)
+    term *= 4 * spec.epsilon * spec.lam ** 2
+    out += term
+    out /= np.power(y, 3, out=term)
+    return out

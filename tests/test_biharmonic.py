@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sspaceform import findings, odesol, synth
+from sspaceform import biharmonic, findings, odesol, synth
 from sspaceform.biharmonic import (CASE_TOL, EQUATIONS, WeightFunction,
                                    check_conditions, classify_case,
                                    mainprop_residuals, tau2, tau3)
@@ -123,15 +123,19 @@ def test_tau3_geodesic_any_f(geodesic):
 
 @pytest.mark.parametrize("name", ["catenary", "circle", "geodesic", "case2-order3",
                                   "r6-example", "r6-steered", "csv:case2-order3",
-                                  "csv:r6-steered"])
+                                  "csv:r6-steered", "catenary-16001"])
 def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_path,
-                                                          params22):
+                                                          params22, monkeypatch):
     # the component-major chain, curvature term, tau2 and tau3 against the
-    # row-major forms they replaced, down to the sign of every zero
+    # row-major forms they replaced, down to the sign of every zero; the
+    # tension fields run in blocks of 1000 samples, the last one short, and
+    # the bench's largest verify in blocks of the production size
     source = name.removeprefix("csv:")
     if source == "r6-example":
         trace, _ = synth.integrate_frenet_system(
             synth.R6ExampleConfig().synthesis_spec(window=(-0.5, 0.5)))
+    elif source == "catenary-16001":
+        trace = synth.legendre_catenary(params22, window=(-8.0, 8.0), n=16001)
     else:
         trace = request.getfixturevalue(
             {"case2-order3": "case2_curve", "r6-steered": "r6_steered"}.get(source, source))
@@ -144,6 +148,9 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
         assert same_bits(level.T, ref)
     assert same_bits(curvature_frame(params22, chain[0], chain[1], chain[0]).T,
                      rowmajor_curvature_frame(params22, want[0], want[1], want[0]))
+    if name != "catenary-16001":
+        monkeypatch.setattr(biharmonic, "TAU_BLOCK", 1000)
+    assert trace.n > biharmonic.TAU_BLOCK
     fd = frenet_apparatus(trace)
     f = sampled_weight(trace.ts, 2.0 + np.sin(trace.ts))
     t2, t3 = tau2(fd), tau3(fd, f)
@@ -154,6 +161,20 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
     assert same_bits(t3["norm"], ref3["norm"])
     for key in ("cross_residual", "max_norm"):
         assert same_bits(t3[key], ref3[key])
+
+
+@pytest.mark.parametrize("row", [10, 1500, 4000])
+def test_cross_residual_keeps_a_nan_of_any_block(row, catenary_fd,
+                                                 monkeypatch):
+    # the cross residual is the maximum of the block maxima: a nan in the
+    # first, a middle or the last block (one sample) is still reported
+    monkeypatch.setattr(biharmonic, "TAU_BLOCK", 1000)
+    k = catenary_fd.curvatures.copy()
+    k[0, row] = np.nan
+    fd = dataclasses.replace(catenary_fd, curvatures=k)
+    assert np.isnan(tau2(fd)["cross_residual"])
+    assert np.isnan(tau3(fd, sampled_weight(fd.ts, 2.0 + 0 * fd.ts))
+                    ["cross_residual"])
 
 
 # ---------------------------------------------------------------------------

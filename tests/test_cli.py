@@ -710,6 +710,27 @@ def _weight_cp(path):
     return cp
 
 
+def test_verify_working_set_of_a_16001_sample_catenary(tmp_path):
+    # the bench's largest verify, in process, with report and CSV: the
+    # tension fields run in sample blocks and the Frenet frames keep only
+    # the kept levels (18.3 MB when tau2/tau3 built whole temporaries)
+    config = write_config(tmp_path / "c.ini", CATENARY_CFG.replace(
+        "window = -2:2", "window = -8:8"))
+
+    def run():
+        assert cli.run_verify(config, report_path=str(tmp_path / "r.json"),
+                              csv_path=str(tmp_path / "r.csv")) == 0
+
+    run()       # the first call imports what it needs and builds the tables
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.5e6, peak
+
+
 @pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])
 def test_small_csv_inputs_are_read_in_little_memory(catenary, tmp_path,
                                                     reader):

@@ -210,6 +210,16 @@ def test_frenet_keeps_read_only_chain(catenary, catenary_fd):
         catenary_fd.chain[1][0, 0] = 1.0
 
 
+def test_frenet_frames_hold_exactly_the_kept_levels(catenary, r6_steered):
+    # order 2 of 5 chain levels, and order 5 of 5: no view of a larger
+    # buffer keeps the dropped levels alive
+    for trace, order in ((catenary, 2), (r6_steered, 5)):
+        fd = frenet_apparatus(trace)
+        assert fd.order == order
+        assert fd.frames.shape == (order, trace.n, trace.params.dim)
+        assert fd.frames.base is None
+
+
 def test_geodesic_order(geodesic):
     fd = frenet_apparatus(geodesic)
     assert fd.order == 1
@@ -651,6 +661,24 @@ def test_power_of_ten_table_is_correctly_rounded():
         assert ten_hi[i] + ten_lo[i] == ten[i], p
         for half, width in ((ten_hi[i], 26), (ten_lo[i], 27)):
             assert (math.frexp(half)[0] * 2 ** width).is_integer(), p
+
+
+def test_power_of_ten_table_matches_its_two_division_construction():
+    # the rows once came from 10^|p| computed afresh and two big-integer
+    # divisions each; the running powers and one divmod give the same bits
+    rows = []
+    for p in range(csvformat._P10_MIN, 16 - csvformat._EXP_MIN + 1):
+        q = 10 ** abs(p)
+        e = q.bit_length() - 1 if p >= 0 else -q.bit_length()
+        num, den = (q, 1 << e) if p >= 0 else (1 << -e, q)
+        ten = num / den
+        rows.append((ten, (num * 2 ** 52 - int(ten * 2 ** 52) * den)
+                     / (den << 52), e))
+    ten, rest, exp = np.array(rows).T
+    c = ten * csvformat._SPLIT
+    ten_hi = c - (c - ten)
+    want = np.array([ten, ten_hi, ten - ten_hi, rest, exp])
+    assert csvformat._format_tables()["p10"].tobytes() == want.tobytes()
 
 
 def test_write_csv_mixed_columns_match_python(tmp_path):

@@ -1,4 +1,7 @@
 """Closed-form candidates, residual ground truth, and the RK4 oracle."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -301,6 +304,164 @@ def test_oracle_matches_per_stage_loop_bitwise(spec, kwargs):
     assert sol.yp.tobytes() == yp.tobytes()
     assert sol.truncated is truncated
     assert sol.blowup_t == blowup_t
+
+
+# the march on lists of Python floats that the packed trajectory replaced,
+# with its stage-floor checks: the bit-for-bit reference of the oracle
+def list_march_oracle(spec, y0, y0prime, window=(-2.0, 2.0), step=1e-3,
+                      t0=0.0, blowup=1e6, floor=1e-12):
+    t_lo, t_hi = window
+    q = 1 + spec.c2 ** 2
+    el = spec.epsilon * spec.lam ** 2
+
+    def march(direction, t_end):
+        n = int(round(abs(t_end - t0) / step))
+        h = direction * step
+        half, sixth = h / 2, h / 6
+        ts, ys, yps = [t0], [y0], [y0prime]
+        t, y, yp = t0, y0, y0prime
+        for _ in range(n):
+            t = t + h
+            k1a, k1b = yp, (3.0 * yp * yp - 4.0 * y * y * (q * y * y - el)) / (2.0 * y)
+            y2, k2a = y + half * k1a, yp + half * k1b
+            if not y2 > floor:
+                return ts, ys, yps, t
+            k2b = (3.0 * k2a * k2a - 4.0 * y2 * y2 * (q * y2 * y2 - el)) / (2.0 * y2)
+            y3, k3a = y + half * k2a, yp + half * k2b
+            if not y3 > floor:
+                return ts, ys, yps, t
+            k3b = (3.0 * k3a * k3a - 4.0 * y3 * y3 * (q * y3 * y3 - el)) / (2.0 * y3)
+            y4, k4a = y + h * k3a, yp + h * k3b
+            if not y4 > floor:
+                return ts, ys, yps, t
+            k4b = (3.0 * k4a * k4a - 4.0 * y4 * y4 * (q * y4 * y4 - el)) / (2.0 * y4)
+            y = y + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+            yp = yp + sixth * (k1b + 2 * k2b + 2 * k3b + k4b)
+            if not math.isfinite(y) or abs(y) > blowup or y <= floor:
+                return ts, ys, yps, t
+            ts.append(t)
+            ys.append(y)
+            yps.append(yp)
+        return ts, ys, yps, None
+
+    ts_f, ys_f, yps_f, stop_f = march(+1.0, t_hi)
+    ts_b, ys_b, yps_b, stop_b = march(-1.0, t_lo)
+    return (np.array(ts_b[::-1][:-1] + ts_f), np.array(ys_b[::-1][:-1] + ys_f),
+            np.array(yps_b[::-1][:-1] + yps_f),
+            stop_f is not None or stop_b is not None,
+            stop_f if stop_f is not None else stop_b)
+
+
+def expression_first_integral(y, yp, spec):
+    """The first integral as one expression, before it ran in place."""
+    return (yp ** 2 + 4 * (1 + spec.c2 ** 2) * y ** 4
+            + 4 * spec.epsilon * spec.lam ** 2 * y ** 2) / y ** 3
+
+
+# the bench's case (iii) oracle requests: c2 = 1, (c3, c4), from the exact
+# profile's value and slope at t = 0, 160,001 points at step 2.5e-5
+BENCH_C3_C4 = [(1.0, 0.0), (2.0, 0.5), (4.0, -0.5), (0.5, 1.0)]
+
+
+def bench_oracle_request(c3, c4):
+    spec = spec_iii(1.0, c3, c4)
+    y0, yp0, _ = case_iii_profile(spec, [0.0])
+    return spec, dict(y0=float(y0[0]), y0prime=float(yp0[0]),
+                      window=(-2.0, 2.0), step=2.5e-5)
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    *(bench_oracle_request(c3, c4) for c3, c4 in BENCH_C3_C4),
+    # blow-up truncation in the forward half
+    (spec_iii(0.0, 1.0, 0.0),
+     dict(y0=0.5, y0prime=3.0, window=(-2, 2), step=1e-3, blowup=0.6)),
+    # a stage below the floor truncates the backward half at its first step
+    (spec_iii(0.0, 1.0, 0.0),
+     dict(y0=1.0, y0prime=2000.0, window=(-2, 0))),
+], ids=[*(f"bench-c3={c3}-c4={c4}" for c3, c4 in BENCH_C3_C4),
+        "blowup", "floor-stage"])
+def test_packed_oracle_matches_list_march_bitwise(spec, kwargs):
+    sol = numeric_solution_oracle(spec, **kwargs)
+    ts, y, yp, truncated, blowup_t = list_march_oracle(spec, **kwargs)
+    assert sol.ts.tobytes() == ts.tobytes()
+    assert sol.y.tobytes() == y.tobytes()
+    assert sol.yp.tobytes() == yp.tobytes()
+    assert (first_integral(sol.y, sol.yp, spec).tobytes()
+            == expression_first_integral(y, yp, spec).tobytes())
+    assert sol.truncated is truncated
+    assert sol.blowup_t == blowup_t
+    assert type(sol.blowup_t) is type(blowup_t)
+
+
+def test_first_integral_matches_its_expression_bitwise():
+    # signed zeros, y < 0, y = 0, inf and nan, and cases (i) and (ii)
+    rng = np.random.default_rng(3)
+    y = np.concatenate([rng.normal(size=2000), rng.lognormal(0, 20, 2000),
+                        [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]])
+    yp = np.concatenate([rng.normal(size=2000), rng.normal(0, 1e9, 2000),
+                         [0.0, 1.0, -0.0, np.nan, 1.0, 0.0, 2.0]])
+    with np.errstate(all="ignore"):
+        for spec in (spec_iii(1.0, 1.0, 0.0),
+                     OdeSolutionSpec(epsilon=1, lam=1.3, c2=0.5, c3=1.0, c4=0.0),
+                     OdeSolutionSpec(epsilon=-1, lam=0.7, c2=0.0, c3=1.0, c4=0.0)):
+            assert (first_integral(y, yp, spec).tobytes()
+                    == expression_first_integral(y, yp, spec).tobytes())
+
+
+def traced_peak(call):
+    """Peak bytes that `call()` allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_keeps_a_packed_trajectory():
+    # 160,001 points are 3.84 MB of float64 results; a trajectory in lists
+    # of Python floats held about 20.9 MB
+    spec, kwargs = bench_oracle_request(1.0, 0.0)
+    out = []
+    peak = traced_peak(lambda: out.append(numeric_solution_oracle(spec, **kwargs)))
+    assert len(out[0].ts) == 160001
+    assert peak <= 8e6, peak
+    # two result-sized buffers; the expression would allocate five without
+    # NumPy's temporary elision
+    sol = out[0]
+    assert traced_peak(lambda: first_integral(sol.y, sol.yp, spec)) <= 4e6
+
+
+@pytest.mark.parametrize("step", [1e-8, 5e-324])
+def test_oracle_refuses_a_grid_past_the_cap_before_marching(step):
+    # 4 x 10^8 steps would run until memory runs out; the smallest double
+    # asks for an infinite number of steps
+    spec = spec_iii(0.0, 1.0, 0.0)
+
+    def call():
+        with pytest.raises(ValueError, match="1000000 samples a grid may have"):
+            numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, step=step)
+
+    assert traced_peak(call) < 1e6
+
+
+def test_oracle_sample_cap_boundary(monkeypatch):
+    # points = round((t_hi - t0)/h) + round((t0 - t_lo)/h) + 1
+    monkeypatch.setattr(odesol, "MAX_SAMPLES", 101)
+    spec = spec_iii(0.0, 1.0, 0.0)
+    sol = numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=(-1, 1),
+                                  step=0.02)
+    assert len(sol.ts) == 101
+    # 1/0.0199 rounds to 50 on each side: 101 points
+    sol = numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=(-1, 1),
+                                  step=0.0199)
+    assert len(sol.ts) == 101
+    # 102 points: one more step forward; or all 101 steps on one side
+    for window, step in (((-1, 1.02), 0.02), ((0, 2.02), 0.02),
+                         ((-1, 1), 0.0196)):
+        with pytest.raises(ValueError, match="101 samples a grid may have"):
+            numeric_solution_oracle(spec, y0=1.0, y0prime=0.0, window=window,
+                                    step=step)
 
 
 # ---------------------------------------------------------------------------

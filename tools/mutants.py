@@ -71,8 +71,8 @@ MUTANTS = [
      "trim = 2 + 2 * self.fd_stride", "the interior band drops q rows fewer"),
     ("K06", "curve.py", "[-25.0, 48.0, -36.0, 16.0, -3.0]",
      "[-25.0, 48.0, -36.0, 16.0, -3.001]", "a one-sided FD5 weight"),
-    ("K07", "biharmonic.py", "+ 2.0 * w1 * chain[2] + w2 * chain[1]",
-     "+ 2.0 * w1 * chain[2]", "tau3 drops its f''/f term"),
+    ("K07", "biharmonic.py", "d += (f.fpp[b] / f.f[b]) * chain[1][:, b]",
+     "d += 0.0 * chain[1][:, b]", "tau3 drops its f''/f term"),
     ("K08", "biharmonic.py", "CASE_TOL = 1e-6", "CASE_TOL = 1e-4",
      "the case II/III threshold 1e-6 -> 1e-4"),
     ("K09", "csvformat.py", "> 0.5 - _TIE_MARGIN)", "> 0.5 + _TIE_MARGIN)",

@@ -25,12 +25,16 @@ depend on where the checkout lives:
   `ode --out`, and two `ode` runs whose residual is not below the
   tolerance.
 
-Then it runs each `demos/*.py` of the checkout in the same directory and
-with the same PYTHONPATH.
+Then it runs ORACLE, a `python -c` command that writes the RK4 oracle's
+ts, y, y' and first integral, and its truncation, for the bench's four
+case (iii) requests (160,001 points each) and for one run that blows up,
+one file per run.  Then it runs each `demos/*.py` of the checkout in the
+same directory and with the same PYTHONPATH.
 
 It prints one line per file, `<sha256>  <file>`, one line per demo,
 `<sha256>  <demo> stdout`, and one line per command or demo,
-`<exit code>  exit <arguments>` or `<exit code>  exit <demo>`.  With
+`<exit code>  exit <arguments>`, `<exit code>  exit oracle` or
+`<exit code>  exit <demo>`.  With
 `--parent REV` it runs the same commands, and the demos of REV, on a
 `git archive` of REV extracted into a temporary directory, prints the
 lines that differ and exits 1 if any file, demo stdout or exit code does.
@@ -80,6 +84,26 @@ ODE_REFUSED = (
      "--tol", "1e-30"],
 )
 UNWRITABLE = "no-such-dir/out"
+# the oracle requests of perfbench/workloads.py (c2 = 1, the (c3, c4) of
+# CASE_III, step 2.5e-5 on (-2, 2)) and a forward blow-up truncation
+ORACLE = """
+from sspaceform.odesol import (OdeSolutionSpec, case_iii_profile,
+                               first_integral, numeric_solution_oracle)
+runs = {}
+for c3, c4 in ((1.0, 0.0), (2.0, 0.5), (4.0, -0.5), (0.5, 1.0)):
+    spec = OdeSolutionSpec(0, 0.0, 1.0, c3, c4)
+    y0, yp0, _ = case_iii_profile(spec, [0.0])
+    runs[f"oracle-iii-{c3}-{c4}.bin"] = spec, dict(
+        y0=float(y0[0]), y0prime=float(yp0[0]), window=(-2.0, 2.0), step=2.5e-5)
+runs["oracle-blowup.bin"] = OdeSolutionSpec(0, 0.0, 0.0, 1.0, 0.0), dict(
+    y0=0.5, y0prime=3.0, window=(-2.0, 2.0), step=1e-3, blowup=0.6)
+for name, (spec, kwargs) in runs.items():
+    sol = numeric_solution_oracle(spec, **kwargs)
+    with open(name, "wb") as fh:
+        for a in (sol.ts, sol.y, sol.yp, first_integral(sol.y, sol.yp, spec)):
+            fh.write(a.tobytes())
+        fh.write(repr((sol.truncated, sol.blowup_t)).encode())
+"""
 # one command or demo must not run longer than this
 TIMEOUT_S = 300
 
@@ -143,6 +167,9 @@ def digests(root: str) -> dict[str, str]:
                 [sys.executable, "-m", "sspaceform.cli", *argv], cwd=work,
                 env=env, capture_output=True, timeout=TIMEOUT_S)
             result[f"exit {' '.join(argv)}"] = str(proc.returncode)
+        proc = subprocess.run([sys.executable, "-c", ORACLE], cwd=work,
+                              env=env, capture_output=True, timeout=TIMEOUT_S)
+        result["exit oracle"] = str(proc.returncode)
         demos = os.path.join(root, "demos")
         for name in sorted(os.listdir(demos)):
             if not name.endswith(".py"):
