@@ -49,8 +49,8 @@ def show(title, trace, k1_callable):
     for key in ("eq1", "eq2", "eq3", "eq4", "gphiT"):
         print(f"  {key:<6} {rep.residuals[key]:.2e}")
     t3 = tau3(fd, f)
-    print(f"|tau3| max (direct covariant route): {np.max(t3['norm'][10:-10]):.2e}")
-    print(f"direct vs Frenet-expansion cross residual: {t3['cross_residual']:.2e}")
+    print(f"|tau3| max (direct covariant route): {np.max(t3.norm[10:-10]):.2e}")
+    print(f"direct vs Frenet-expansion cross residual: {t3.cross_residual:.2e}")
     print()
 
 

@@ -19,9 +19,9 @@ The verdict comes from these five residuals; `classify_case` labels the
 case I-IV.  The checkers of each case's characterization are analyses
 on top of them, in `sspaceform.findings`.
 
-tau2 is computed two ways: the direct covariant route (exact chain +
-closed-form curvature tensor, in frame components) and the
-Frenet-expansion route from measured scalars; the cross residual is part
+tau2 and tau3 come from the direct covariant route (exact chain +
+closed-form curvature tensor, in frame components); their distance from
+tau2's Frenet expansion in measured scalars, the cross residual, is part
 of every report.  The measured scalars k1, k2, k3 and their jet k1',
 k1'', k2' come from FrenetData, which differences them once per trace.
 The scalar core `mainprop_residuals` and `classify_case` take the
@@ -43,6 +43,7 @@ __all__ = [
     "WeightFunction",
     "BiharmonicReport",
     "mainprop_residuals",
+    "Tension",
     "tau2",
     "tau3",
     "check_conditions",
@@ -144,19 +145,35 @@ def mainprop_residuals(c: float, s: float, k1, k2, k3, p2, p3, p4,
 # tension fields
 # ---------------------------------------------------------------------------
 
-def tau2(fd: FrenetData) -> dict:
-    """Bitension field per sample, computed two ways.
+@dataclass(frozen=True)
+class Tension:
+    """A tension field, component-major like the chain, its norm per
+    sample, and the largest gap between tau2's direct and Frenet routes."""
 
-    direct: nabla_T^3 T - R(T, nabla_T T) T from the exact chain fd.chain
-    and the closed-form curvature tensor (frame components).
-    frenet: (-3 k1 k1') T + (k1'' - k1^3 - k1 k2^2) V2
-            + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term,
-    where the R-term uses the same closed form and the scalars are
-    fd.padded_curvatures and fd.curvature_jet.  Returns both fields,
-    component-major like the chain, and their cross residual.  A chain
-    shorter than TAU2_CHAIN_LEVELS raises ValueError.  The fields are
-    filled TAU_BLOCK samples at a time, so no temporary spans the trace.
-    """
+    field: np.ndarray
+    norm: np.ndarray
+    cross_residual: float
+
+
+def tau2(fd: FrenetData) -> Tension:
+    """Bitension field nabla_T^3 T - R(T, nabla_T T) T from the exact chain
+    and the closed-form curvature tensor.  Its cross residual is the
+    largest distance from the Frenet expansion (-3 k1 k1') T + (k1'' - k1^3
+    - k1 k2^2) V2 + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term of the
+    measured scalars.  A chain shorter than TAU2_CHAIN_LEVELS raises
+    ValueError."""
+    return _tension(fd, None)
+
+
+def tau3(fd: FrenetData, f: WeightFunction) -> Tension:
+    """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
+    by the direct route; the cross residual is tau2's."""
+    return _tension(fd, f)
+
+
+def _tension(fd: FrenetData, f: WeightFunction | None) -> Tension:
+    """tau2 (f None) or tau3, TAU_BLOCK samples at a time: only the field
+    and its norm span the trace; the Frenet expansion is a block's."""
     chain = fd.chain
     if len(chain) < TAU2_CHAIN_LEVELS:
         raise ValueError(f"tau2 needs nabla_T^3 T, i.e. derivative depth >= "
@@ -164,54 +181,32 @@ def tau2(fd: FrenetData) -> dict:
     params = fd.params
     k1, k2, k3 = fd.padded_curvatures
     k1p, k1pp, k2p = fd.curvature_jet
-    direct = frenet = None
+    n = len(fd.ts)
+    field = norm = None
     cross = []
-    for b in _blocks(len(fd.ts)):
+    for lo in range(0, n, TAU_BLOCK):
+        b = slice(lo, lo + TAU_BLOCK)
         tf = chain[0][:, b]
         R_term = curvature_frame(params, tf, chain[1][:, b], tf)
-        if direct is None:   # after the first curvature term's temporaries
-            direct, frenet = np.empty(chain[0].shape), np.empty(chain[0].shape)
-        d = np.subtract(chain[3][:, b], R_term, out=direct[:, b])
+        if field is None:   # after the first curvature term's temporaries
+            field, norm = np.empty(chain[0].shape), np.empty(n)
+        d = np.subtract(chain[3][:, b], R_term, out=field[:, b])
         zeros = np.zeros(tf.shape)
         V = [tf] + [fd.frames[j][b].T if j < fd.order else zeros
                     for j in (1, 2, 3)]
         k1b, k1pb, k2b = k1[b], k1p[b], k2[b]
-        fr = np.multiply(-3 * k1b * k1pb, V[0], out=frenet[:, b])
-        fr += (k1pp[b] - k1b ** 3 - k1b * k2b ** 2) * V[1]
-        fr += (2 * k1pb * k2b + k1b * k2p[b]) * V[2]
-        fr += (k1b * k2b * k3[b]) * V[3]
-        fr -= R_term
-        gap = d - fr
+        gap = (-3 * k1b * k1pb) * V[0]
+        gap += (k1pp[b] - k1b ** 3 - k1b * k2b ** 2) * V[1]
+        gap += (2 * k1pb * k2b + k1b * k2p[b]) * V[2]
+        gap += (k1b * k2b * k3[b]) * V[3]
+        gap -= R_term
+        np.subtract(d, gap, out=gap)
         cross.append(np.max(np.sqrt(component_sum(gap * gap))))
-    return {"direct": direct, "frenet": frenet,
-            "cross_residual": float(np.max(cross))}
-
-
-def tau3(fd: FrenetData, f: WeightFunction) -> dict:
-    """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
-    by the direct route, written over tau2's direct field block by block;
-    the cross residual is tau2's."""
-    t2 = tau2(fd)
-    chain = fd.chain
-    direct, cross = t2["direct"], t2["cross_residual"]
-    del t2      # tau2's Frenet field is not needed here
-    norm = np.empty(len(fd.ts))
-    for b in _blocks(len(fd.ts)):
-        d = direct[:, b]
-        d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
-        d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
+        if f is not None:
+            d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
+            d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
         np.sqrt(component_sum(d * d), out=norm[b])
-    return {
-        "direct": direct,
-        "cross_residual": cross,
-        "norm": norm,
-        "max_norm": float(np.max(norm)),
-    }
-
-
-def _blocks(n: int):
-    """Slices of TAU_BLOCK samples that cover range(n) in order."""
-    return (slice(lo, lo + TAU_BLOCK) for lo in range(0, n, TAU_BLOCK))
+    return Tension(field, norm, float(np.max(cross)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +269,12 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                                     k2, k3, p2, p3, p4, f, profile.a, profile.b,
                                     *fd.curvature_jet, extra_gphiT=out_of_span)
     t3 = tau3(fd, f) if len(fd.chain) >= TAU2_CHAIN_LEVELS else None
-    per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3["norm"]
+    per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3.norm
 
     if fd.order == 1 or np.max(k1) < GEODESIC_K1:
         residuals = dict.fromkeys(EQUATIONS, 0.0)
         if t3 is not None:
-            residuals["tau3_norm"] = t3["max_norm"]
+            residuals["tau3_norm"] = float(np.max(t3.norm))
         return BiharmonicReport(residuals=residuals, case="degenerate",
                                 verdict="harmonic/geodesic",
                                 tolerances={"eq_tol": eq_tol},
@@ -293,8 +288,8 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     details = {"case_detail": case[1], "slant": profile.is_slant,
                "order": fd.order}
     if t3 is not None:
-        residuals["tau3_norm"] = float(np.max(t3["norm"][sl]))
-        details["tau2_cross_residual"] = t3["cross_residual"]
+        residuals["tau3_norm"] = float(np.max(t3.norm[sl]))
+        details["tau2_cross_residual"] = t3.cross_residual
 
     ok = all(residuals[k] < eq_tol for k in EQUATIONS)
     if not profile.is_slant:

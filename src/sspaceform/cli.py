@@ -202,17 +202,37 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
     return trace, cfg.k1
 
 
-def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
-    """The configured weight on the trace grid.  f = c1 k1^(-3/2) reads
-    the analytic k1 of a builtin when there is one, differenced on the
-    grid, and otherwise the measured k1 with fd.curvature_jet."""
-    ts = trace.ts
+def _weight_config(cp) -> tuple[str, object]:
+    """The [weight] section, checked before any trace is built: ("c1", c1),
+    ("constant", value) or ("csv", its (t, f) rows)."""
     section = cp["weight"] if cp.has_section("weight") else {}
     keys = [k for k in ("c1", "constant", "csv") if k in section]
     if len(keys) > 1:
         raise ConfigError("[weight] must set exactly one of c1, constant, csv")
-    if not keys or keys[0] == "c1":
-        c1 = float(section.get("c1", "1.0")) if section else 1.0
+    kind = keys[0] if keys else "c1"
+    if kind != "csv":
+        value = float(section.get(kind, "1.0"))
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"[weight] {kind} must be positive and finite, "
+                              f"got {value!r}")
+        return kind, value
+    data = read_csv(section["csv"], 2, "[weight] csv")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise FloatingPointError(
+            f"non-finite t or f in data row {bad[0]} of the [weight] csv")
+    if len(data) < 2:
+        raise ConfigError("[weight] csv needs at least two rows of t,f")
+    return kind, data
+
+
+def _build_weight(trace, fd, k1_callable, weight) -> bih.WeightFunction:
+    """The weight `_weight_config` read, on the trace grid.  f = c1 k1^(-3/2)
+    reads the analytic k1 of a builtin when there is one, differenced on the
+    grid, and otherwise the measured k1 with fd.curvature_jet."""
+    ts = trace.ts
+    kind, value = weight
+    if kind == "c1":
         if k1_callable is None:
             k1 = fd.padded_curvatures[0]
             k1p, k1pp, _ = fd.curvature_jet
@@ -223,23 +243,17 @@ def _build_weight(trace, fd, k1_callable, cp) -> bih.WeightFunction:
         if np.all(k1 < bih.GEODESIC_K1):
             # geodesic: f = c1 k1^(-3/2) is undefined and irrelevant
             # (every tension term carries k1); use a constant weight
-            return bih.WeightFunction.constant(ts, c1)
-        return odesol.f_from_k1(ts, k1, k1p, k1pp, c1=c1)
-    if keys[0] == "constant":
-        return bih.WeightFunction.constant(ts, float(section["constant"]))
-    data = read_csv(section["csv"], 2, "[weight] csv")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if len(bad):
-        raise FloatingPointError(
-            f"non-finite t or f in data row {bad[0]} of the [weight] csv")
-    if len(data) < 2:
-        raise ConfigError("[weight] csv needs at least two rows of t,f")
-    if data[0, 0] > ts[0] or data[-1, 0] < ts[-1]:
+            return bih.WeightFunction.constant(ts, value)
+        return odesol.f_from_k1(ts, k1, k1p, k1pp, c1=value)
+    if kind == "constant":
+        return bih.WeightFunction.constant(ts, value)
+    t, f = value.T      # the rows of a [weight] csv
+    if t[0] > ts[0] or t[-1] < ts[-1]:
         raise ConfigError("sampled weight does not cover the curve window")
     # cubic spline keeps f'' meaningful when the weight grid differs from
     # the trace grid (linear interpolation would have distributional f'')
     from scipy.interpolate import CubicSpline
-    spline = CubicSpline(data[:, 0], data[:, 1])
+    spline = CubicSpline(t, f)
     return bih.WeightFunction(ts=ts, f=spline(ts), fp=spline(ts, 1),
                               fpp=spline(ts, 2))
 
@@ -268,9 +282,10 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     if expected not in VERDICTS:
         raise ConfigError(f"unknown expected verdict {expected!r} "
                           f"(choose from {VERDICTS})")
+    weight = _weight_config(cp)     # refused before the trace is built
     trace, k1_callable = _build_trace(params, cp)
     text, verdict, outputs = _verify_trace(cp, params, tol, trace,
-                                           k1_callable, expected,
+                                           k1_callable, weight, expected,
                                            report_path, csv_path)
     _write_all(outputs)
     if not report_path:
@@ -282,14 +297,14 @@ def run_verify(config_path: str, report_path=None, csv_path=None,
     return EXIT_OK
 
 
-def _verify_trace(cp, params, tol, trace, k1_callable, expected,
+def _verify_trace(cp, params, tol, trace, k1_callable, weight, expected,
                   report_path=None, csv_path=None):
     """Run the pipeline on a built trace: the JSON report text, the verdict
     and the (path, write) outputs of the report and CSV files."""
     seed = cp.getint("curve", "seed", fallback=0)
     fd = frenet_apparatus(trace)
     profile = contact_angles(trace, tolerance=tol["slant"])
-    weight = _build_weight(trace, fd, k1_callable, cp)
+    weight = _build_weight(trace, fd, k1_callable, weight)
     report = bih.check_conditions(trace, fd, profile, weight,
                                   eq_tol=tol["eq"])
     payload = {
@@ -414,7 +429,7 @@ def run_synth(builtin: str, out_path: str, window: str | None, step: float,
     outputs = [(out_path, trace.to_csv)]
     if verify:
         text, _, report = _verify_trace(cp, params, tol, trace, k1_callable,
-                                        "any", report_path)
+                                        _weight_config(cp), "any", report_path)
         outputs += report
     _write_all(outputs)
     print(f"wrote {trace.n} samples to {out_path}")

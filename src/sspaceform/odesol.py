@@ -152,7 +152,6 @@ def ode_residual(y, spec: OdeSolutionSpec, yp, ypp) -> dict:
     return {
         "max_residual": float(np.max(res[finite])) if np.any(finite) else np.nan,
         "per_sample": res,
-        "evaluated": int(np.sum(finite)),
     }
 
 

@@ -275,17 +275,17 @@ def rowmajor_tau2(fd, chain):
               + (k1 * k2 * k3)[:, None] * frames[3]
               - R_term)
     cross = float(np.max(np.linalg.norm(direct - frenet, axis=-1)))
-    return {"direct": direct, "frenet": frenet, "cross_residual": cross}
+    return {"field": direct, "norm": np.linalg.norm(direct, axis=-1),
+            "cross_residual": cross}
 
 
 def rowmajor_tau3(fd, f, chain):
     t2 = rowmajor_tau2(fd, chain)
     w1 = (f.fp / f.f)[:, None]
     w2 = (f.fpp / f.f)[:, None]
-    direct = t2["direct"] + 2.0 * w1 * chain[2] + w2 * chain[1]
-    norm = np.linalg.norm(direct, axis=-1)
-    return {"direct": direct, "cross_residual": t2["cross_residual"],
-            "norm": norm, "max_norm": float(np.max(norm))}
+    field = t2["field"] + 2.0 * w1 * chain[2] + w2 * chain[1]
+    return {"field": field, "norm": np.linalg.norm(field, axis=-1),
+            "cross_residual": t2["cross_residual"]}
 
 
 def same_bits(got, want) -> bool:

@@ -257,11 +257,11 @@ def test_criterion_09_degeneration_properties(case2_curve, case2_fd,
     t2 = tau2(case2_fd)
     t3 = tau3(case2_fd, f_const)
     const_dev = float(np.max(np.linalg.norm(
-        t3["direct"] - t2["direct"], axis=0)))
+        t3.field - t2.field, axis=0)))
 
     gfd = frenet_apparatus(geodesic)
     t3g = tau3(gfd, sampled_weight(geodesic.ts, 2.0 + np.sin(geodesic.ts)))
-    geo_norm = float(np.max(t3g["norm"]))
+    geo_norm = float(np.max(t3g.norm))
 
     rng = np.random.default_rng(9)
     ts = np.linspace(-1, 1, 501)

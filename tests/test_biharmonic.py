@@ -60,8 +60,8 @@ def test_weight_refuses_non_finite_samples(catenary):
 def test_tau2_geodesic_vanishes(geodesic):
     fd = frenet_apparatus(geodesic)
     out = tau2(fd)
-    assert np.max(np.linalg.norm(out["direct"], axis=0)) < 1e-12
-    assert out["cross_residual"] < 1e-12
+    assert np.max(np.linalg.norm(out.field, axis=0)) < 1e-12
+    assert out.cross_residual < 1e-12
 
 
 def test_tau2_circle_closed_form(circle):
@@ -71,8 +71,8 @@ def test_tau2_circle_closed_form(circle):
     out = tau2(fd)
     k1 = fd.curvatures[0][:, None]
     expect = -k1 ** 3 * fd.frames[1]
-    assert np.max(np.linalg.norm(out["direct"].T - expect, axis=1)) < 1e-10
-    assert out["cross_residual"] < 1e-3
+    assert np.max(np.linalg.norm(out.field.T - expect, axis=1)) < 1e-10
+    assert out.cross_residual < 1e-3
 
 
 def test_depth3_trace_has_no_tau2(catenary):
@@ -94,7 +94,7 @@ def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):
     f = WeightFunction.constant(case2_curve.ts, 2.5)
     t2 = tau2(case2_fd)
     t3 = tau3(case2_fd, f)
-    diff = np.linalg.norm(t3["direct"] - t2["direct"], axis=0)
+    diff = np.linalg.norm(t3.field - t2.field, axis=0)
     assert np.max(diff) < 1e-10
 
 
@@ -102,15 +102,15 @@ def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
     f = odesol.f_from_k1(case2_curve.ts, *k1_case2(case2_curve.ts), c1=1.0)
     t3 = tau3(case2_fd, f)
     sl = slice(20, -20)
-    assert np.max(t3["norm"][sl]) < 1e-3
-    assert t3["cross_residual"] < 1e-3
+    assert np.max(t3.norm[sl]) < 1e-3
+    assert t3.cross_residual < 1e-3
 
 
 def test_tau3_vanishes_on_catenary(catenary, catenary_fd):
     prof = contact_angles(catenary)
     f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
     t3 = tau3(catenary_fd, f)
-    assert np.max(t3["norm"][5:-5]) < 1e-6
+    assert np.max(t3.norm[5:-5]) < 1e-6
 
 
 def test_tau3_geodesic_any_f(geodesic):
@@ -118,7 +118,7 @@ def test_tau3_geodesic_any_f(geodesic):
     prof = contact_angles(geodesic)
     f = sampled_weight(geodesic.ts, 2.0 + np.sin(geodesic.ts))
     t3 = tau3(fd, f)
-    assert np.max(t3["norm"]) < 1e-12
+    assert np.max(t3.norm) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["catenary", "circle", "geodesic", "case2-order3",
@@ -155,12 +155,10 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
     f = sampled_weight(trace.ts, 2.0 + np.sin(trace.ts))
     t2, t3 = tau2(fd), tau3(fd, f)
     ref2, ref3 = rowmajor_tau2(fd, want), rowmajor_tau3(fd, f, want)
-    assert same_bits(t2["direct"].T, ref2["direct"])
-    assert same_bits(t2["frenet"].T, ref2["frenet"])
-    assert same_bits(t3["direct"].T, ref3["direct"])
-    assert same_bits(t3["norm"], ref3["norm"])
-    for key in ("cross_residual", "max_norm"):
-        assert same_bits(t3[key], ref3[key])
+    for got, ref in ((t2, ref2), (t3, ref3)):
+        assert same_bits(got.field.T, ref["field"])
+        assert same_bits(got.norm, ref["norm"])
+        assert same_bits(got.cross_residual, ref["cross_residual"])
 
 
 @pytest.mark.parametrize("row", [10, 1500, 4000])
@@ -172,9 +170,9 @@ def test_cross_residual_keeps_a_nan_of_any_block(row, catenary_fd,
     k = catenary_fd.curvatures.copy()
     k[0, row] = np.nan
     fd = dataclasses.replace(catenary_fd, curvatures=k)
-    assert np.isnan(tau2(fd)["cross_residual"])
+    assert np.isnan(tau2(fd).cross_residual)
     assert np.isnan(tau3(fd, sampled_weight(fd.ts, 2.0 + 0 * fd.ts))
-                    ["cross_residual"])
+                    .cross_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -711,9 +711,10 @@ def _weight_cp(path):
 
 
 def test_verify_working_set_of_a_16001_sample_catenary(tmp_path):
-    # the bench's largest verify, in process, with report and CSV: the
-    # tension fields run in sample blocks and the Frenet frames keep only
-    # the kept levels (18.3 MB when tau2/tau3 built whole temporaries)
+    # the bench's largest verify, in process, with report and CSV: tau3 and
+    # its norm come from one pass of sample blocks with no Frenet field, and
+    # the Frenet frames keep only the kept levels (18.3 MB when tau2/tau3
+    # built whole temporaries, 15.3 MB with a whole Frenet field)
     config = write_config(tmp_path / "c.ini", CATENARY_CFG.replace(
         "window = -2:2", "window = -8:8"))
 
@@ -728,7 +729,7 @@ def test_verify_working_set_of_a_16001_sample_catenary(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.5e6, peak
+    assert peak <= 15.0e6, peak
 
 
 @pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])
@@ -750,7 +751,7 @@ def test_small_csv_inputs_are_read_in_little_memory(catenary, tmp_path,
         cp = _weight_cp(tmp_path / "weight.csv")
 
         def read():
-            cli._build_weight(catenary, None, None, cp)
+            cli._build_weight(catenary, None, None, cli._weight_config(cp))
     read()      # the first call imports what it needs
     tracemalloc.start()
     try:
@@ -779,7 +780,49 @@ def test_csv_inputs_past_the_cap_after_blank_lines_are_refused(
         if reader == "csv-source":
             CurveTrace.from_csv(catenary.params, path)
         else:
-            cli._build_weight(catenary, None, None, _weight_cp(path))
+            cli._weight_config(_weight_cp(path))
+
+
+def _no_trace(*args):
+    raise AssertionError("the trace was built before the weight was read")
+
+
+@pytest.mark.parametrize("table, code, message", [
+    ("t,f\n" + "0,1\n" * 401, cli.EXIT_CONFIG,
+     "config error: [weight] csv has more than the 400 samples"),
+    ("t,f\n-2,1\n0,nan\n2,1\n", cli.EXIT_NUMERICAL,
+     "numerical failure: non-finite t or f in data row 1 of the [weight] csv"),
+    ("t\n-2,1\n2,1\n", cli.EXIT_CONFIG,
+     "config error: [weight] csv needs 2 columns, got 1"),
+], ids=["rows-past-the-cap", "nan-row", "narrow-header"])
+def test_weight_csv_is_refused_before_the_trace_is_built(
+        table, code, message, tmp_path, monkeypatch, capsys):
+    # a bad [weight] csv is refused with no trace built and no Frenet pass
+    monkeypatch.setattr(curve, "MAX_SAMPLES", 400)
+    monkeypatch.setattr(cli, "_build_trace", _no_trace)
+    monkeypatch.setattr(cli, "frenet_apparatus", _no_trace)
+    (tmp_path / "w.csv").write_text(table)
+    cfg = write_config(tmp_path / "c.ini", MANIFOLD_22 + CATENARY_CURVE
+                       + f"[weight]\ncsv = {tmp_path / 'w.csv'}\n")
+    assert cli.run_verify(cfg) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+
+
+@pytest.mark.parametrize("key", ["c1", "constant"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0.0", "-1.0"])
+def test_nonfinite_weight_value_exit_2(key, value, tmp_path, monkeypatch,
+                                       capsys):
+    # a nan or inf c1 or constant used to reach WeightFunction and exit 3
+    # as a non-finite f in row 0; a nonpositive one was refused with exit
+    # 2, but only after the trace and its Frenet pass
+    monkeypatch.setattr(cli, "_build_trace", _no_trace)
+    cfg = write_config(tmp_path / "c.ini", MANIFOLD_22 + CATENARY_CURVE
+                       + f"[weight]\n{key} = {value}\n")
+    assert cli.run_verify(cfg) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: [weight] {key} must be positive and "
+                   f"finite, got {value}"], err
 
 
 @pytest.mark.parametrize("reader", ["csv-source", "weight-csv"])

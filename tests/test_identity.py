@@ -1,7 +1,7 @@
 """The key equation as an identity: on a slant curve the five master
 equations are the components of the directly computed f-bitension field.
 
-`tau3(fd, f)["direct"]` comes from the exact covariant chain and the
+`tau3(fd, f).field` comes from the exact covariant chain and the
 closed-form curvature tensor and differences no curvature; the master
 equations come from the measured curvatures, their jet and the phi T
 decomposition.  Along the measured frame the two routes agree:
@@ -82,7 +82,7 @@ def identity_gaps(source, tmp_path, monkeypatch, window=None) -> dict:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run_verify(str(config)) == 0
     trace, fd, report = seen["trace"], seen["fd"], seen["report"]
-    tau3 = biharmonic.tau3(fd, seen["f"])["direct"]
+    tau3 = biharmonic.tau3(fd, seen["f"]).field
     T = fd.chain[0]
     zeros = np.zeros(T.shape)
     V2, V3, V4 = (fd.frames[j].T if j < fd.order else zeros for j in (1, 2, 3))
