@@ -50,7 +50,9 @@ def show(title, trace, k1_callable):
         print(f"  {key:<6} {rep.residuals[key]:.2e}")
     t3 = tau3(fd, f)
     print(f"|tau3| max (direct covariant route): {np.max(t3.norm[10:-10]):.2e}")
-    print(f"direct vs Frenet-expansion cross residual: {t3.cross_residual:.2e}")
+    print("tau3's components vs the master equations (identity gaps):")
+    for key, gap in rep.details["identity_gaps"].items():
+        print(f"  {key:<6} {gap:.2e}")
     print()
 
 

@@ -20,10 +20,11 @@ case I-IV.  The checkers of each case's characterization are analyses
 on top of them, in `sspaceform.findings`.
 
 tau2 and tau3 come from the direct covariant route (exact chain +
-closed-form curvature tensor, in frame components); their distance from
-tau2's Frenet expansion in measured scalars, the cross residual, is part
-of every report.  The measured scalars k1, k2, k3 and their jet k1',
-k1'', k2' come from FrenetData, which differences them once per trace.
+closed-form curvature tensor, in frame components).  On a slant curve
+the master equations are tau3's components along T, V2, V3, V4, phiT;
+`check_conditions` reports how far each identity is from holding.  The
+measured scalars k1, k2, k3 and their jet k1', k1'', k2' come from
+FrenetData, which differences them once per trace.
 The scalar core `mainprop_residuals` and `classify_case` take the
 constants c and s as floats, so they also run on hypothetical data
 (e.g. case I, c = s, which the coordinate model cannot realize since
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CurveTrace, FrenetData
-from .manifold import component_sum, curvature_frame
+from .manifold import component_sum, curvature_frame, phi_frame
 from .slant import PhiTDecomposition, SlantProfile, phiT_decomposition
 
 __all__ = [
@@ -147,43 +148,36 @@ def mainprop_residuals(c: float, s: float, k1, k2, k3, p2, p3, p4,
 
 @dataclass(frozen=True)
 class Tension:
-    """A tension field, component-major like the chain, its norm per
-    sample, and the largest gap between tau2's direct and Frenet routes."""
+    """A tension field, component-major like the chain, and its norm per
+    sample."""
 
     field: np.ndarray
     norm: np.ndarray
-    cross_residual: float
 
 
 def tau2(fd: FrenetData) -> Tension:
     """Bitension field nabla_T^3 T - R(T, nabla_T T) T from the exact chain
-    and the closed-form curvature tensor.  Its cross residual is the
-    largest distance from the Frenet expansion (-3 k1 k1') T + (k1'' - k1^3
-    - k1 k2^2) V2 + (2 k1' k2 + k1 k2') V3 + k1 k2 k3 V4 - R-term of the
-    measured scalars.  A chain shorter than TAU2_CHAIN_LEVELS raises
-    ValueError."""
+    and the closed-form curvature tensor.  A chain shorter than
+    TAU2_CHAIN_LEVELS raises ValueError."""
     return _tension(fd, None)
 
 
 def tau3(fd: FrenetData, f: WeightFunction) -> Tension:
     """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
-    by the direct route; the cross residual is tau2's."""
+    by the same route."""
     return _tension(fd, f)
 
 
 def _tension(fd: FrenetData, f: WeightFunction | None) -> Tension:
     """tau2 (f None) or tau3, TAU_BLOCK samples at a time: only the field
-    and its norm span the trace; the Frenet expansion is a block's."""
+    and its norm span the trace, the curvature term is a block's."""
     chain = fd.chain
     if len(chain) < TAU2_CHAIN_LEVELS:
         raise ValueError(f"tau2 needs nabla_T^3 T, i.e. derivative depth >= "
                          f"{TAU2_CHAIN_LEVELS}; the trace has {len(chain)}")
     params = fd.params
-    k1, k2, k3 = fd.padded_curvatures
-    k1p, k1pp, k2p = fd.curvature_jet
     n = len(fd.ts)
     field = norm = None
-    cross = []
     for lo in range(0, n, TAU_BLOCK):
         b = slice(lo, lo + TAU_BLOCK)
         tf = chain[0][:, b]
@@ -191,22 +185,11 @@ def _tension(fd: FrenetData, f: WeightFunction | None) -> Tension:
         if field is None:   # after the first curvature term's temporaries
             field, norm = np.empty(chain[0].shape), np.empty(n)
         d = np.subtract(chain[3][:, b], R_term, out=field[:, b])
-        zeros = np.zeros(tf.shape)
-        V = [tf] + [fd.frames[j][b].T if j < fd.order else zeros
-                    for j in (1, 2, 3)]
-        k1b, k1pb, k2b = k1[b], k1p[b], k2[b]
-        gap = (-3 * k1b * k1pb) * V[0]
-        gap += (k1pp[b] - k1b ** 3 - k1b * k2b ** 2) * V[1]
-        gap += (2 * k1pb * k2b + k1b * k2p[b]) * V[2]
-        gap += (k1b * k2b * k3[b]) * V[3]
-        gap -= R_term
-        np.subtract(d, gap, out=gap)
-        cross.append(np.max(np.sqrt(component_sum(gap * gap))))
         if f is not None:
             d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
             d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
         np.sqrt(component_sum(d * d), out=norm[b])
-    return Tension(field, norm, float(np.max(cross)))
+    return Tension(field, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +239,10 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     Residuals are maxed over `trace.interior`, which drops the
     finite-difference edge band of the measured curvatures at each end
     (`CurveTrace.interior`).  tau3_norm is reported only when the chain
-    reaches TAU2_CHAIN_LEVELS.
+    reaches TAU2_CHAIN_LEVELS, and with it, unless the verdict is
+    'harmonic/geodesic', details['identity_gaps'], the maxima over the
+    same rows of |g(tau3,T) + k1^2 eq1|, |g(tau3,V2) + k1 eq2|, |g(tau3,V3)
+    - k1 eq3|, |g(tau3,V4) - k1 eq4| and |g(tau3,phiT) - gphiT| (0 if slant).
     """
     params = trace.params
     n = trace.n
@@ -289,7 +275,20 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
                "order": fd.order}
     if t3 is not None:
         residuals["tau3_norm"] = float(np.max(t3.norm[sl]))
-        details["tau2_cross_residual"] = t3.cross_residual
+        # the master equations are tau3's components; frames past r are zero
+        def largest(U, term):   # of |g(tau3, U) + term| over the interior
+            gap = component_sum(t3.field * U) + term
+            return float(np.max(np.abs(gap[sl])))
+
+        T = fd.chain[0]
+        V2, V3, V4 = (fd.frames[j].T if j < fd.order else 0.0
+                      for j in (1, 2, 3))
+        details["identity_gaps"] = {
+            "T": largest(T, k1 ** 2 * per_sample["eq1"]),
+            "V2": largest(V2, k1 * per_sample["eq2"]),
+            "V3": largest(V3, -k1 * per_sample["eq3"]),
+            "V4": largest(V4, -k1 * per_sample["eq4"]),
+            "phiT": largest(phi_frame(params, T), -per_sample["gphiT"])}
 
     ok = all(residuals[k] < eq_tol for k in EQUATIONS)
     if not profile.is_slant:

@@ -259,24 +259,9 @@ def rowmajor_covariant_chain(trace):
 
 def rowmajor_tau2(fd, chain):
     """tau2 of FrenetData `fd` from the row-major `chain` of its trace."""
-    params = fd.params
     tf = chain[0]
-    R_term = rowmajor_curvature_frame(params, tf, chain[1], tf)
-    direct = chain[3] - R_term
-    k1, k2, k3 = fd.padded_curvatures
-    k1p, k1pp, k2p = fd.curvature_jet
-    frames = np.zeros((4, len(fd.ts), params.dim))
-    frames[0] = tf
-    for j in range(1, min(4, fd.order)):
-        frames[j] = fd.frames[j]
-    frenet = ((-3 * k1 * k1p)[:, None] * frames[0]
-              + (k1pp - k1 ** 3 - k1 * k2 ** 2)[:, None] * frames[1]
-              + (2 * k1p * k2 + k1 * k2p)[:, None] * frames[2]
-              + (k1 * k2 * k3)[:, None] * frames[3]
-              - R_term)
-    cross = float(np.max(np.linalg.norm(direct - frenet, axis=-1)))
-    return {"field": direct, "norm": np.linalg.norm(direct, axis=-1),
-            "cross_residual": cross}
+    direct = chain[3] - rowmajor_curvature_frame(fd.params, tf, chain[1], tf)
+    return {"field": direct, "norm": np.linalg.norm(direct, axis=-1)}
 
 
 def rowmajor_tau3(fd, f, chain):
@@ -284,8 +269,7 @@ def rowmajor_tau3(fd, f, chain):
     w1 = (f.fp / f.f)[:, None]
     w2 = (f.fpp / f.f)[:, None]
     field = t2["field"] + 2.0 * w1 * chain[2] + w2 * chain[1]
-    return {"field": field, "norm": np.linalg.norm(field, axis=-1),
-            "cross_residual": t2["cross_residual"]}
+    return {"field": field, "norm": np.linalg.norm(field, axis=-1)}
 
 
 def same_bits(got, want) -> bool:

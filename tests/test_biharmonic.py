@@ -61,7 +61,9 @@ def test_tau2_geodesic_vanishes(geodesic):
     fd = frenet_apparatus(geodesic)
     out = tau2(fd)
     assert np.max(np.linalg.norm(out.field, axis=0)) < 1e-12
-    assert out.cross_residual < 1e-12
+    rep = check_conditions(geodesic, fd, contact_angles(geodesic),
+                           WeightFunction.constant(geodesic.ts))
+    assert rep.residuals["tau3_norm"] < 1e-12
 
 
 def test_tau2_circle_closed_form(circle):
@@ -72,7 +74,9 @@ def test_tau2_circle_closed_form(circle):
     k1 = fd.curvatures[0][:, None]
     expect = -k1 ** 3 * fd.frames[1]
     assert np.max(np.linalg.norm(out.field.T - expect, axis=1)) < 1e-10
-    assert out.cross_residual < 1e-3
+    rep = check_conditions(circle, fd, contact_angles(circle),
+                           WeightFunction.constant(circle.ts))
+    assert np.max(list(rep.details["identity_gaps"].values())) < 1e-3
 
 
 def test_depth3_trace_has_no_tau2(catenary):
@@ -87,6 +91,7 @@ def test_depth3_trace_has_no_tau2(catenary):
     rep = check_conditions(trace, fd, contact_angles(trace), f)
     assert rep.verdict == "proper-f-biharmonic"
     assert "tau3_norm" not in rep.residuals
+    assert "identity_gaps" not in rep.details
     assert np.all(np.isnan(rep.per_sample["tau3_norm"]))
 
 
@@ -103,7 +108,8 @@ def test_tau3_vanishes_on_case2_curve(case2_curve, case2_fd, case2_profile):
     t3 = tau3(case2_fd, f)
     sl = slice(20, -20)
     assert np.max(t3.norm[sl]) < 1e-3
-    assert t3.cross_residual < 1e-3
+    rep = check_conditions(case2_curve, case2_fd, case2_profile, f)
+    assert np.max(list(rep.details["identity_gaps"].values())) < 1e-3
 
 
 def test_tau3_vanishes_on_catenary(catenary, catenary_fd):
@@ -158,21 +164,25 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
     for got, ref in ((t2, ref2), (t3, ref3)):
         assert same_bits(got.field.T, ref["field"])
         assert same_bits(got.norm, ref["norm"])
-        assert same_bits(got.cross_residual, ref["cross_residual"])
 
 
-@pytest.mark.parametrize("row", [10, 1500, 4000])
-def test_cross_residual_keeps_a_nan_of_any_block(row, catenary_fd,
-                                                 monkeypatch):
-    # the cross residual is the maximum of the block maxima: a nan in the
-    # first, a middle or the last block (one sample) is still reported
-    monkeypatch.setattr(biharmonic, "TAU_BLOCK", 1000)
+@pytest.mark.parametrize("where", ["first-interior", "last-interior",
+                                   "first-band", "last-band"])
+def test_identity_gaps_keep_a_nan_of_the_interior_only(where, catenary,
+                                                       catenary_fd):
+    # the gaps are maxed over trace.interior: a nan k1 at its first or last
+    # row makes all five nan, one in the edge band it drops leaves them
+    # finite
+    sl = catenary.interior
+    row = {"first-interior": sl.start, "last-interior": sl.stop - 1,
+           "first-band": 0, "last-band": catenary.n - 1}[where]
     k = catenary_fd.curvatures.copy()
     k[0, row] = np.nan
     fd = dataclasses.replace(catenary_fd, curvatures=k)
-    assert np.isnan(tau2(fd).cross_residual)
-    assert np.isnan(tau3(fd, sampled_weight(fd.ts, 2.0 + 0 * fd.ts))
-                    .cross_residual)
+    f = odesol.f_from_k1(catenary.ts, *k1_catenary(catenary.ts), c1=1.0)
+    rep = check_conditions(catenary, fd, contact_angles(catenary), f)
+    finite = np.isfinite(list(rep.details["identity_gaps"].values()))
+    assert finite.tolist() == [where.endswith("band")] * 5, (row, finite)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +253,7 @@ def test_check_conditions_geodesic(geodesic):
     rep = check_conditions(geodesic, fd, prof,
                            WeightFunction.constant(geodesic.ts, 1.0))
     assert rep.verdict == "harmonic/geodesic"
+    assert "identity_gaps" not in rep.details   # no identity on a geodesic
 
 
 def test_check_conditions_non_slant_is_none(r6_config):

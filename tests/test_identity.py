@@ -10,17 +10,17 @@ decomposition.  Along the measured frame the two routes agree:
     g(tau3, V4) = k1 eq4,     g(tau3, phi T) = gphiT,
 
 so each term of the master equations is pinned without a golden file.
-The traces run through the whole `verify` pipeline; the gaps are maxed
-over `trace.interior`, the band the residuals are reported on.
+The traces run through the whole `verify` pipeline, whose report gives
+the largest gap of each identity over `trace.interior`, the band the
+residuals are reported on, as `details.identity_gaps`.
 """
 import contextlib
 import io
+import json
 
-import numpy as np
 import pytest
 
-from sspaceform import biharmonic, cli
-from sspaceform.manifold import component_sum, phi_frame
+from sspaceform import cli
 
 COMPONENTS = ("T", "V2", "V3", "V4", "phiT")
 
@@ -62,58 +62,36 @@ def csv_traces(tmp_path_factory):
     return paths
 
 
-def identity_gaps(source, tmp_path, monkeypatch, window=None) -> dict:
+def identity_gaps(source, tmp_path, window=None) -> dict:
     """Run `verify` on `source`; the largest gap of each identity over
-    the trace's interior."""
-    seen = {}
-    check_conditions = biharmonic.check_conditions
-
-    def spy(trace, fd, profile, f, eq_tol):
-        report = check_conditions(trace, fd, profile, f, eq_tol=eq_tol)
-        seen.update(trace=trace, fd=fd, f=f, report=report)
-        return report
-
-    monkeypatch.setattr(biharmonic, "check_conditions", spy)
+    the trace's interior, as its report gives them."""
     lines = ["[manifold]", "m = 2", "s = 2", "[curve]", f"source = {source}"]
     if window:
         lines.append(f"window = {window}")
     config = tmp_path / "identity.ini"
     config.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "identity.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run_verify(str(config)) == 0
-    trace, fd, report = seen["trace"], seen["fd"], seen["report"]
-    tau3 = biharmonic.tau3(fd, seen["f"]).field
-    T = fd.chain[0]
-    zeros = np.zeros(T.shape)
-    V2, V3, V4 = (fd.frames[j].T if j < fd.order else zeros for j in (1, 2, 3))
-    k1 = fd.padded_curvatures[0]
-    eq = report.per_sample
-
-    def g(U):
-        return component_sum(tau3 * U)
-
-    gaps = (g(T) + k1 ** 2 * eq["eq1"], g(V2) + k1 * eq["eq2"],
-            g(V3) - k1 * eq["eq3"], g(V4) - k1 * eq["eq4"],
-            g(phi_frame(trace.params, T)) - eq["gphiT"])
-    return {name: float(np.max(np.abs(gap[trace.interior])))
-            for name, gap in zip(COMPONENTS, gaps)}
+        assert cli.run_verify(str(config), report_path=str(report)) == 0
+    gaps = json.loads(report.read_text())["report"]["details"]["identity_gaps"]
+    assert tuple(gaps) == COMPONENTS
+    return gaps
 
 
 @pytest.mark.parametrize("name", list(MEASURED))
 def test_master_equations_are_the_components_of_tau3(name, csv_traces,
-                                                     tmp_path, monkeypatch):
+                                                     tmp_path):
     if name.startswith("csv:"):
         source = f"csv:{csv_traces[name.removeprefix('csv:')]}"
     else:
         source = f"builtin:{name}"
-    gaps = identity_gaps(source, tmp_path, monkeypatch)
+    gaps = identity_gaps(source, tmp_path)
     for component, measured in zip(COMPONENTS, MEASURED[name]):
         bound = FACTOR * measured if measured else ZERO_BOUND
         assert gaps[component] <= bound, (component, gaps[component], bound)
 
 
-def test_identity_separates_a_curve_that_is_not_slant(tmp_path, monkeypatch):
-    gaps = identity_gaps("builtin:r6-example", tmp_path, monkeypatch,
-                         window="-2:2")
+def test_identity_separates_a_curve_that_is_not_slant(tmp_path):
+    gaps = identity_gaps("builtin:r6-example", tmp_path, window="-2:2")
     for component, floor in zip(("V2", "V3", "V4"), NOT_SLANT_V234):
         assert gaps[component] > floor, (component, gaps[component], floor)

@@ -82,6 +82,11 @@ MUTANTS = [
      "its bottom"),
     ("K11", "csvformat.py", "| (d <= 10 ** 16) | (d >= 10 ** 17 - 2))",
      "| (d <= 10 ** 16))", "the CSV kernel's power-of-ten guard loses its top"),
+    ("K12", "biharmonic.py", "float(np.max(np.abs(gap[sl])))",
+     "float(np.max(np.abs(gap)))", "the identity gaps read the edge band"),
+    ("K13", "biharmonic.py", '"V2": largest(V2, k1 * per_sample["eq2"])',
+     '"V2": largest(V2, -k1 * per_sample["eq2"])',
+     "the V2 identity gap's sign"),
 ]
 
 
