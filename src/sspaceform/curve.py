@@ -273,18 +273,13 @@ class CurveTrace:
         return cls.from_positions(params, data[:, 0], data[:, 1:])
 
     def to_csv(self, path) -> None:
-        """Write t, the coordinates and the derivative columns.
-
-        `from_csv` only consumes the t/coordinate columns, so the
-        derivative columns are informational and round-trip safely.
-        """
-        coord_names = ([f"x{i+1}" for i in range(self.params.m)]
-                       + [f"y{i+1}" for i in range(self.params.m)]
-                       + [f"z{a+1}" for a in range(self.params.s)])
-        header = ["t"] + coord_names + [
-            f"d{k}_{name}" for k in range(1, self.depth + 1) for name in coord_names]
-        write_csv(path, header, [self.ts, *self.points.T,
-                                 *(c for d in self.derivs for c in d.T)])
+        """Write the columns t, x_1..x_m, y_1..y_m, z_1..z_s that `from_csv`
+        reads."""
+        m, s = self.params.m, self.params.s
+        header = (["t"] + [f"x{i+1}" for i in range(m)]
+                  + [f"y{i+1}" for i in range(m)]
+                  + [f"z{a+1}" for a in range(s)])
+        write_csv(path, header, [self.ts, *self.points.T])
 
     def tangent_frame(self) -> np.ndarray:
         """Frame components of the velocity, component-major: (2m+s, n).
@@ -480,7 +475,8 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
             above = raw_k[j][interior] >= threshold
             windows = _contiguous_windows(trace.ts[interior], above)
             degeneracy.append({"curvature_index": j + 1, "windows": windows})
-            order = j + 2  # keep it, but the report carries the split windows
+            # keep it; the windows stay on FrenetData and are not reported
+            order = j + 2
     for j in range(1, order):
         _align_signs(frames[j])
     kept = raw_k[:order - 1] if order > 1 else np.zeros((0, n))

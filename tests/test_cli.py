@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from sspaceform import cli, curve, odesol, synth
-from sspaceform.curve import MAX_SAMPLES, CurveTrace, frenet_apparatus, grid_samples
+from sspaceform.curve import (MAX_SAMPLES, CurveTrace, frenet_apparatus,
+                              grid_samples, write_csv)
 from sspaceform.manifold import ModelParams
 
 from conftest import csv_writer_bytes
@@ -191,6 +192,7 @@ def test_synth_writes_loadable_trace(tmp_path):
     code = cli.main(["synth", "--builtin", "circle", "--out", str(out),
                      "--window", "0:3", "--step", "1e-3"])
     assert code == cli.EXIT_OK
+    assert out.read_text().splitlines()[0] == "t,x1,x2,y1,y2,z1,z2"
     tr = CurveTrace.from_csv(ModelParams(2, 2), out)
     fd = frenet_apparatus(tr)
     assert fd.order == 2
@@ -1080,6 +1082,30 @@ verdict = proper-f-biharmonic
         == cli.EXIT_OK
     data = json.loads(rep.read_text())
     assert data["report"]["verdict"] == "proper-f-biharmonic"
+
+
+def test_verify_csv_ignores_extra_columns(tmp_path):
+    # a trace file may carry more columns than t and the coordinates, as
+    # derivative columns; csv: reads the same trace and the same verify CSV
+    trace = synth.case2_order3_curve(window=(-1.0, 1.0), step=1e-3)
+    narrow, wide = tmp_path / "narrow.csv", tmp_path / "wide.csv"
+    trace.to_csv(narrow)
+    header = narrow.read_text().splitlines()[0].split(",")
+    header += [f"d{k}_{name}" for k in range(1, trace.depth + 1)
+               for name in header[1:]]
+    write_csv(wide, header, [trace.ts, *trace.points.T,
+                             *(c for d in trace.derivs for c in d.T)])
+    loaded = [CurveTrace.from_csv(trace.params, p) for p in (narrow, wide)]
+    assert np.array_equal(loaded[1].ts, loaded[0].ts)
+    assert np.array_equal(loaded[1].points, loaded[0].points)
+    verify_csvs = []
+    for path in (narrow, wide):
+        cfg = write_config(tmp_path / f"{path.stem}.ini", "[manifold]\nm = 2\n"
+                           f"s = 2\n[curve]\nsource = csv:{path}\n")
+        out = tmp_path / f"{path.stem}-verify.csv"
+        assert cli.run_verify(cfg, csv_path=str(out)) == cli.EXIT_OK
+        verify_csvs.append(out.read_bytes())
+    assert verify_csvs[1] == verify_csvs[0]
 
 
 @pytest.mark.xfail(strict=True, reason="finite-difference noise of sampled "

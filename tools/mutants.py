@@ -87,6 +87,8 @@ MUTANTS = [
     ("K13", "biharmonic.py", '"V2": largest(V2, k1 * per_sample["eq2"])',
      '"V2": largest(V2, -k1 * per_sample["eq2"])',
      "the V2 identity gap's sign"),
+    ("K14", "curve.py", "usecols=range(ncols)", "usecols=None",
+     "read_csv parses every column of a wider file"),
 ]
 
 

@@ -13,8 +13,8 @@ depend on where the checkout lives:
 - `verify --report --csv` for catenary on -8:8, the bench's largest
   request: 16001 rows, many CSV blocks and 11 constant columns;
 - `synth --out` and `synth --verify --report` for r6-example (-0.5:0.5),
-  case2-order3, r6-steered and catenary (the trace writer with four
-  exact derivative blocks);
+  case2-order3, r6-steered and catenary (its x and z columns are
+  constant, which drives the trace writer's fixed-column path);
 - `ode --out` for case (iii) and for the nowhere-real case (i) and (ii)
   grids;
 - inputs the CLI must refuse with exit 2 or 3: a verify config whose
