@@ -19,11 +19,11 @@ The verdict comes from these five residuals; `classify_case` labels the
 case I-IV.  The checkers of each case's characterization are analyses
 on top of them, in `sspaceform.findings`.
 
-tau2 and tau3 come from the direct covariant route (exact chain +
-closed-form curvature tensor, in frame components).  On a slant curve
-the master equations are tau3's components along T, V2, V3, V4, phiT;
-`check_conditions` reports how far each identity is from holding.  The
-measured scalars k1, k2, k3 and their jet k1', k1'', k2' come from
+tau3 comes from the direct covariant route (exact chain + closed-form
+curvature tensor, in frame components); a constant f gives tau2.  On a
+slant curve the master equations are tau3's components along T, V2, V3,
+V4, phiT; `check_conditions` reports how far each identity is from
+holding.  The measured scalars k1, k2, k3 and their jet k1', k1'', k2' come from
 FrenetData, which differences them once per trace.
 The scalar core `mainprop_residuals` and `classify_case` take the
 constants c and s as floats, so they also run on hypothetical data
@@ -45,7 +45,6 @@ __all__ = [
     "BiharmonicReport",
     "mainprop_residuals",
     "Tension",
-    "tau2",
     "tau3",
     "check_conditions",
     "classify_case",
@@ -53,7 +52,7 @@ __all__ = [
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
 TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
-TAU_BLOCK = 4096            # samples per block of the tau2/tau3 fields
+TAU_BLOCK = 4096            # samples per block of the tau3 field
 
 
 @dataclass
@@ -155,25 +154,17 @@ class Tension:
     norm: np.ndarray
 
 
-def tau2(fd: FrenetData) -> Tension:
-    """Bitension field nabla_T^3 T - R(T, nabla_T T) T from the exact chain
-    and the closed-form curvature tensor.  A chain shorter than
-    TAU2_CHAIN_LEVELS raises ValueError."""
-    return _tension(fd, None)
-
-
 def tau3(fd: FrenetData, f: WeightFunction) -> Tension:
     """f-bitension field tau3 = tau2 + 2(f'/f) nabla^2 T + (f''/f) nabla T,
-    by the same route."""
-    return _tension(fd, f)
+    where tau2 = nabla_T^3 T - R(T, nabla_T T) T, from the exact chain and
+    the closed-form curvature tensor; a constant f gives tau2.
 
-
-def _tension(fd: FrenetData, f: WeightFunction | None) -> Tension:
-    """tau2 (f None) or tau3, TAU_BLOCK samples at a time: only the field
-    and its norm span the trace, the curvature term is a block's."""
+    TAU_BLOCK samples at a time: only the field and its norm span the
+    trace, the curvature term is a block's.  A chain shorter than
+    TAU2_CHAIN_LEVELS raises ValueError."""
     chain = fd.chain
     if len(chain) < TAU2_CHAIN_LEVELS:
-        raise ValueError(f"tau2 needs nabla_T^3 T, i.e. derivative depth >= "
+        raise ValueError(f"tau3 needs nabla_T^3 T, i.e. derivative depth >= "
                          f"{TAU2_CHAIN_LEVELS}; the trace has {len(chain)}")
     params = fd.params
     n = len(fd.ts)
@@ -185,9 +176,8 @@ def _tension(fd: FrenetData, f: WeightFunction | None) -> Tension:
         if field is None:   # after the first curvature term's temporaries
             field, norm = np.empty(chain[0].shape), np.empty(n)
         d = np.subtract(chain[3][:, b], R_term, out=field[:, b])
-        if f is not None:
-            d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
-            d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
+        d += 2.0 * (f.fp[b] / f.f[b]) * chain[2][:, b]
+        d += (f.fpp[b] / f.f[b]) * chain[1][:, b]
         np.sqrt(component_sum(d * d), out=norm[b])
     return Tension(field, norm)
 

@@ -173,9 +173,11 @@ class CurveTrace:
     it picks and records in `fd_stride`, and `from_positions` differences
     sampled positions with stride 1.  `interior` is the residual edge band
     that the stride sets.  `sampled` marks traces whose derivatives were
-    all differenced from positions; they get the looser unit-speed and
-    slant tolerances.  A non-finite value raises FloatingPointError naming
-    its row.
+    all differenced from positions; they get the looser unit-speed
+    tolerance of `frenet_apparatus`, and the looser slant tolerance of
+    `contact_angles` when its caller passes none (`verify` passes its
+    profile's).  A non-finite value raises FloatingPointError naming its
+    row.
     """
 
     params: ModelParams
@@ -339,7 +341,7 @@ def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
     Depth: with derivatives up to gamma^(d), the chain has d entries.
     Uses nabla_T W = W' + Phi(T, W) and the Leibniz rule
         (nabla_T W)^(j) = W^(j+1) + sum_i C(j,i) Phi(T^(i), W^(j-i)).
-    The levels are (2m+s, n) and read-only; FrenetData keeps them for tau2/tau3.
+    The levels are (2m+s, n) and read-only; FrenetData keeps them for tau3.
     """
     params = trace.params
     tjet = _frame_jet(trace)           # derivatives of T's frame components
@@ -367,6 +369,8 @@ def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
 # samples ignored at each window end by order detection and degeneracy
 # analysis: one-sided difference stencils of sampled traces are noisier there
 ORDER_EDGE_TRIM = 4
+# a curvature counts as zero where it is below this
+ORDER_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -380,8 +384,6 @@ class FrenetData:
     order: int
     frames: np.ndarray          # (order, n, dim) frame components of V_1..V_r
     curvatures: np.ndarray      # (order-1, n), k_1..k_{r-1}
-    threshold: float
-    raw_curvatures: np.ndarray  # (max_order-1, n) including sub-threshold ones
     chain: tuple                # covariant_chain(trace): (dim, n) read-only levels
     unit_speed_deviation: float  # max |g(T,T) - 1| over the trace
     degeneracy: list = field(default_factory=list)
@@ -410,19 +412,19 @@ class FrenetData:
         return jet
 
 
-def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
-                     threshold: float = 1e-6) -> FrenetData:
+def frenet_apparatus(trace: CurveTrace,
+                     max_order: int | None = None) -> FrenetData:
     """Gram-Schmidt Frenet apparatus from the exact covariant chain.
 
     k_i is extracted from the Gram-Schmidt residual norms of the chain
-    (r_j = k_1 k_2 ... k_j); the order r is the first index whose curvature
-    stays below `threshold` on the whole window.  Frames are sign-aligned
-    with the previous sample to prevent spurious flips.
-
-    Order detection and degeneracy analysis ignore ORDER_EDGE_TRIM samples
-    at each window end; the returned arrays still cover the full grid.  A
+    (r_j = k_1 k_2 ... k_j).  The order r is i for the first k_i whose
+    maximum over the interior is below ORDER_THRESHOLD, and max_order if
+    there is none; the interior drops ORDER_EDGE_TRIM samples at each
+    window end, and the returned arrays still cover the full grid.  A
     curvature that crosses the threshold mid-window is kept, and its
     above-threshold subwindows are recorded in FrenetData.degeneracy.
+    Frames are sign-aligned with the previous sample to prevent spurious
+    flips.
     """
     dev = unit_speed_check(trace)
     tol = 1e-5 if trace.sampled else 1e-8
@@ -460,34 +462,32 @@ def frenet_apparatus(trace: CurveTrace, max_order: int | None = None,
             raw_k[j] = np.where(prod > 0, resid[j] / prod, 0.0)
         prod = prod * raw_k[j]
 
-    # order detection: first curvature below threshold on the whole window
+    # order detection: first curvature below threshold on the whole interior
     trim = ORDER_EDGE_TRIM
     interior = slice(trim, n - trim) if n > 2 * trim else slice(None)
     order = max_order
     degeneracy = []
     for j in range(max_order - 1):
-        kmax = float(np.max(raw_k[j][interior]))
-        kmin = float(np.min(raw_k[j][interior]))
-        if kmax < threshold:
+        k = raw_k[j][interior]
+        kmax, kmin = float(np.max(k)), float(np.min(k))
+        if kmax < ORDER_THRESHOLD:
             order = j + 1
             break
-        if kmin < threshold <= kmax:
-            above = raw_k[j][interior] >= threshold
-            windows = _contiguous_windows(trace.ts[interior], above)
-            degeneracy.append({"curvature_index": j + 1, "windows": windows})
-            # keep it; the windows stay on FrenetData and are not reported
-            order = j + 2
+        if kmin < ORDER_THRESHOLD <= kmax:
+            # kept; the windows stay on FrenetData and are not reported
+            degeneracy.append({"curvature_index": j + 1, "windows":
+                               _contiguous_windows(trace.ts[interior],
+                                                   k >= ORDER_THRESHOLD)})
     for j in range(1, order):
         _align_signs(frames[j])
-    kept = raw_k[:order - 1] if order > 1 else np.zeros((0, n))
+    kept = raw_k[:order - 1]
     # drop the levels past the order in place: a view of the kept levels
     # would keep all max_order levels alive, and a copy would hold both.
     # No view of `frames` is read after this.
     if order < max_order:
         frames.resize((order, n, dim), refcheck=False)
     return FrenetData(params=trace.params, ts=trace.ts, step=trace.step,
-                      order=order, frames=frames, curvatures=kept,
-                      threshold=threshold, raw_curvatures=raw_k, chain=chain,
+                      order=order, frames=frames, curvatures=kept, chain=chain,
                       unit_speed_deviation=dev, degeneracy=degeneracy)
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .biharmonic import WeightFunction, check_conditions
-from .curve import (CurveTrace, FrenetData, _frame_jet, fd_derivative,
-                    frenet_apparatus)
+from .curve import (ORDER_THRESHOLD, CurveTrace, FrenetData, _frame_jet,
+                    fd_derivative, frenet_apparatus)
 from .manifold import ModelParams, connection_term, frame_to_coords, phi_frame
 from .odesol import OdeSolutionSpec, k1_closed_form, ode_residual
 from .slant import PhiTDecomposition, SlantProfile, contact_angles
@@ -356,7 +356,7 @@ def case4_checker(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     report["mu_ode_residual"] = float(np.max(np.abs(ode)))
     # cos w = -+ beta'/k2 where defined
     w = span_angle(dec, profile.a)[sl]
-    usable = k2 > max(1e-8, 10 * fd.threshold)
+    usable = k2 > 10 * ORDER_THRESHOLD
     if np.any(usable & (np.abs(np.sin(beta)) > 1e-8)):
         cosw = np.cos(w)
         mask = usable & np.isfinite(cosw)

@@ -13,14 +13,14 @@ import pytest
 import sympy as sp
 
 from sspaceform import cli, findings, odesol, synth
-from sspaceform.biharmonic import WeightFunction, check_conditions, tau2, tau3
+from sspaceform.biharmonic import WeightFunction, check_conditions, tau3
 from sspaceform.curve import fd_derivative, frenet_apparatus
 from sspaceform.manifold import ModelParams, curvature_frame, phi_frame
 from sspaceform.oracles import exact_model, nabla, structure_identities
 from sspaceform.slant import contact_angles
 
 from conftest import (curvature_evaluator, frame_gamma, is_zero, k1_case2,
-                      sampled_weight)
+                      rowmajor_covariant_chain, rowmajor_tau2, sampled_weight)
 
 
 def report(criterion, ok, detail=""):
@@ -254,10 +254,10 @@ def test_criterion_09_degeneration_properties(case2_curve, case2_fd,
     """Constant f: ||tau3 - tau2|| < 1e-10; geodesic: tau3 = 0; f_from_k1
     satisfies eq (1) < 1e-8 for 10 random positive profiles."""
     f_const = WeightFunction.constant(case2_curve.ts, 2.0)
-    t2 = tau2(case2_fd)
+    t2 = rowmajor_tau2(case2_fd, rowmajor_covariant_chain(case2_curve))
     t3 = tau3(case2_fd, f_const)
     const_dev = float(np.max(np.linalg.norm(
-        t3.field - t2.field, axis=0)))
+        t3.field.T - t2["field"], axis=1)))
 
     gfd = frenet_apparatus(geodesic)
     t3g = tau3(gfd, sampled_weight(geodesic.ts, 2.0 + np.sin(geodesic.ts)))

@@ -7,7 +7,7 @@ import pytest
 from sspaceform import biharmonic, findings, odesol, synth
 from sspaceform.biharmonic import (CASE_TOL, EQUATIONS, WeightFunction,
                                    check_conditions, classify_case,
-                                   mainprop_residuals, tau2, tau3)
+                                   mainprop_residuals, tau3)
 from sspaceform.curve import (CurveTrace, covariant_chain, fd_derivative,
                               frenet_apparatus)
 from sspaceform.findings import (case1_case2_checker, case3_obstruction,
@@ -59,7 +59,7 @@ def test_weight_refuses_non_finite_samples(catenary):
 
 def test_tau2_geodesic_vanishes(geodesic):
     fd = frenet_apparatus(geodesic)
-    out = tau2(fd)
+    out = tau3(fd, WeightFunction.constant(geodesic.ts))
     assert np.max(np.linalg.norm(out.field, axis=0)) < 1e-12
     rep = check_conditions(geodesic, fd, contact_angles(geodesic),
                            WeightFunction.constant(geodesic.ts))
@@ -70,7 +70,7 @@ def test_tau2_circle_closed_form(circle):
     # flat-slice circle: the curvature term R(T, nabla_T T)T vanishes and
     # tau2 = -k1^3 V2 exactly
     fd = frenet_apparatus(circle)
-    out = tau2(fd)
+    out = tau3(fd, WeightFunction.constant(circle.ts))
     k1 = fd.curvatures[0][:, None]
     expect = -k1 ** 3 * fd.frames[1]
     assert np.max(np.linalg.norm(out.field.T - expect, axis=1)) < 1e-10
@@ -81,13 +81,13 @@ def test_tau2_circle_closed_form(circle):
 
 def test_depth3_trace_has_no_tau2(catenary):
     # tau2 reads nabla_T^3 T, which needs gamma^(4): a depth-3 trace is
-    # refused by tau2 and check_conditions reports without tau3_norm
+    # refused by tau3 and check_conditions reports without tau3_norm
     trace = CurveTrace(catenary.params, catenary.ts, catenary.points,
                        catenary.derivs[:3])
     fd = frenet_apparatus(trace)
-    with pytest.raises(ValueError, match="depth"):
-        tau2(fd)
     f = odesol.f_from_k1(trace.ts, *k1_catenary(trace.ts), c1=1.0)
+    with pytest.raises(ValueError, match="depth"):
+        tau3(fd, f)
     rep = check_conditions(trace, fd, contact_angles(trace), f)
     assert rep.verdict == "proper-f-biharmonic"
     assert "tau3_norm" not in rep.residuals
@@ -97,9 +97,9 @@ def test_depth3_trace_has_no_tau2(catenary):
 
 def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):
     f = WeightFunction.constant(case2_curve.ts, 2.5)
-    t2 = tau2(case2_fd)
+    t2 = rowmajor_tau2(case2_fd, rowmajor_covariant_chain(case2_curve))
     t3 = tau3(case2_fd, f)
-    diff = np.linalg.norm(t3.field - t2.field, axis=0)
+    diff = np.linalg.norm(t3.field.T - t2["field"], axis=1)
     assert np.max(diff) < 1e-10
 
 
@@ -132,10 +132,11 @@ def test_tau3_geodesic_any_f(geodesic):
                                   "csv:r6-steered", "catenary-16001"])
 def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_path,
                                                           params22, monkeypatch):
-    # the component-major chain, curvature term, tau2 and tau3 against the
-    # row-major forms they replaced, down to the sign of every zero; the
-    # tension fields run in blocks of 1000 samples, the last one short, and
-    # the bench's largest verify in blocks of the production size
+    # the component-major chain, curvature term and tau3, at a constant
+    # and a varying f, against the row-major forms they replaced, down to
+    # the sign of every zero; the tension fields run in blocks of 1000
+    # samples, the last one short, and the bench's largest verify in blocks
+    # of the production size
     source = name.removeprefix("csv:")
     if source == "r6-example":
         trace, _ = synth.integrate_frenet_system(
@@ -159,8 +160,9 @@ def test_chain_and_tension_match_rowmajor_oracles_bitwise(name, request, tmp_pat
     assert trace.n > biharmonic.TAU_BLOCK
     fd = frenet_apparatus(trace)
     f = sampled_weight(trace.ts, 2.0 + np.sin(trace.ts))
-    t2, t3 = tau2(fd), tau3(fd, f)
-    ref2, ref3 = rowmajor_tau2(fd, want), rowmajor_tau3(fd, f, want)
+    const = WeightFunction.constant(trace.ts, 2.5)
+    t2, t3 = tau3(fd, const), tau3(fd, f)
+    ref2, ref3 = rowmajor_tau3(fd, const, want), rowmajor_tau3(fd, f, want)
     for got, ref in ((t2, ref2), (t3, ref3)):
         assert same_bits(got.field.T, ref["field"])
         assert same_bits(got.norm, ref["norm"])

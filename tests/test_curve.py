@@ -379,11 +379,14 @@ def test_from_csv_malformed(params22, tmp_path):
 # batched Frenet apparatus against the per-sample reference
 # ---------------------------------------------------------------------------
 
-def _frenet_oracle(trace, max_order=None, threshold=1e-6, edge_trim=4):
+def _frenet_oracle(trace, max_order=None, edge_trim=4):
     """Per-sample Gram-Schmidt and sequential sign pass (the reference).
 
-    Returns (frames, raw_curvatures, order, degeneracy, flips).
+    The order is that of the first curvature below the threshold on the
+    whole interior; one that crosses it is kept.  Returns (frames, raw_k,
+    order, degeneracy, flips), raw_k holding every measured curvature.
     """
+    threshold = curve.ORDER_THRESHOLD
     chain = covariant_chain(trace)
     if max_order is None:
         max_order = len(chain)
@@ -423,7 +426,6 @@ def _frenet_oracle(trace, max_order=None, threshold=1e-6, edge_trim=4):
             degeneracy.append({"curvature_index": j + 1, "windows":
                                _contiguous_windows(trace.ts[interior],
                                                    k >= threshold)})
-            order = j + 2
     flips = 0
     for j in range(1, order):
         for idx in range(1, n):
@@ -474,7 +476,7 @@ def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
     fd = frenet_apparatus(trace, max_order=max_order)
     assert fd.order == order
     assert np.array_equal(fd.frames, frames)
-    assert np.array_equal(fd.raw_curvatures, raw_k)
+    assert np.array_equal(fd.curvatures, raw_k[:order - 1])
     assert fd.degeneracy == degeneracy
     if name == "geodesic":
         assert order == 1 and np.all(raw_k[0] < 1e-13)
@@ -483,6 +485,39 @@ def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
     if name == "sign-flip":
         # the second block is flipped, the last one is not
         assert order == 3 and flips == 1000
+
+
+def _prescribed(curvatures, order):
+    """Trace of the prescribed curvatures on -1:1 at step 1e-3, from the
+    first `order` rows of the r6 example's admissible frame."""
+    cfg = synth.R6ExampleConfig()
+    frame0, p0 = cfg.initial_frame()
+    spec = synth.SynthesisSpec(params=cfg.params, p0=p0,
+                               frame0=frame0[:order], curvatures=curvatures,
+                               window=(-1.0, 1.0), step=1e-3)
+    return synth.integrate_frenet_system(spec)[0]
+
+
+def test_kept_crossing_curvature_does_not_end_the_order():
+    # k1 = t^2 + 5e-7 dips under the threshold at t = 0 and is kept; k2 and
+    # k3 stay near 1, so the order is still 4 and their frames are measured
+    trace = _prescribed([lambda t: t ** 2 + 5e-7, lambda t: 1.0,
+                         lambda t: 1.0], 4)
+    fd = frenet_apparatus(trace, max_order=4)
+    assert fd.order == 4 and fd.frames.shape[0] == 4
+    assert fd.degeneracy[0]["curvature_index"] == 1
+    interior = slice(curve.ORDER_EDGE_TRIM, -curve.ORDER_EDGE_TRIM)
+    assert np.min(fd.curvatures[1][interior]) > 0.99
+
+
+def test_small_constant_curvature_is_kept():
+    # a measured k2 of 2.7e-6..4.2e-6 (prescribed 3e-6) is above the zero
+    # threshold of the order rule, so the order is 3
+    trace = _prescribed([lambda t: 0.5, lambda t: 3e-6], 3)
+    fd = frenet_apparatus(trace, max_order=3)
+    assert fd.order == 3
+    interior = slice(curve.ORDER_EDGE_TRIM, -curve.ORDER_EDGE_TRIM)
+    assert np.max(fd.curvatures[1][interior]) < 1e-5
 
 
 # ---------------------------------------------------------------------------

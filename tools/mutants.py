@@ -89,6 +89,11 @@ MUTANTS = [
      "the V2 identity gap's sign"),
     ("K14", "curve.py", "usecols=range(ncols)", "usecols=None",
      "read_csv parses every column of a wider file"),
+    ("K15", "curve.py", '"curvature_index": j + 1, "windows":',
+     '"curvature_index": (order := j + 2) - 1, "windows":',
+     "a curvature that crosses the threshold ends the order"),
+    ("K16", "curve.py", "ORDER_THRESHOLD = 1e-6", "ORDER_THRESHOLD = 1e-5",
+     "the Frenet order threshold 1e-6 -> 1e-5"),
 ]
 
 
