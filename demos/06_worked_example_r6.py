@@ -64,7 +64,7 @@ print("4. The order-4 prescribed synthesis drifts off slant")
 print("=" * 72)
 spec = cfg.synthesis_spec(window=(-2.0, 2.0), step=1e-3)
 trace, _ = synth.integrate_frenet_system(spec)
-fd = frenet_apparatus(trace, max_order=4)
+fd = frenet_apparatus(trace)
 prof = contact_angles(trace, tolerance=1e-5)
 etas = trace.tangent_frame()[4:].T
 k1_rel = np.max(np.abs(fd.curvatures[0] - cfg.k1(trace.ts)) / cfg.k1(trace.ts))

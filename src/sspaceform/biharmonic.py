@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 PROPER_F_VARIATION = 1e-8   # f counts as non-constant above this rel. variation
-TAU2_CHAIN_LEVELS = 4       # tau2 reads nabla_T^3 T: derivatives to gamma^(4)
+TAU3_CHAIN_LEVELS = 4       # tau3 reads nabla_T^3 T: derivatives to gamma^(4)
 TAU_BLOCK = 4096            # samples per block of the tau3 field
 
 
@@ -161,11 +161,11 @@ def tau3(fd: FrenetData, f: WeightFunction) -> Tension:
 
     TAU_BLOCK samples at a time: only the field and its norm span the
     trace, the curvature term is a block's.  A chain shorter than
-    TAU2_CHAIN_LEVELS raises ValueError."""
+    TAU3_CHAIN_LEVELS raises ValueError."""
     chain = fd.chain
-    if len(chain) < TAU2_CHAIN_LEVELS:
+    if len(chain) < TAU3_CHAIN_LEVELS:
         raise ValueError(f"tau3 needs nabla_T^3 T, i.e. derivative depth >= "
-                         f"{TAU2_CHAIN_LEVELS}; the trace has {len(chain)}")
+                         f"{TAU3_CHAIN_LEVELS}; the trace has {len(chain)}")
     params = fd.params
     n = len(fd.ts)
     field = norm = None
@@ -199,7 +199,7 @@ class BiharmonicReport:
     details: dict = field(default_factory=dict)
     # arrays behind the maxima, left out of as_dict(): eq1..eq4, gphiT
     # (eq1-eq3 and gphiT NaN at exactly the samples where k1 <= 0) and
-    # tau3_norm (NaN when tau3 is not computed)
+    # tau3_norm
     per_sample: dict = field(default_factory=dict, repr=False)
     decomposition: PhiTDecomposition | None = field(default=None, repr=False)
 
@@ -228,29 +228,27 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     A geodesic (k1 below threshold everywhere) is 'harmonic/geodesic'.
     Residuals are maxed over `trace.interior`, which drops the
     finite-difference edge band of the measured curvatures at each end
-    (`CurveTrace.interior`).  tau3_norm is reported only when the chain
-    reaches TAU2_CHAIN_LEVELS, and with it, unless the verdict is
+    (`CurveTrace.interior`).  Every report carries tau3_norm (`tau3`
+    refuses a trace without gamma^(4)) and, unless the verdict is
     'harmonic/geodesic', details['identity_gaps'], the maxima over the
     same rows of |g(tau3,T) + k1^2 eq1|, |g(tau3,V2) + k1 eq2|, |g(tau3,V3)
     - k1 eq3|, |g(tau3,V4) - k1 eq4| and |g(tau3,phiT) - gphiT| (0 if slant).
     """
     params = trace.params
-    n = trace.n
     k1, k2, k3 = fd.padded_curvatures
     dec = phiT_decomposition(trace, fd, profile) if fd.order >= 2 else None
-    zeros = np.zeros(n)
+    zeros = np.zeros(trace.n)
     p2, p3, p4 = (dec.p2, dec.p3, dec.p4) if dec else (zeros, zeros, zeros)
     out_of_span = dec.phiT_norm2 - (p2 ** 2 + p3 ** 2 + p4 ** 2) if dec else None
     per_sample = mainprop_residuals(params.c, params.s, np.where(k1 > 0, k1, np.nan),
                                     k2, k3, p2, p3, p4, f, profile.a, profile.b,
                                     *fd.curvature_jet, extra_gphiT=out_of_span)
-    t3 = tau3(fd, f) if len(fd.chain) >= TAU2_CHAIN_LEVELS else None
-    per_sample["tau3_norm"] = np.full(n, np.nan) if t3 is None else t3.norm
+    t3 = tau3(fd, f)
+    per_sample["tau3_norm"] = t3.norm
 
     if fd.order == 1 or np.max(k1) < GEODESIC_K1:
         residuals = dict.fromkeys(EQUATIONS, 0.0)
-        if t3 is not None:
-            residuals["tau3_norm"] = float(np.max(t3.norm))
+        residuals["tau3_norm"] = float(np.max(t3.norm))
         return BiharmonicReport(residuals=residuals, case="degenerate",
                                 verdict="harmonic/geodesic",
                                 tolerances={"eq_tol": eq_tol},
@@ -263,22 +261,20 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     case = classify_case(dec, profile, params.c, params.s)
     details = {"case_detail": case[1], "slant": profile.is_slant,
                "order": fd.order}
-    if t3 is not None:
-        residuals["tau3_norm"] = float(np.max(t3.norm[sl]))
-        # the master equations are tau3's components; frames past r are zero
-        def largest(U, term):   # of |g(tau3, U) + term| over the interior
-            gap = component_sum(t3.field * U) + term
-            return float(np.max(np.abs(gap[sl])))
+    residuals["tau3_norm"] = float(np.max(t3.norm[sl]))
+    # the master equations are tau3's components; frames past r are zero
+    def largest(U, term):   # of |g(tau3, U) + term| over the interior
+        gap = component_sum(t3.field * U) + term
+        return float(np.max(np.abs(gap[sl])))
 
-        T = fd.chain[0]
-        V2, V3, V4 = (fd.frames[j].T if j < fd.order else 0.0
-                      for j in (1, 2, 3))
-        details["identity_gaps"] = {
-            "T": largest(T, k1 ** 2 * per_sample["eq1"]),
-            "V2": largest(V2, k1 * per_sample["eq2"]),
-            "V3": largest(V3, -k1 * per_sample["eq3"]),
-            "V4": largest(V4, -k1 * per_sample["eq4"]),
-            "phiT": largest(phi_frame(params, T), -per_sample["gphiT"])}
+    T = fd.chain[0]
+    V2, V3, V4 = (fd.frames[j].T if j < fd.order else 0.0 for j in (1, 2, 3))
+    details["identity_gaps"] = {
+        "T": largest(T, k1 ** 2 * per_sample["eq1"]),
+        "V2": largest(V2, k1 * per_sample["eq2"]),
+        "V3": largest(V3, -k1 * per_sample["eq3"]),
+        "V4": largest(V4, -k1 * per_sample["eq4"]),
+        "phiT": largest(phi_frame(params, T), -per_sample["gphiT"])}
 
     ok = all(residuals[k] < eq_tol for k in EQUATIONS)
     if not profile.is_slant:

@@ -190,7 +190,7 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
         if (params.m, params.s) != (2, 2):
             raise ConfigError("case2-order3 is defined for m = 2, s = 2")
         return synth.case2_order3_curve(window=window, step=step), \
-            lambda t: 1.0 / (2.0 + t ** 2)
+            synth.case2_order3_k1
     cfg = synth.R6ExampleConfig()
     if (params.m, params.s) != (2, 2):
         raise ConfigError("the r6 examples are defined for m = 2, s = 2")
@@ -414,6 +414,8 @@ def _write_verify_csv(path, trace, fd, profile, report) -> None:
 @_exit_policy
 def run_synth(builtin: str, out_path: str, window: str | None, step: float,
               verify: bool, report_path=None) -> int:
+    if report_path and not verify:
+        raise ConfigError("synth --report needs --verify")
     cp = configparser.ConfigParser()
     cp.add_section("manifold")
     cp.set("manifold", "m", "2")

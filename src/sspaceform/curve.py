@@ -412,14 +412,14 @@ class FrenetData:
         return jet
 
 
-def frenet_apparatus(trace: CurveTrace,
-                     max_order: int | None = None) -> FrenetData:
+def frenet_apparatus(trace: CurveTrace) -> FrenetData:
     """Gram-Schmidt Frenet apparatus from the exact covariant chain.
 
-    k_i is extracted from the Gram-Schmidt residual norms of the chain
-    (r_j = k_1 k_2 ... k_j).  The order r is i for the first k_i whose
-    maximum over the interior is below ORDER_THRESHOLD, and max_order if
-    there is none; the interior drops ORDER_EDGE_TRIM samples at each
+    k_i is extracted from the Gram-Schmidt residual norms of the first
+    min(depth, 2m+s) chain levels (r_j = k_1 k_2 ... k_j), so the trace's
+    derivative depth caps the order.  The order r is i for the first k_i
+    whose maximum over the interior is below ORDER_THRESHOLD, and the cap
+    if there is none; the interior drops ORDER_EDGE_TRIM samples at each
     window end, and the returned arrays still cover the full grid.  A
     curvature that crosses the threshold mid-window is kept, and its
     above-threshold subwindows are recorded in FrenetData.degeneracy.
@@ -432,19 +432,16 @@ def frenet_apparatus(trace: CurveTrace,
         raise ValueError(f"trace is not unit speed: max |g(T,T)-1| = {dev:.3e}")
 
     chain = covariant_chain(trace)
-    if max_order is None:
-        max_order = len(chain)
-    max_order = min(max_order, len(chain), trace.params.dim)
-    n = trace.n
-    dim = trace.params.dim
+    n, dim = trace.n, trace.params.dim
+    levels = min(len(chain), dim)
 
     # modified Gram-Schmidt, one chain level at a time over all samples; a
     # sample whose residual norm falls below 1e-13 keeps zero frames and
     # zero residuals from the next level on
-    frames = np.zeros((max_order, n, dim))
-    resid = np.zeros((max(max_order - 1, 0), n))
+    frames = np.zeros((levels, n, dim))
+    resid = np.zeros((levels - 1, n))
     live = np.ones(n, dtype=bool)
-    for j in range(max_order):
+    for j in range(levels):
         v = chain[j].T.copy()
         for b in frames[:j]:
             v -= np.vecdot(v, b)[:, None] * b
@@ -457,7 +454,7 @@ def frenet_apparatus(trace: CurveTrace,
     # curvatures from residual ratios
     raw_k = np.zeros_like(resid)
     prod = np.ones(n)
-    for j in range(max_order - 1):
+    for j in range(levels - 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             raw_k[j] = np.where(prod > 0, resid[j] / prod, 0.0)
         prod = prod * raw_k[j]
@@ -465,9 +462,9 @@ def frenet_apparatus(trace: CurveTrace,
     # order detection: first curvature below threshold on the whole interior
     trim = ORDER_EDGE_TRIM
     interior = slice(trim, n - trim) if n > 2 * trim else slice(None)
-    order = max_order
+    order = levels
     degeneracy = []
-    for j in range(max_order - 1):
+    for j in range(levels - 1):
         k = raw_k[j][interior]
         kmax, kmin = float(np.max(k)), float(np.min(k))
         if kmax < ORDER_THRESHOLD:
@@ -482,9 +479,9 @@ def frenet_apparatus(trace: CurveTrace,
         _align_signs(frames[j])
     kept = raw_k[:order - 1]
     # drop the levels past the order in place: a view of the kept levels
-    # would keep all max_order levels alive, and a copy would hold both.
+    # would keep every level alive, and a copy would hold both.
     # No view of `frames` is read after this.
-    if order < max_order:
+    if order < levels:
         frames.resize((order, n, dim), refcheck=False)
     return FrenetData(params=trace.params, ts=trace.ts, step=trace.step,
                       order=order, frames=frames, curvatures=kept, chain=chain,

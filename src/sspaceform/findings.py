@@ -114,7 +114,7 @@ def r6_example_realizability(step: float = 1e-3) -> dict:
     branches = {}
     for branch in (+1, -1):
         trace = cfg.steering_trace(step=step, branch=branch)
-        fd = frenet_apparatus(trace, max_order=5)
+        fd = frenet_apparatus(trace)
         prof = contact_angles(trace)
         k1, k2, k3 = fd.padded_curvatures
         sl = slice(10, trace.n - 10)

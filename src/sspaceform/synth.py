@@ -50,6 +50,7 @@ __all__ = [
     "geodesic_trace",
     "flat_circle_trace",
     "legendre_catenary",
+    "case2_order3_k1",
     "case2_order3_curve",
     "R6ExampleConfig",
 ]
@@ -456,19 +457,22 @@ def legendre_catenary(params: ModelParams, window=(-2.0, 2.0),
     return CurveTrace(params, ts, points, [d1, d2, d3, d4])
 
 
+def case2_order3_k1(t):
+    """k1 of `case2_order3_curve`: 4 c3/(c3^2 t^2 + 16 c2^2 + 16) from the
+    eps = 0 closed-form family at c2 = 1, c3 = 4, i.e. 1/(2+t^2)."""
+    return 16.0 / (16.0 * t ** 2 + 32.0)
+
+
 def case2_order3_curve(window=(-2.0, 2.0), step: float = 1e-3) -> CurveTrace:
     """Order-3 proper f-biharmonic slant curve in R^6(-6), global in t.
 
     Contact angles (pi/3, 2pi/3) give a = 1/2, b = 0; with c2 = 1 =
-    sqrt(a/(1-a)) and p2 = 0 the steering radicand vanishes identically and
-    the third curvature vanishes, so the master equations hold with
-    f = c1 k1^(-3/2) for any k1 in the eps = 0 closed-form family; here
-    k1 = 4 c3/(c3^2 t^2 + 16 c2^2 + 16) = 1/(2+t^2) with c2 = 1, c3 = 4.
+    sqrt(a/(1-a)) and p2 = 0 the steering radicand and the third curvature
+    vanish identically, so the master equations hold with f = c1 k1^(-3/2)
+    for any k1 in the eps = 0 closed-form family, here `case2_order3_k1`.
     """
     params = ModelParams(m=2, s=2)
-    c3 = 4.0
-    k1 = lambda t: 4.0 * c3 / (c3 ** 2 * t ** 2 + 32.0)
-    return steered_slant_curve(params, (np.pi / 3, 2 * np.pi / 3), k1,
+    return steered_slant_curve(params, (np.pi / 3, 2 * np.pi / 3), case2_order3_k1,
                                p2=0.0, c2=1.0, window=window, step=step)
 
 
@@ -549,7 +553,7 @@ class R6ExampleConfig:
         small = steered_slant_curve(self.params, self.thetas, self.k1,
                                     p2=self.p2, c2=self.c2,
                                     window=(-0.02, 0.02), step=1e-4)
-        fd = frenet_apparatus(small, max_order=4)
+        fd = frenet_apparatus(small)
         i0 = small.n // 2
         frame = np.array([fd.frames[j][i0] for j in range(4)])
         _orthonormalize(frame)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 from math import comb
 
@@ -71,7 +72,8 @@ def r6_steered(r6_config):
 
 @pytest.fixture(scope="session")
 def r6_steered_fd(r6_steered):
-    return frenet_apparatus(r6_steered, max_order=4)
+    return frenet_apparatus(dataclasses.replace(r6_steered,
+                                                derivs=r6_steered.derivs[:4]))
 
 
 def k1_case2(ts):

@@ -80,19 +80,16 @@ def test_tau2_circle_closed_form(circle):
 
 
 def test_depth3_trace_has_no_tau2(catenary):
-    # tau2 reads nabla_T^3 T, which needs gamma^(4): a depth-3 trace is
-    # refused by tau3 and check_conditions reports without tau3_norm
+    # tau2 reads nabla_T^3 T, which needs gamma^(4): tau3 refuses a
+    # depth-3 trace, and so does check_conditions, which always runs it
     trace = CurveTrace(catenary.params, catenary.ts, catenary.points,
                        catenary.derivs[:3])
     fd = frenet_apparatus(trace)
     f = odesol.f_from_k1(trace.ts, *k1_catenary(trace.ts), c1=1.0)
     with pytest.raises(ValueError, match="depth"):
         tau3(fd, f)
-    rep = check_conditions(trace, fd, contact_angles(trace), f)
-    assert rep.verdict == "proper-f-biharmonic"
-    assert "tau3_norm" not in rep.residuals
-    assert "identity_gaps" not in rep.details
-    assert np.all(np.isnan(rep.per_sample["tau3_norm"]))
+    with pytest.raises(ValueError, match="depth"):
+        check_conditions(trace, fd, contact_angles(trace), f)
 
 
 def test_tau3_constant_f_equals_tau2(case2_curve, case2_fd, case2_profile):

@@ -239,6 +239,17 @@ def test_synth_verify_checks_tolerances_before_writing(tmp_path,
     assert out.exists()
 
 
+def test_synth_report_without_verify_exit_2(tmp_path, capsys):
+    # the report used to be dropped: exit 0 with only the trace written
+    out, report = tmp_path / "syn.csv", tmp_path / "syn.json"
+    assert cli.main(["synth", "--builtin", "catenary", "--window=-1:1",
+                     "--out", str(out), "--report", str(report)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert not out.exists() and not report.exists()
+
+
 def test_synth_unknown_builtin(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["synth", "--builtin", "moebius",

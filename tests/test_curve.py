@@ -1,4 +1,5 @@
 """Curve traces, covariant chains and the Frenet apparatus."""
+import dataclasses
 import decimal
 import fractions
 import math
@@ -379,24 +380,23 @@ def test_from_csv_malformed(params22, tmp_path):
 # batched Frenet apparatus against the per-sample reference
 # ---------------------------------------------------------------------------
 
-def _frenet_oracle(trace, max_order=None, edge_trim=4):
+def _frenet_oracle(trace, edge_trim=4):
     """Per-sample Gram-Schmidt and sequential sign pass (the reference).
 
-    The order is that of the first curvature below the threshold on the
-    whole interior; one that crosses it is kept.  Returns (frames, raw_k,
-    order, degeneracy, flips), raw_k holding every measured curvature.
+    At most min(depth, 2m+s) levels; the order is that of the first
+    curvature below the threshold on the whole interior, and one that
+    crosses it is kept.  Returns (frames, raw_k, order, degeneracy, flips),
+    raw_k holding every measured curvature.
     """
     threshold = curve.ORDER_THRESHOLD
     chain = covariant_chain(trace)
-    if max_order is None:
-        max_order = len(chain)
-    max_order = min(max_order, len(chain), trace.params.dim)
+    levels = min(trace.depth, trace.params.dim)
     n, dim = trace.n, trace.params.dim
-    frames = np.zeros((max_order, n, dim))
-    resid = np.zeros((max_order - 1, n)) if max_order > 1 else np.zeros((0, n))
+    frames = np.zeros((levels, n, dim))
+    resid = np.zeros((levels - 1, n)) if levels > 1 else np.zeros((0, n))
     for idx in range(n):
         basis = []
-        for j in range(max_order):
+        for j in range(levels):
             v = chain[j][:, idx].copy()
             for b in basis:
                 v -= np.dot(v, b) * b
@@ -410,14 +410,14 @@ def _frenet_oracle(trace, max_order=None, edge_trim=4):
             frames[j, idx] = b
     raw_k = np.zeros_like(resid)
     prod = np.ones(n)
-    for j in range(max_order - 1):
+    for j in range(levels - 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             raw_k[j] = np.where(prod > 0, resid[j] / prod, 0.0)
         prod = prod * raw_k[j]
     interior = slice(edge_trim, n - edge_trim)
-    order = max_order
+    order = levels
     degeneracy = []
-    for j in range(max_order - 1):
+    for j in range(levels - 1):
         k = raw_k[j][interior]
         if np.max(k) < threshold:
             order = j + 1
@@ -456,15 +456,15 @@ def _spliced_case2(cs, geodesic_rows):
 
 @pytest.mark.parametrize("name", ["geodesic", "circle", "catenary",
                                   "case2-order3", "csv:case2-order3",
-                                  "case2-order3 max_order=2", "sign-flip"])
+                                  "case2-order3 depth 2", "sign-flip"])
 def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
-    max_order = None
     if name == "csv:case2-order3":
         path = tmp_path / "case2.csv"
         request.getfixturevalue("case2_curve").to_csv(path)
         trace = CurveTrace.from_csv(params22, path)
-    elif name == "case2-order3 max_order=2":
-        trace, max_order = request.getfixturevalue("case2_curve"), 2
+    elif name == "case2-order3 depth 2":
+        case2 = request.getfixturevalue("case2_curve")
+        trace = dataclasses.replace(case2, derivs=case2.derivs[:2])
     elif name == "sign-flip":
         trace = _spliced_case2(
             request.getfixturevalue("case2_curve"),
@@ -472,8 +472,8 @@ def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
     else:
         trace = request.getfixturevalue(
             {"case2-order3": "case2_curve"}.get(name, name))
-    frames, raw_k, order, degeneracy, flips = _frenet_oracle(trace, max_order)
-    fd = frenet_apparatus(trace, max_order=max_order)
+    frames, raw_k, order, degeneracy, flips = _frenet_oracle(trace)
+    fd = frenet_apparatus(trace)
     assert fd.order == order
     assert np.array_equal(fd.frames, frames)
     assert np.array_equal(fd.curvatures, raw_k[:order - 1])
@@ -489,13 +489,15 @@ def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
 
 def _prescribed(curvatures, order):
     """Trace of the prescribed curvatures on -1:1 at step 1e-3, from the
-    first `order` rows of the r6 example's admissible frame."""
+    first `order` rows of the r6 example's admissible frame, down to
+    gamma^(order), so that its Frenet order is at most `order`."""
     cfg = synth.R6ExampleConfig()
     frame0, p0 = cfg.initial_frame()
     spec = synth.SynthesisSpec(params=cfg.params, p0=p0,
                                frame0=frame0[:order], curvatures=curvatures,
                                window=(-1.0, 1.0), step=1e-3)
-    return synth.integrate_frenet_system(spec)[0]
+    trace = synth.integrate_frenet_system(spec)[0]
+    return dataclasses.replace(trace, derivs=trace.derivs[:order])
 
 
 def test_kept_crossing_curvature_does_not_end_the_order():
@@ -503,7 +505,7 @@ def test_kept_crossing_curvature_does_not_end_the_order():
     # k3 stay near 1, so the order is still 4 and their frames are measured
     trace = _prescribed([lambda t: t ** 2 + 5e-7, lambda t: 1.0,
                          lambda t: 1.0], 4)
-    fd = frenet_apparatus(trace, max_order=4)
+    fd = frenet_apparatus(trace)
     assert fd.order == 4 and fd.frames.shape[0] == 4
     assert fd.degeneracy[0]["curvature_index"] == 1
     interior = slice(curve.ORDER_EDGE_TRIM, -curve.ORDER_EDGE_TRIM)
@@ -514,7 +516,7 @@ def test_small_constant_curvature_is_kept():
     # a measured k2 of 2.7e-6..4.2e-6 (prescribed 3e-6) is above the zero
     # threshold of the order rule, so the order is 3
     trace = _prescribed([lambda t: 0.5, lambda t: 3e-6], 3)
-    fd = frenet_apparatus(trace, max_order=3)
+    fd = frenet_apparatus(trace)
     assert fd.order == 3
     interior = slice(curve.ORDER_EDGE_TRIM, -curve.ORDER_EDGE_TRIM)
     assert np.max(fd.curvatures[1][interior]) < 1e-5

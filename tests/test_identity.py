@@ -12,15 +12,21 @@ decomposition.  Along the measured frame the two routes agree:
 so each term of the master equations is pinned without a golden file.
 The traces run through the whole `verify` pipeline, whose report gives
 the largest gap of each identity over `trace.interior`, the band the
-residuals are reported on, as `details.identity_gaps`.
+residuals are reported on, as `details.identity_gaps`.  A term too
+small on every slant trace to move a gap (k2' p3 in gphiT: a constant
+p2 forces p3 = p2'/k2 = 0) is pinned against a sympy derivation from the
+Frenet equations instead.
 """
 import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
+import sympy as sp
 
 from sspaceform import cli
+from sspaceform.biharmonic import WeightFunction, mainprop_residuals
 
 COMPONENTS = ("T", "V2", "V3", "V4", "phiT")
 
@@ -95,3 +101,54 @@ def test_identity_separates_a_curve_that_is_not_slant(tmp_path):
     gaps = identity_gaps("builtin:r6-example", tmp_path, window="-2:2")
     for component, floor in zip(("V2", "V3", "V4"), NOT_SLANT_V234):
         assert gaps[component] > floor, (component, gaps[component], floor)
+
+
+def frenet_expansion_of_tau3_terms():
+    """V2, V3, V4 coefficients of nabla^3 T + 2 (f'/f) nabla^2 T +
+    (f''/f) nabla T, derived in sympy from the Frenet equations alone:
+    nabla T = k1 V2, nabla V_i = -k_{i-1} V_{i-1} + k_i V_{i+1}."""
+    t = sp.Symbol("t")
+    k = [sp.Function(f"k{i}")(t) for i in range(1, 5)]
+    f = sp.Function("f")(t)
+
+    def nabla(w):   # w: coefficients along T, V2, .., V5
+        out = [sp.diff(c, t) for c in w]
+        for i, c in enumerate(w[:-1]):
+            out[i + 1] += k[i] * c
+            if i:
+                out[i - 1] -= k[i - 1] * c
+        return out
+
+    d1 = nabla([1, 0, 0, 0, 0])
+    d2 = nabla(d1)
+    d3 = nabla(d2)
+    field = [a + 2 * sp.diff(f, t) / f * b + sp.diff(f, t, 2) / f * c
+             for a, b, c in zip(d3, d2, d1)]
+    names = sp.symbols("k1 k1p k1pp k2 k2p k3 f fp fpp")
+    jet = {sp.diff(k[0], t, 2): names[2], sp.diff(k[0], t): names[1],
+           sp.diff(k[1], t): names[4], sp.diff(f, t, 2): names[8],
+           sp.diff(f, t): names[7], k[0]: names[0], k[1]: names[3],
+           k[2]: names[5], f: names[6]}
+    assert sp.expand(field[4]) == 0    # V5 needs nabla^4 T
+    return [sp.lambdify(names, sp.expand(field[i].subs(jet)))
+            for i in (1, 2, 3)]
+
+
+def test_condition5_frenet_terms_match_the_derivation():
+    # with the hypothetical c = s, a = 1, b = 0 the curvature terms of
+    # gphiT vanish (cf = 0 and a zero bracket), so gphiT is the derived
+    # coefficient along V_j times p_j; one unit p_j isolates each V_j
+    rng = np.random.default_rng(5)
+    n = 200
+    k1, k1p, k1pp, k2, k2p, k3, fp, fpp = rng.uniform(-2.0, 2.0, (8, n))
+    k1 = np.abs(k1) + 0.1
+    f = rng.uniform(0.5, 2.0, n)
+    weight = WeightFunction(ts=np.arange(n, dtype=float), f=f, fp=fp, fpp=fpp)
+    derived = frenet_expansion_of_tau3_terms()
+    unit = np.eye(3)
+    for j, coef in enumerate(derived):
+        p2, p3, p4 = (np.full(n, u) for u in unit[j])
+        got = mainprop_residuals(2.0, 2.0, k1, k2, k3, p2, p3, p4, weight,
+                                 1.0, 0.0, k1p, k1pp, k2p)["gphiT"]
+        want = coef(k1, k1p, k1pp, k2, k2p, k3, f, fp, fpp)
+        assert np.max(np.abs(got - want)) < 1e-12, f"V{j + 2}"

@@ -94,6 +94,9 @@ MUTANTS = [
      "a curvature that crosses the threshold ends the order"),
     ("K16", "curve.py", "ORDER_THRESHOLD = 1e-6", "ORDER_THRESHOLD = 1e-5",
      "the Frenet order threshold 1e-6 -> 1e-5"),
+    ("K17", "curve.py", "levels = min(len(chain), dim)",
+     "levels = min(len(chain) - 1, dim)",
+     "the trace's depth caps the Frenet order one level lower"),
 ]
 
 

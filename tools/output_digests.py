@@ -1,5 +1,5 @@
-"""One sha256 per output file of the sspaceform CLI and per demo stdout,
-optionally against a parent.
+"""One sha256 per output file of the sspaceform CLI and per stdout and
+stderr of each command and demo, optionally against a parent.
 
     python3 tools/output_digests.py [--parent REV]
 
@@ -22,8 +22,8 @@ depend on where the checkout lives:
   one that repeats an option, one whose `[weight] csv` holds a nan, an
   unknown `--expect` verdict, an output path in a directory that does not
   exist for `verify --report`, `verify --csv`, `synth --out` and
-  `ode --out`, and two `ode` runs whose residual is not below the
-  tolerance.
+  `ode --out`, two `ode` runs whose residual is not below the
+  tolerance, and `synth --report` without `--verify`.
 
 Then it runs ORACLE, a `python -c` command that writes the RK4 oracle's
 ts, y, y' and first integral, and its truncation, for the bench's four
@@ -31,13 +31,16 @@ case (iii) requests (160,001 points each) and for one run that blows up,
 one file per run.  Then it runs each `demos/*.py` of the checkout in the
 same directory and with the same PYTHONPATH.
 
-It prints one line per file, `<sha256>  <file>`, one line per demo,
-`<sha256>  <demo> stdout`, and one line per command or demo,
-`<exit code>  exit <arguments>`, `<exit code>  exit oracle` or
-`<exit code>  exit <demo>`.  With
-`--parent REV` it runs the same commands, and the demos of REV, on a
-`git archive` of REV extracted into a temporary directory, prints the
-lines that differ and exits 1 if any file, demo stdout or exit code does.
+It prints one line per file, `<sha256>  <file>`, and three lines per
+command, oracle run or demo: `<sha256>  <label> stdout`, `<sha256>
+<label> stderr` and `<exit code>  exit <label>`, where the label is the
+command's arguments, `oracle` or the demo's file name.  Before hashing,
+every occurrence of the checkout's absolute path in stdout or stderr is
+replaced by `<checkout>`, so a warning that names a source file hashes
+the same in any checkout.  With `--parent REV` it runs the same
+commands, and the demos of REV, on a `git archive` of REV extracted into
+a temporary directory, prints the lines that differ and exits 1 if any
+file, stream or exit code does.
 """
 from __future__ import annotations
 
@@ -145,13 +148,15 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
         catenary + ["--report", UNWRITABLE],
         catenary + ["--report", "refuse-csv.json", "--csv", UNWRITABLE],
         ["synth", "--builtin", "catenary", "--out", UNWRITABLE],
-        ["ode", *ODE["iii"], "--out", UNWRITABLE])]
+        ["ode", *ODE["iii"], "--out", UNWRITABLE],
+        ["synth", "--builtin", "catenary", "--out", "refuse-report.csv",
+         "--report", "refuse-report.json"])]
     return out
 
 
 def digests(root: str) -> dict[str, str]:
     """Run every command and every demo of `root` with `root`/src first on
-    PYTHONPATH; return one line per output file and demo stdout (its
+    PYTHONPATH; return one line per output file, stdout and stderr (its
     sha256) and per command and demo (its exit code)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -159,26 +164,25 @@ def digests(root: str) -> dict[str, str]:
         + [p for p in [env.get("PYTHONPATH")] if p])
     result = {}
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
+        def run(label, argv):
+            proc = subprocess.run(argv, cwd=work, env=env,
+                                  capture_output=True, timeout=TIMEOUT_S)
+            for stream in ("stdout", "stderr"):
+                text = getattr(proc, stream).replace(os.fsencode(root),
+                                                     b"<checkout>")
+                result[f"{label} {stream}"] = hashlib.sha256(text).hexdigest()
+            result[f"exit {label}"] = str(proc.returncode)
+
         for argv, configs in commands():
             for name, text in configs.items():
                 with open(os.path.join(work, name), "w") as fh:
                     fh.write(text)
-            proc = subprocess.run(
-                [sys.executable, "-m", "sspaceform.cli", *argv], cwd=work,
-                env=env, capture_output=True, timeout=TIMEOUT_S)
-            result[f"exit {' '.join(argv)}"] = str(proc.returncode)
-        proc = subprocess.run([sys.executable, "-c", ORACLE], cwd=work,
-                              env=env, capture_output=True, timeout=TIMEOUT_S)
-        result["exit oracle"] = str(proc.returncode)
+            run(" ".join(argv), [sys.executable, "-m", "sspaceform.cli", *argv])
+        run("oracle", [sys.executable, "-c", ORACLE])
         demos = os.path.join(root, "demos")
         for name in sorted(os.listdir(demos)):
-            if not name.endswith(".py"):
-                continue
-            proc = subprocess.run(
-                [sys.executable, os.path.join(demos, name)], cwd=work,
-                env=env, capture_output=True, timeout=TIMEOUT_S)
-            result[f"{name} stdout"] = hashlib.sha256(proc.stdout).hexdigest()
-            result[f"exit {name}"] = str(proc.returncode)
+            if name.endswith(".py"):
+                run(name, [sys.executable, os.path.join(demos, name)])
         for name in sorted(os.listdir(work)):
             if name.endswith(".ini"):
                 continue
