@@ -246,7 +246,7 @@ def check_conditions(trace: CurveTrace, fd: FrenetData, profile: SlantProfile,
     t3 = tau3(fd, f)
     per_sample["tau3_norm"] = t3.norm
 
-    if fd.order == 1 or np.max(k1) < GEODESIC_K1:
+    if np.max(k1) < GEODESIC_K1:
         residuals = dict.fromkeys(EQUATIONS, 0.0)
         residuals["tau3_norm"] = float(np.max(t3.norm))
         return BiharmonicReport(residuals=residuals, case="degenerate",

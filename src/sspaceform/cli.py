@@ -41,8 +41,8 @@ from . import __version__
 from . import biharmonic as bih
 from . import odesol
 from . import synth
-from .curve import (STEP_TOL, CurveTrace, fd_derivative, frenet_apparatus,
-                    grid_samples, read_csv, write_csv)
+from .curve import (MAX_SAMPLES, STEP_TOL, CurveTrace, fd_derivative,
+                    frenet_apparatus, grid_samples, read_csv, write_csv)
 from .manifold import ModelParams
 from .slant import contact_angles
 
@@ -176,6 +176,11 @@ def _build_trace(params: ModelParams, cp: configparser.ConfigParser):
                           f"(choose from {BUILTIN_CURVES})")
     if name in ("catenary", "circle", "geodesic"):   # the others march
         n = grid_samples(window[1] - window[0], step)
+        # the largest m = s = 2 grid the sample cap admits, refused before
+        # the trace's (n, 2m+s) arrays are allocated
+        if n * params.dim > 6 * MAX_SAMPLES:
+            raise ConfigError(f"{n} samples in dimension {params.dim} exceed "
+                              f"the {6 * MAX_SAMPLES} values a trace may hold")
     if name == "catenary":
         return synth.legendre_catenary(params, window=window, n=n), \
             lambda t: 1.0 / (1.0 + t ** 2)
@@ -364,13 +369,18 @@ def _write_all(outputs) -> None:
     is written to a temporary sibling of its resolved path (so a symlink
     is written through), which replaces it with the old file's mode once
     every output is written.  Any other target (/dev/null, a FIFO) is
-    written directly; a directory is refused before anything is written.
-    On a failure the temporaries are removed and the error names the path.
+    written directly.  A directory, and two missing or regular targets of
+    one resolved path, are refused before anything is written.  On a
+    failure the temporaries are removed and the error names the path.
     """
-    staged, modes = [], []
+    staged, modes, files = [], [], set()
     try:
         for path, _ in outputs:
             modes.append(_target_mode(path))
+            if modes[-1] is None or stat.S_ISREG(modes[-1]):
+                if os.path.realpath(path) in files:
+                    raise ConfigError(f"two outputs name the file {path!r}")
+                files.add(os.path.realpath(path))
         for i, ((path, write), mode) in enumerate(zip(outputs, modes)):
             if mode is not None and not stat.S_ISREG(mode):
                 write(path)     # a device or FIFO: no file to replace

@@ -366,8 +366,8 @@ def covariant_chain(trace: CurveTrace) -> tuple[np.ndarray, ...]:
 # Frenet apparatus
 # ---------------------------------------------------------------------------
 
-# samples ignored at each window end by order detection and degeneracy
-# analysis: one-sided difference stencils of sampled traces are noisier there
+# samples ignored at each window end by order detection: one-sided
+# difference stencils of sampled traces are noisier there
 ORDER_EDGE_TRIM = 4
 # a curvature counts as zero where it is below this
 ORDER_THRESHOLD = 1e-6
@@ -386,7 +386,6 @@ class FrenetData:
     curvatures: np.ndarray      # (order-1, n), k_1..k_{r-1}
     chain: tuple                # covariant_chain(trace): (dim, n) read-only levels
     unit_speed_deviation: float  # max |g(T,T) - 1| over the trace
-    degeneracy: list = field(default_factory=list)
 
     @cached_property
     def padded_curvatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -415,16 +414,17 @@ class FrenetData:
 def frenet_apparatus(trace: CurveTrace) -> FrenetData:
     """Gram-Schmidt Frenet apparatus from the exact covariant chain.
 
-    k_i is extracted from the Gram-Schmidt residual norms of the first
-    min(depth, 2m+s) chain levels (r_j = k_1 k_2 ... k_j), so the trace's
-    derivative depth caps the order.  The order r is i for the first k_i
-    whose maximum over the interior is below ORDER_THRESHOLD, and the cap
-    if there is none; the interior drops ORDER_EDGE_TRIM samples at each
-    window end, and the returned arrays still cover the full grid.  A
-    curvature that crosses the threshold mid-window is kept, and its
-    above-threshold subwindows are recorded in FrenetData.degeneracy.
-    Frames are sign-aligned with the previous sample to prevent spurious
-    flips.
+    One pass over the first min(depth, 2m+s) chain levels, so the trace's
+    derivative depth caps the order.  Level j is orthonormalized, and its
+    Gram-Schmidt residual norm r_j = k_1 k_2 ... k_j gives k_j.  The order
+    r is j at the first k_j whose maximum over the interior is below
+    ORDER_THRESHOLD, and the pass stops there, so no level past the order
+    is orthonormalized; with no such k_j the order is the cap.  The
+    interior drops ORDER_EDGE_TRIM samples at each window end, and the
+    returned arrays still cover the full grid.  A curvature that crosses
+    the threshold mid-window is kept.  Each frame is sign-aligned with the
+    previous sample, before the next level is projected on it, to prevent
+    spurious flips.
     """
     dev = unit_speed_check(trace)
     tol = 1e-5 if trace.sampled else 1e-8
@@ -434,58 +434,44 @@ def frenet_apparatus(trace: CurveTrace) -> FrenetData:
     chain = covariant_chain(trace)
     n, dim = trace.n, trace.params.dim
     levels = min(len(chain), dim)
+    trim = ORDER_EDGE_TRIM
+    interior = slice(trim, n - trim) if n > 2 * trim else slice(None)
 
     # modified Gram-Schmidt, one chain level at a time over all samples; a
     # sample whose residual norm falls below 1e-13 keeps zero frames and
-    # zero residuals from the next level on
+    # zero curvatures from the next level on.  Projecting on an aligned
+    # frame subtracts the same terms: <v, -b>(-b) = <v, b> b exactly.
     frames = np.zeros((levels, n, dim))
-    resid = np.zeros((levels - 1, n))
+    curvatures = np.zeros((levels - 1, n))
     live = np.ones(n, dtype=bool)
+    prod = np.ones(n)
+    order = levels
     for j in range(levels):
         v = chain[j].T.copy()
         for b in frames[:j]:
             v -= np.vecdot(v, b)[:, None] * b
         nv = np.sqrt(np.vecdot(v, v))
         if j >= 1:
-            resid[j - 1] = np.where(live, nv, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.where(prod > 0, np.where(live, nv, 0.0) / prod, 0.0)
+            if np.max(k[interior]) < ORDER_THRESHOLD:
+                order = j
+                break
+            curvatures[j - 1] = k
+            prod = prod * k
         live &= ~(nv < 1e-13)
         frames[j, live] = v[live] / nv[live, None]
-
-    # curvatures from residual ratios
-    raw_k = np.zeros_like(resid)
-    prod = np.ones(n)
-    for j in range(levels - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw_k[j] = np.where(prod > 0, resid[j] / prod, 0.0)
-        prod = prod * raw_k[j]
-
-    # order detection: first curvature below threshold on the whole interior
-    trim = ORDER_EDGE_TRIM
-    interior = slice(trim, n - trim) if n > 2 * trim else slice(None)
-    order = levels
-    degeneracy = []
-    for j in range(levels - 1):
-        k = raw_k[j][interior]
-        kmax, kmin = float(np.max(k)), float(np.min(k))
-        if kmax < ORDER_THRESHOLD:
-            order = j + 1
-            break
-        if kmin < ORDER_THRESHOLD <= kmax:
-            # kept; the windows stay on FrenetData and are not reported
-            degeneracy.append({"curvature_index": j + 1, "windows":
-                               _contiguous_windows(trace.ts[interior],
-                                                   k >= ORDER_THRESHOLD)})
-    for j in range(1, order):
-        _align_signs(frames[j])
-    kept = raw_k[:order - 1]
+        if j >= 1:
+            _align_signs(frames[j])
     # drop the levels past the order in place: a view of the kept levels
     # would keep every level alive, and a copy would hold both.
     # No view of `frames` is read after this.
     if order < levels:
         frames.resize((order, n, dim), refcheck=False)
     return FrenetData(params=trace.params, ts=trace.ts, step=trace.step,
-                      order=order, frames=frames, curvatures=kept, chain=chain,
-                      unit_speed_deviation=dev, degeneracy=degeneracy)
+                      order=order, frames=frames,
+                      curvatures=curvatures[:order - 1], chain=chain,
+                      unit_speed_deviation=dev)
 
 
 def _align_signs(frame: np.ndarray) -> None:
@@ -502,10 +488,4 @@ def _align_signs(frame: np.ndarray) -> None:
     last = np.maximum.accumulate(np.where(restart, np.arange(len(frame)), 0))
     flip = (neg - neg[last]) % 2 == 1
     frame[flip] = -frame[flip]
-
-
-def _contiguous_windows(ts: np.ndarray, mask: np.ndarray) -> list:
-    """(first t, last t) of every run of True in mask."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
-    return [(float(ts[a]), float(ts[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 

@@ -27,7 +27,7 @@ from .biharmonic import WeightFunction, check_conditions
 from .curve import (ORDER_THRESHOLD, CurveTrace, FrenetData, _frame_jet,
                     fd_derivative, frenet_apparatus)
 from .manifold import ModelParams, connection_term, frame_to_coords, phi_frame
-from .odesol import OdeSolutionSpec, k1_closed_form, ode_residual
+from .odesol import OdeSolutionSpec, f_from_k1, k1_closed_form, ode_residual
 from .slant import PhiTDecomposition, SlantProfile, contact_angles
 from .synth import R6ExampleConfig, SynthesisError, _rk4_march
 
@@ -119,10 +119,10 @@ def r6_example_realizability(step: float = 1e-3) -> dict:
         k1, k2, k3 = fd.padded_curvatures
         sl = slice(10, trace.n - 10)
         tgt = cfg.k3(trace.ts)
-        f = WeightFunction(ts=trace.ts, f=r6_f(trace.ts),
-                           fp=np.gradient(r6_f(trace.ts), trace.ts),
-                           fpp=np.gradient(np.gradient(r6_f(trace.ts), trace.ts), trace.ts),
-                           c1=cfg.c1)
+        k1_cfg = cfg.k1(trace.ts)       # the weight verify builds for it
+        k1p = fd_derivative(k1_cfg, trace.step)
+        f = f_from_k1(trace.ts, k1_cfg, k1p, fd_derivative(k1p, trace.step),
+                      c1=cfg.c1)
         rep = check_conditions(trace, fd, prof, f)
         branches[branch] = {
             "k3_measured_at_0": float(k3[trace.n // 2]),

@@ -563,6 +563,40 @@ def test_refused_synth_verify_leaves_no_trace(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--report", "same.out", "--csv", "same.out"], "same.out"),
+    (["verify", "--report", "same.out", "--csv", "d/../same.out"],
+     "d/../same.out"),
+    (["verify", "--report", "link.out", "--csv", "same.out"], "same.out"),
+    (["synth", "--builtin", "catenary", "--window=-1:1", "--out", "s.out",
+      "--verify", "--report", "s.out"], "s.out"),
+], ids=["verify", "verify-dotdot", "verify-symlink", "synth-verify"])
+def test_two_outputs_naming_one_file_exit_2(argv, named, tmp_path, capsys,
+                                            monkeypatch):
+    # both used to exit 0, the file holding only the output written last
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "verify":
+        argv = argv[:1] + ["--config", cfg] + argv[1:]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "d",
+                                                          "link.out"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: two outputs name the file {named!r}"]
+
+
+def test_two_outputs_may_name_one_device(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", "[manifold]\nm = 2\ns = 2\n\n"
+                       "[curve]\nsource = builtin:catenary\nwindow = -1:1\n")
+    assert cli.main(["verify", "--config", cfg, "--report", os.devnull,
+                     "--csv", os.devnull]) == cli.EXIT_OK
+
+
 def test_verify_writes_through_symlink_and_device(tmp_path):
     # a symlinked report is written through, keeping the link and the
     # file's mode; a device such as os.devnull is written directly
@@ -707,6 +741,26 @@ def test_oversized_grid_is_refused_before_allocating(tmp_path, command):
     assert out.stderr.startswith("config error:")
     assert "1000000 samples" in out.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("builtin", ["catenary", "circle", "geodesic"])
+def test_oversized_manifold_is_refused_before_allocating(tmp_path, builtin):
+    # m = 10^9 asks for 4001 x (2 10^9 + 2) floats, 58 TiB per array: more
+    # than any address space maps, so an unchecked run fails at once with a
+    # MemoryError traceback.  The refusal comes before the allocation.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2)
+
+    write_config(tmp_path / "c.ini", "[manifold]\nm = 1000000000\ns = 2\n\n"
+                 f"[curve]\nsource = builtin:{builtin}\n")
+    out = _run_cli_process(tmp_path, "verify", "--config", "c.ini",
+                           preexec_fn=limit)
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr[-500:]
+    assert out.stderr.splitlines() == [
+        "config error: 4001 samples in dimension 2000000002 exceed the "
+        f"{6 * MAX_SAMPLES} values a trace may hold"]
 
 
 def test_grid_samples_cap():

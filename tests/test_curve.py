@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sspaceform import csvformat, curve, synth
-from sspaceform.curve import (CurveTrace, _contiguous_windows, fd_derivative,
+from sspaceform.curve import (CurveTrace, fd_derivative,
                               frenet_apparatus, unit_speed_check,
                               covariant_chain, write_csv)
 from sspaceform.manifold import ModelParams, connection_term
@@ -313,13 +313,19 @@ def test_degeneracy_detection(params22):
     spec = synth.SynthesisSpec(params=params22, p0=np.zeros(6), frame0=frame0,
                                curvatures=[k1], window=(-1.5, 1.5), step=1e-3)
     trace, _ = synth.integrate_frenet_system(spec)
+    # down to gamma'', so that the order is at most 2: past the crossing the
+    # measured k2 = r_2 / k1 is roundoff over a vanishing k1
+    trace = dataclasses.replace(trace, derivs=trace.derivs[:2])
     fd = frenet_apparatus(trace)
-    assert fd.degeneracy, "threshold crossing must be reported"
-    assert fd.degeneracy[0]["curvature_index"] == 1
-    windows = fd.degeneracy[0]["windows"]
-    assert len(windows) == 1
-    lo, hi = windows[0]
-    assert lo <= -1.0 and hi < 1.2  # k1 above threshold only on the left
+    assert fd.order == 2
+    # k1 crosses the threshold on the interior and is kept: above it only on
+    # the left
+    trim = curve.ORDER_EDGE_TRIM
+    ts, k = trace.ts[trim:-trim], fd.curvatures[0][trim:-trim]
+    above = ts[k >= curve.ORDER_THRESHOLD]
+    assert np.min(k) < curve.ORDER_THRESHOLD
+    assert above[0] <= -1.0 and above[-1] < 1.2
+    assert np.all(np.diff(above) < 1.5 * trace.step)   # one window
 
 
 def test_frenet_equations_on_analytic_catenary(catenary, catenary_fd):
@@ -337,29 +343,6 @@ def test_frenet_equations_on_analytic_catenary(catenary, catenary_fd):
             expect += fd.curvatures[j][:, None] * fd.frames[j + 1]
         res = np.linalg.norm(dv - expect, axis=1)[5:-5]
         assert np.max(res) < 1e-6, f"V_{j+1}"
-
-
-def test_contiguous_windows_match_loop_reference():
-    # the run finder of the degeneracy report against the per-sample loop
-    # it replaced
-    def loop(ts, mask):
-        windows, start = [], None
-        for i, good in enumerate(mask):
-            if good and start is None:
-                start = i
-            elif not good and start is not None:
-                windows.append((float(ts[start]), float(ts[i - 1])))
-                start = None
-        if start is not None:
-            windows.append((float(ts[start]), float(ts[-1])))
-        return windows
-
-    rng = np.random.default_rng(5)
-    for n in (0, 1, 2, 50):
-        ts = np.linspace(-1.0, 1.0, n)
-        for _ in range(100):
-            mask = rng.random(n) < rng.random()
-            assert _contiguous_windows(ts, mask) == loop(ts, mask)
 
 
 def test_from_csv_malformed(params22, tmp_path):
@@ -385,8 +368,8 @@ def _frenet_oracle(trace, edge_trim=4):
 
     At most min(depth, 2m+s) levels; the order is that of the first
     curvature below the threshold on the whole interior, and one that
-    crosses it is kept.  Returns (frames, raw_k, order, degeneracy, flips),
-    raw_k holding every measured curvature.
+    crosses it is kept.  Returns (frames, raw_k, order, flips), raw_k
+    holding every measured curvature.
     """
     threshold = curve.ORDER_THRESHOLD
     chain = covariant_chain(trace)
@@ -416,23 +399,17 @@ def _frenet_oracle(trace, edge_trim=4):
         prod = prod * raw_k[j]
     interior = slice(edge_trim, n - edge_trim)
     order = levels
-    degeneracy = []
     for j in range(levels - 1):
-        k = raw_k[j][interior]
-        if np.max(k) < threshold:
+        if np.max(raw_k[j][interior]) < threshold:
             order = j + 1
             break
-        if np.min(k) < threshold:
-            degeneracy.append({"curvature_index": j + 1, "windows":
-                               _contiguous_windows(trace.ts[interior],
-                                                   k >= threshold)})
     flips = 0
     for j in range(1, order):
         for idx in range(1, n):
             if np.dot(frames[j, idx], frames[j, idx - 1]) < 0:
                 frames[j, idx] = -frames[j, idx]
                 flips += 1
-    return frames[:order], raw_k, order, degeneracy, flips
+    return frames[:order], raw_k, order, flips
 
 
 def _spliced_case2(cs, geodesic_rows):
@@ -456,7 +433,8 @@ def _spliced_case2(cs, geodesic_rows):
 
 @pytest.mark.parametrize("name", ["geodesic", "circle", "catenary",
                                   "case2-order3", "csv:case2-order3",
-                                  "case2-order3 depth 2", "sign-flip"])
+                                  "case2-order3 depth 2", "sign-flip",
+                                  "r6-steered"])
 def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
     if name == "csv:case2-order3":
         path = tmp_path / "case2.csv"
@@ -471,17 +449,24 @@ def test_frenet_matches_per_sample_oracle(name, request, tmp_path, params22):
             synth.geodesic_trace(params22, window=(-2.0, 2.0), n=4001))
     else:
         trace = request.getfixturevalue(
-            {"case2-order3": "case2_curve"}.get(name, name))
-    frames, raw_k, order, degeneracy, flips = _frenet_oracle(trace)
+            {"case2-order3": "case2_curve",
+             "r6-steered": "r6_steered"}.get(name, name))
+    frames, raw_k, order, flips = _frenet_oracle(trace)
     fd = frenet_apparatus(trace)
     assert fd.order == order
     assert np.array_equal(fd.frames, frames)
     assert np.array_equal(fd.curvatures, raw_k[:order - 1])
-    assert fd.degeneracy == degeneracy
     if name == "geodesic":
         assert order == 1 and np.all(raw_k[0] < 1e-13)
     if name in ("csv:case2-order3", "sign-flip"):
-        assert degeneracy and flips > 0
+        # a kept curvature crosses the threshold on the interior
+        kept = raw_k[:order - 1, 4:-4]
+        assert np.any((kept.min(axis=1) < curve.ORDER_THRESHOLD)
+                      & (kept.max(axis=1) >= curve.ORDER_THRESHOLD))
+        assert flips > 0
+    if name == "r6-steered":
+        # the order is the trace's level count: no level is left over
+        assert order == min(trace.depth, trace.params.dim)
     if name == "sign-flip":
         # the second block is flipped, the last one is not
         assert order == 3 and flips == 1000
@@ -507,8 +492,9 @@ def test_kept_crossing_curvature_does_not_end_the_order():
                          lambda t: 1.0], 4)
     fd = frenet_apparatus(trace)
     assert fd.order == 4 and fd.frames.shape[0] == 4
-    assert fd.degeneracy[0]["curvature_index"] == 1
     interior = slice(curve.ORDER_EDGE_TRIM, -curve.ORDER_EDGE_TRIM)
+    k1 = fd.curvatures[0][interior]
+    assert np.min(k1) < curve.ORDER_THRESHOLD <= np.max(k1)
     assert np.min(fd.curvatures[1][interior]) > 0.99
 
 

@@ -89,14 +89,16 @@ MUTANTS = [
      "the V2 identity gap's sign"),
     ("K14", "curve.py", "usecols=range(ncols)", "usecols=None",
      "read_csv parses every column of a wider file"),
-    ("K15", "curve.py", '"curvature_index": j + 1, "windows":',
-     '"curvature_index": (order := j + 2) - 1, "windows":',
+    ("K15", "curve.py", "if np.max(k[interior]) < ORDER_THRESHOLD:",
+     "if np.min(k[interior]) < ORDER_THRESHOLD:",
      "a curvature that crosses the threshold ends the order"),
     ("K16", "curve.py", "ORDER_THRESHOLD = 1e-6", "ORDER_THRESHOLD = 1e-5",
      "the Frenet order threshold 1e-6 -> 1e-5"),
     ("K17", "curve.py", "levels = min(len(chain), dim)",
      "levels = min(len(chain) - 1, dim)",
      "the trace's depth caps the Frenet order one level lower"),
+    ("K18", "curve.py", "order = j\n", "order = j + 1\n",
+     "the Frenet loop keeps one level past the order"),
 ]
 
 

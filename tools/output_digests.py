@@ -23,7 +23,9 @@ depend on where the checkout lives:
   unknown `--expect` verdict, an output path in a directory that does not
   exist for `verify --report`, `verify --csv`, `synth --out` and
   `ode --out`, two `ode` runs whose residual is not below the
-  tolerance, and `synth --report` without `--verify`.
+  tolerance, `synth --report` without `--verify`, two outputs that name
+  one file for `verify` and for `synth --verify`, and a catenary in a
+  manifold of m = 10^12, whose arrays no address space can map.
 
 Then it runs ORACLE, a `python -c` command that writes the RK4 oracle's
 ts, y, y' and first integral, and its truncation, for the bench's four
@@ -71,6 +73,8 @@ REFUSED_CONFIGS = {
                               "source = builtin:r6-example\nstep = 0.2\n",
     "refuse-no-section-header.ini": "m = 2\n",
     "refuse-duplicate-option.ini": "[manifold]\nm = 2\nm = 3\n",
+    "refuse-huge-manifold.ini": "[manifold]\nm = 1000000000000\ns = 2\n"
+                                "[curve]\nsource = builtin:catenary\n",
 }
 NAN_WEIGHT = {
     "refuse-nan-weight.ini": "[manifold]\nm = 2\ns = 2\n[curve]\n"
@@ -150,7 +154,10 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
         ["synth", "--builtin", "catenary", "--out", UNWRITABLE],
         ["ode", *ODE["iii"], "--out", UNWRITABLE],
         ["synth", "--builtin", "catenary", "--out", "refuse-report.csv",
-         "--report", "refuse-report.json"])]
+         "--report", "refuse-report.json"],
+        catenary + ["--report", "refuse-same.out", "--csv", "refuse-same.out"],
+        ["synth", "--builtin", "catenary", "--out", "refuse-same-synth.out",
+         "--verify", "--report", "refuse-same-synth.out"])]
     return out
 
 
